@@ -1,21 +1,24 @@
-"""Approximate Gaussian filtering of scattered points via a bilateral grid.
+"""Gaussian filtering of fields on the voxel lattice.
 
-Computes, for every point i and value channel c,
+`gaussian_blur` is the spatial Gaussian exp(-d^2 / 2 theta^2), d in mm:
+a separable convolution truncated at TRUNCATE bandwidths and left
+unnormalized, so it sums the kernel over voxel pairs.
 
-    out[c, i] ~= sum_j exp(-|coords_i - coords_j|^2 / 2) * values[c, j]
+`bilateral_filter` computes, for every voxel i and value channel c,
 
-with coordinates already scaled by their kernel bandwidths, so the kernel
-is the unit-bandwidth Gaussian in every axis. The sum includes j = i;
-callers wanting the strict off-diagonal sum subtract the self term.
+    out[c, i] ~= sum_j exp(-|p_i - p_j|^2 / 2 theta^2 - (I_i - I_j)^2 / 2) * values[c, j]
 
-The approximation is the usual splat/blur/slice scheme: multilinear splat
-onto a grid over the joint coordinate space, separable Gaussian blur,
-multilinear slice back at the original points. Cells are CELL bandwidths
-wide; splat and slice each convolve with a tent of variance CELL^2/6, so
-the grid blur carries the remaining variance, and its kernel is rescaled
-to mass sqrt(2*pi)/CELL so amplitudes match the unnormalized Gaussian.
-Third-of-bandwidth cells keep the discrete blur well sampled and the
-splat/slice quantization wobble near one percent per axis.
+with intensities already scaled by their bandwidth. The sum includes
+j = i; callers wanting the strict off-diagonal sum subtract the self
+term. Positions sit on the lattice, so only intensity is gridded (the
+bilateral grid of Chen, Paris & Durand 2007 with the spatial axes left at
+voxel resolution): a linear splat into intensity cells CELL bandwidths
+wide, a blur along intensity, `gaussian_blur` in space, and a linear
+slice back. Splat and slice each convolve with a tent of variance
+CELL^2/6, so the intensity blur carries the remaining variance, and its
+kernel is rescaled to mass sqrt(2*pi)/CELL so amplitudes match the
+unnormalized Gaussian. Third-of-bandwidth cells keep the discrete blur
+well sampled and the quantization wobble near one percent.
 """
 
 from __future__ import annotations
@@ -23,8 +26,19 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import convolve1d
 
-CELL = 1.0 / 3.0  # grid cell size in bandwidth units
-TRUNCATE = 3.0
+CELL = 1.0 / 3.0  # intensity cell size in bandwidth units
+TRUNCATE = 3.0  # every Gaussian is cut off at this many bandwidths
+
+
+def gaussian_blur(field, spacing, theta):
+    """Blur the last len(spacing) axes of field; theta and spacing in mm."""
+    out = np.asarray(field, dtype=np.float64)
+    for axis, sp in enumerate(spacing):
+        radius = int(np.ceil(TRUNCATE * theta / sp))
+        t = np.arange(-radius, radius + 1) * sp
+        kern = np.exp(-(t**2) / (2 * theta**2))
+        out = convolve1d(out, kern, axis=axis - len(spacing), mode="constant")
+    return out
 
 
 def _blur_kernel():
@@ -35,53 +49,29 @@ def _blur_kernel():
     return k * (np.sqrt(2.0 * np.pi) / CELL / k.sum())
 
 
-def bilateral_filter(values, coords):
-    """Filter values (C, N) living at coords (N, D), bandwidth-scaled.
+def bilateral_filter(values, inten, spacing, theta):
+    """Filter values (C, *grid) against bandwidth-scaled intensities (*grid).
 
-    Returns a (C, N) array approximating the all-pairs Gaussian sum above.
+    spacing (per axis) and the spatial bandwidth theta are in mm. Returns a
+    (C, *grid) array approximating the sum above.
     """
     values = np.asarray(values, dtype=np.float64)
-    coords = np.asarray(coords, dtype=np.float64)
-    n_pts, ndim = coords.shape
-    if values.shape[1] != n_pts:
-        raise ValueError(f"values {values.shape} do not match coords {coords.shape}")
-
-    kernel = _blur_kernel()
-    pad = (len(kernel) - 1) // 2
-
-    scaled = coords / CELL
-    lo = np.floor(scaled.min(axis=0))
-    # grid coordinates of each point, offset so blur padding stays in range
-    pos = scaled - lo + pad
-    base = np.floor(pos).astype(np.int64)
-    frac = pos - base
-    dims = base.max(axis=0) + 2 + pad  # room for the +1 corner and padding
-
-    strides = np.ones(ndim, dtype=np.int64)
-    for d in range(ndim - 2, -1, -1):
-        strides[d] = strides[d + 1] * dims[d + 1]
-    grid_size = int(strides[0] * dims[0])
-
-    base_flat = base @ strides
-    grid = np.zeros((values.shape[0], grid_size))
-    out = np.zeros_like(values)
-
-    corners = []
-    for mask in range(2**ndim):
-        bits = np.array([(mask >> d) & 1 for d in range(ndim)], dtype=np.int64)
-        weight = np.prod(np.where(bits, frac, 1.0 - frac), axis=1)
-        idx = base_flat + bits @ strides
-        corners.append((idx, weight))
-
-    for idx, weight in corners:
-        for c in range(values.shape[0]):
-            grid[c] += np.bincount(idx, weights=weight * values[c], minlength=grid_size)
-
-    grid = grid.reshape((values.shape[0],) + tuple(dims))
-    for axis in range(ndim):
-        grid = convolve1d(grid, kernel, axis=axis + 1, mode="constant")
-    grid = grid.reshape(values.shape[0], grid_size)
-
-    for idx, weight in corners:
-        out += weight * grid[:, idx]
-    return out
+    if values.shape[1:] != np.shape(inten):
+        raise ValueError(f"values {values.shape} do not match intensities {np.shape(inten)}")
+    flat = values.reshape(values.shape[0], -1)
+    pos = np.reshape(inten, -1) / CELL  # intensity in cells
+    cell = np.floor(pos)
+    base = (cell - cell.min()).astype(np.int64)
+    frac = pos - cell
+    # each voxel has a column of cells to itself, so no two voxels collide;
+    # blur mass past either end of the intensity range is never sliced back,
+    # so the grid needs no padding
+    voxel = np.arange(flat.shape[1])
+    grid = np.zeros((flat.shape[0], base.max() + 2, flat.shape[1]))
+    grid[:, base, voxel] = (1.0 - frac) * flat
+    grid[:, base + 1, voxel] = frac * flat
+    grid = convolve1d(grid, _blur_kernel(), axis=1, mode="constant")
+    grid = gaussian_blur(grid.reshape(grid.shape[:2] + values.shape[1:]), spacing, theta)
+    grid = grid.reshape(grid.shape[:2] + (-1,))
+    out = (1.0 - frac) * grid[:, base, voxel] + frac * grid[:, base + 1, voxel]
+    return out.reshape(values.shape)

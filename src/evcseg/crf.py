@@ -9,11 +9,16 @@ come from a probability map, typically the network's softmax output.
 
 Two backends share the same update rule. "brute" materializes the full
 N x N kernel matrix (capped at BRUTE_MAX_VOXELS, it is the reference
-implementation and the test oracle); "filtered" approximates the kernel
-sums with a separable spatial convolution plus a bilateral grid, which is
-what makes full volumes tractable. Positions are voxel index times
+implementation and the test oracle); "filtered" computes the smoothness
+sums exactly with a separable spatial Gaussian blur and approximates the
+appearance sums with a bilateral filter that grids intensity only, which
+is what makes full volumes tractable. Positions are voxel index times
 spacing, and intensities are min-max normalized to [0, 1] before any
 kernel evaluation, so the bandwidths keep their meaning across scanners.
+
+Each state carries the message of its marginals, which gives both its
+free energy and the next parallel update, so a refinement of n sweeps
+makes 1 + n message passes.
 """
 
 from __future__ import annotations
@@ -21,16 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import convolve1d
 from scipy.special import xlogy
 
-from .bilateral import bilateral_filter
+from .bilateral import bilateral_filter, gaussian_blur
 from .errors import CapacityError, ConfigError, DomainError, GeometryError
 from .volume import LabelMask, ProbMap, Volume
 
 BRUTE_MAX_VOXELS = 4096
 PROB_CLAMP = 1e-6
-SPATIAL_TRUNCATE = 3.0
 
 
 @dataclass(frozen=True)
@@ -70,13 +73,16 @@ class UnaryField:
 
 @dataclass(frozen=True)
 class MeanFieldState:
-    """Marginals plus the free-energy value recorded after each sweep.
+    """Marginals, their message, and the free energy recorded after each sweep.
 
+    message is M_l(i) = sum_{j != i} k_ij q_l(j), shaped (L, N), from the
+    backend that made the state; the next parallel sweep updates from it.
     trace_exact is False once any entry came from the filtered backend's
     approximate kernel sums.
     """
 
     q: np.ndarray
+    message: np.ndarray
     free_energy_trace: tuple
     trace_exact: bool = True
 
@@ -143,47 +149,52 @@ def _softmax_labels(logits):
     return e / e.sum(axis=0, keepdims=True)
 
 
+def _free_energy(qf, uf, m):
+    """Variational free energy of marginals qf (L, N) with message m = qf @ k.
+
+    The Potts pairwise term sum_{i<j} k_ij (1 - q_i . q_j) equals
+    0.5 * sum (1 - q) * m, because each voxel's marginals sum to 1.
+    """
+    return float((qf * uf).sum() + 0.5 * ((1.0 - qf) * m).sum() + xlogy(qf, qf).sum())
+
+
 def _free_energy_exact(qf, uf, k):
-    pair = 0.5 * (k.sum() - sum(qf[l] @ k @ qf[l] for l in range(qf.shape[0])))
-    return float((qf * uf).sum() + pair + xlogy(qf, qf).sum())
+    return _free_energy(qf, uf, qf @ k)
 
 
 def filtered_message_pass(q, vol: Volume, cfg: CrfConfig):
     """Approximate M_i(l) = sum_{j != i} k(f_i, f_j) q_j(l) for all voxels.
 
-    q is (L, nx, ny, nz); the smoothness part is an exact truncated
-    separable convolution, the appearance part runs through the bilateral
-    grid, and the self term (w_appearance + w_smoothness) q_i is removed.
+    q is (L, nx, ny, nz). The smoothness part is the exact truncated
+    spatial Gaussian blur at theta_gamma; the appearance part is the
+    bilateral filter over intensity (in theta_beta units) and space
+    (theta_alpha); the self term (w_appearance + w_smoothness) q_i is
+    removed.
     """
-    shape = vol.data.shape
-    labels = q.shape[0]
-    qf = q.reshape(labels, -1)
-    out = np.zeros_like(qf)
+    out = np.zeros(q.shape)
     if cfg.w_appearance > 0:
-        pos, inten = _features(vol)
-        coords = np.concatenate(
-            [pos / cfg.theta_alpha, (inten / cfg.theta_beta)[:, None]], axis=1
-        )
-        out += cfg.w_appearance * bilateral_filter(qf, coords)
+        inten = _features(vol)[1].reshape(vol.data.shape) / cfg.theta_beta
+        out += cfg.w_appearance * bilateral_filter(q, inten, vol.spacing, cfg.theta_alpha)
     if cfg.w_smoothness > 0:
-        sm = q.astype(np.float64, copy=True)
-        for axis, sp in enumerate(vol.spacing):
-            radius = int(np.ceil(SPATIAL_TRUNCATE * cfg.theta_gamma / sp))
-            t = np.arange(-radius, radius + 1) * sp
-            kern = np.exp(-(t**2) / (2 * cfg.theta_gamma**2))
-            sm = convolve1d(sm, kern, axis=axis + 1, mode="constant")
-        out += cfg.w_smoothness * sm.reshape(labels, -1)
-    out -= (cfg.w_appearance + cfg.w_smoothness) * qf
-    return out.reshape(q.shape)
+        out += cfg.w_smoothness * gaussian_blur(q, vol.spacing, cfg.theta_gamma)
+    out -= (cfg.w_appearance + cfg.w_smoothness) * q
+    return out
 
 
-def _approx_free_energy(q_new, uf, vol, cfg):
-    m = filtered_message_pass(q_new, vol, cfg).reshape(q_new.shape[0], -1)
-    ones = np.ones((1,) + vol.data.shape)
-    s_hat = filtered_message_pass(ones, vol, cfg)
-    qf = q_new.reshape(q_new.shape[0], -1)
-    pair = 0.5 * (s_hat.sum() - (qf * m).sum())
-    return float((qf * uf).sum() + pair + xlogy(qf, qf).sum())
+def _scored(q, uf, vol, cfg, k, trace, exact) -> MeanFieldState:
+    """State for marginals q: their message, and their free energy appended
+    to trace. k is the brute kernel matrix, or None for the filtered backend."""
+    qf = q.reshape(uf.shape)
+    if k is None:
+        m = filtered_message_pass(q, vol, cfg).reshape(uf.shape)
+    else:
+        m = qf @ k  # k is symmetric
+    return MeanFieldState(
+        q=q,
+        message=m,
+        free_energy_trace=trace + (_free_energy(qf, uf, m),),
+        trace_exact=exact and k is not None,
+    )
 
 
 def mean_field_step(
@@ -196,28 +207,18 @@ def mean_field_step(
     """
     labels = u.neg_log_probs.shape[0]
     uf = u.neg_log_probs.reshape(labels, -1)
-    if cfg.backend == "brute":
-        k = kernel_matrix(vol, cfg)
-        if cfg.update_order == "parallel":
-            m = state.q.reshape(labels, -1) @ k  # k is symmetric
-            q_new = _softmax_labels(-uf + m)
-        else:
-            q_new = state.q.reshape(labels, -1).copy()
-            for i in range(q_new.shape[1]):
-                logits = -uf[:, i] + q_new @ k[i]
-                z = np.exp(logits - logits.max())
-                q_new[:, i] = z / z.sum()
-        fe = _free_energy_exact(q_new, uf, k)
-        exact = state.trace_exact
+    k = kernel_matrix(vol, cfg) if cfg.backend == "brute" else None
+    if cfg.update_order == "parallel":
+        q_new = _softmax_labels(-uf + state.message)
     else:
-        m = filtered_message_pass(state.q, vol, cfg).reshape(labels, -1)
-        q_new = _softmax_labels(-uf + m)
-        fe = _approx_free_energy(q_new.reshape(state.q.shape), uf, vol, cfg)
-        exact = False
-    return MeanFieldState(
-        q=q_new.reshape(state.q.shape),
-        free_energy_trace=state.free_energy_trace + (fe,),
-        trace_exact=exact,
+        q_new = state.q.reshape(labels, -1).copy()
+        for i in range(q_new.shape[1]):
+            logits = -uf[:, i] + q_new @ k[i]
+            z = np.exp(logits - logits.max())
+            q_new[:, i] = z / z.sum()
+    return _scored(
+        q_new.reshape(state.q.shape), uf, vol, cfg, k,
+        state.free_energy_trace, state.trace_exact,
     )
 
 
@@ -225,11 +226,8 @@ def _initial_state(u: UnaryField, vol: Volume, cfg: CrfConfig) -> MeanFieldState
     labels = u.neg_log_probs.shape[0]
     uf = u.neg_log_probs.reshape(labels, -1)
     q0 = _softmax_labels(-uf).reshape(u.neg_log_probs.shape)
-    if cfg.backend == "brute":
-        fe = _free_energy_exact(q0.reshape(labels, -1), uf, kernel_matrix(vol, cfg))
-        return MeanFieldState(q=q0, free_energy_trace=(fe,), trace_exact=True)
-    fe = _approx_free_energy(q0, uf, vol, cfg)
-    return MeanFieldState(q=q0, free_energy_trace=(fe,), trace_exact=False)
+    k = kernel_matrix(vol, cfg) if cfg.backend == "brute" else None
+    return _scored(q0, uf, vol, cfg, k, (), True)
 
 
 def refine(p: ProbMap, vol: Volume, cfg: CrfConfig):

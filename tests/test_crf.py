@@ -370,6 +370,21 @@ class TestFilteredMessagePass:
         scale = exact.max() - exact.min()
         assert np.max(np.abs(approx - exact)) < 0.05 * scale
 
+    def test_matches_brute_sum_anisotropic_spacing(self):
+        # the spatial blurs take each axis's spacing separately
+        rng = np.random.default_rng(16)
+        fg = rng.uniform(0.05, 0.95, size=(8, 8, 8))
+        q = np.stack([1 - fg, fg])
+        vol = Volume(rng.uniform(size=(8, 8, 8)), affine=np.diag([1.0, 1.5, 0.7, 1.0]))
+        cfg = CrfConfig(
+            w_appearance=2.0, w_smoothness=1.0, theta_alpha=2.0,
+            theta_beta=0.2, theta_gamma=1.5,
+        )
+        approx = filtered_message_pass(q, vol, cfg)
+        exact = brute_messages(q, vol, cfg)
+        scale = exact.max() - exact.min()
+        assert np.max(np.abs(approx - exact)) < 0.05 * scale
+
 
 class TestRefine:
     def test_zero_iterations_is_argmax(self):
@@ -436,6 +451,22 @@ class TestBackendEquivalence:
                 states[backend] = state.q
             worst = max(worst, np.max(np.abs(states["brute"] - states["filtered"])))
         assert worst < 0.05, worst
+
+    def test_filtered_free_energy_tracks_brute(self):
+        worst = 0.0
+        for seed in range(10):
+            p, vol, cfg = random_crf_instance(seed=200 + seed, max_side=12)
+            u = unary_from_probmap(p)
+            traces = {}
+            for backend in ("brute", "filtered"):
+                bcfg = dataclasses.replace(cfg, backend=backend)
+                state = initial_state(u, vol, bcfg)
+                for _ in range(5):
+                    state = mean_field_step(state, u, vol, bcfg)
+                traces[backend] = np.array(state.free_energy_trace)
+            rel = np.abs(traces["filtered"] - traces["brute"]) / np.abs(traces["brute"])
+            worst = max(worst, rel.max())
+        assert worst < 0.01, worst
 
 
 class TestConfigValidation:

@@ -145,6 +145,22 @@ class TestExtract:
         )
         assert np.array_equal(res.native_mask.data, expected.data)
 
+    def test_zero_iters_skips_crf(
+        self, phantom_dataset, init_checkpoint, tmp_path, monkeypatch
+    ):
+        def no_message_pass(*args, **kwargs):
+            raise AssertionError("extract ran a CRF message pass at 0 iterations")
+
+        monkeypatch.setattr("evcseg.crf.filtered_message_pass", no_message_pass)
+        cfg = toy_pipeline_config(
+            phantom_dataset, init_checkpoint, tmp_path / "m.nii.gz",
+            crf=CrfConfig(iterations=0),
+        )
+        res = extract(cfg)
+        assert np.array_equal(
+            res.network_mask.data, np.argmax(res.probs.data, axis=0)
+        )
+
     def test_sidecar_replays_native_mapping(
         self, phantom_dataset, init_checkpoint, tmp_path
     ):
