@@ -6,7 +6,7 @@ Training-time augmentation, reproducibly
 
 import numpy as np
 
-from evcseg.augment import intensity_augment, rigid_augment, volume_rng
+from evcseg.augment import intensity_augment, rigid_augment
 from evcseg.synth import make_phantom
 from evcseg.volume import LabelMask
 
@@ -17,10 +17,10 @@ def centroid(m):
     return np.array(np.nonzero(m)).mean(axis=1)
 
 
-# each (seed, index) pair owns an independent random stream, so sample 3
-# of epoch 0 sees the same perturbation no matter which order the loader
-# visits the data in
-rng = volume_rng(master_seed=0, index=3)
+# each (seed, epoch, index) triple owns an independent random stream, as in
+# train, so sample 3 of epoch 0 sees the same perturbation no matter which
+# order the loader visits the data in
+rng = np.random.default_rng((0, 0, 3))
 
 # intensity: one global scale and shift per volume
 aug = intensity_augment(vol, rng)
@@ -36,7 +36,7 @@ print("mask centroid after: ", np.round(centroid(out_m.data), 2))
 print("mask stays binary:", sorted(np.unique(out_m.data)) == [0, 1])
 
 # replaying the same stream reproduces the identical augmented pair
-rng2 = volume_rng(master_seed=0, index=3)
+rng2 = np.random.default_rng((0, 0, 3))
 aug2 = intensity_augment(vol, rng2)
 out_v2, out_m2 = rigid_augment(aug2, LabelMask(mask.data), rng2)
 print("bitwise reproducible:",

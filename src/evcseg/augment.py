@@ -29,17 +29,6 @@ DEFAULT_ROT_DEG = 10.0
 DEFAULT_TRANS_VOX = 5.0
 
 
-def volume_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Per-volume generator stream.
-
-    Derived from the master seed and the volume's position in the dataset,
-    so draws do not depend on the order volumes are loaded in.
-    """
-    if master_seed < 0 or index < 0:
-        raise ConfigError("master_seed and index must be non-negative")
-    return np.random.default_rng((int(master_seed), int(index)))
-
-
 def _check_range(name: str, rng_pair, positive: bool = False) -> tuple[float, float]:
     lo, hi = (float(rng_pair[0]), float(rng_pair[1]))
     if not (np.isfinite(lo) and np.isfinite(hi)):

@@ -6,6 +6,8 @@ manifest records the architecture config, a hash of it for compatibility
 checks, and per-tensor shape/dtype/offset (offsets are relative to the end
 of the manifest). Tensors are stored float32 little-endian in C order,
 sorted by name, so identical weights always produce identical files.
+Loading checks the config keys, and each tensor's name and shape against
+the network that config builds.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import os
 import numpy as np
 
 from ..errors import BadMagicError, FormatError, TruncatedFileError
-from .network import EvNetConfig
+from .network import EvNetConfig, init_params
 
 MAGIC = b"EVCNET01"
 FORMAT_NAME = "evcseg-checkpoint"
@@ -80,15 +82,31 @@ def load_checkpoint(path):
         raise FormatError(f"{path}: unreadable manifest: {e}") from e
     if manifest.get("format") != FORMAT_NAME:
         raise FormatError(f"{path}: unexpected format {manifest.get('format')!r}")
-    cfg_dict = dict(manifest["config"])
-    cfg_dict["convs_per_block"] = tuple(cfg_dict["convs_per_block"])
-    cfg = EvNetConfig(**cfg_dict)
+    cfg_dict = manifest.get("config")
+    if not isinstance(cfg_dict, dict):
+        raise FormatError(f"{path}: manifest has no config object")
+    keys = {f.name for f in dataclasses.fields(EvNetConfig)}
+    if set(cfg_dict) != keys:
+        raise FormatError(
+            f"{path}: config keys missing {sorted(keys - set(cfg_dict))}, "
+            f"unknown {sorted(set(cfg_dict) - keys)}"
+        )
+    cfg = EvNetConfig(**{**cfg_dict, "convs_per_block": tuple(cfg_dict["convs_per_block"])})
+    tensors = manifest["tensors"]
+    shapes = {name: tuple(info["shape"]) for name, info in tensors.items()}
+    expected = {name: a.shape for name, a in init_params(cfg, np.float32).items()}
+    wrong = sorted(k for k in shapes.keys() | expected.keys() if shapes.get(k) != expected.get(k))
+    if wrong:
+        raise FormatError(f"{path}: tensors do not match the config: " + "; ".join(
+            f"{k} is {shapes.get(k, 'absent')} in the file, {expected.get(k, 'absent')} by config"
+            for k in wrong
+        ))
     base = start + n
     params = {}
-    for name, info in manifest["tensors"].items():
+    for name, info in tensors.items():
         if info["dtype"] != "float32":
             raise FormatError(f"{path}: tensor {name} has dtype {info['dtype']}")
-        shape = tuple(info["shape"])
+        shape = shapes[name]
         count = int(np.prod(shape)) if shape else 1
         off = base + info["offset"]
         if off + 4 * count > len(data):

@@ -146,6 +146,35 @@ def _check_input(x, cfg: EvNetConfig):
         )
 
 
+def _block_forward(t, params, name, convs):
+    """The padded conv + PReLU layers `name`.conv{j} / `name`.prelu{j} in turn.
+
+    Returns (output, caches), one (conv, prelu) cache pair per layer.
+    """
+    caches = []
+    for j in range(convs):
+        t, cc = conv3d_forward(
+            t,
+            params[f"{name}.conv{j}.kernel"],
+            params[f"{name}.conv{j}.bias"],
+            stride=1,
+            padding=KERNEL // 2,
+        )
+        t, cp = prelu_forward(t, params[f"{name}.prelu{j}"])
+        caches.append((cc, cp))
+    return t, caches
+
+
+def _block_backward(g, caches, name, grads):
+    """Backward of _block_forward; fills grads and returns the input gradient."""
+    for j, (cc, cp) in reversed(list(enumerate(caches))):
+        g, grads[f"{name}.prelu{j}"] = prelu_backward(g, cp)
+        g, grads[f"{name}.conv{j}.kernel"], grads[f"{name}.conv{j}.bias"] = (
+            conv3d_backward(g, cc)
+        )
+    return g
+
+
 def evnet_forward(x, params, cfg: EvNetConfig, want_cache: bool = False):
     """Run the network; returns (probs, cache), probs of shape (n, 2, d, h, w).
 
@@ -172,17 +201,7 @@ def evnet_forward(x, params, cfg: EvNetConfig, want_cache: bool = False):
                     t = t + raw  # raw has one channel; broadcast over channels
         else:
             res_src = x
-        ec["convs"] = []
-        for j in range(cfg.convs_per_block[i]):
-            t, cc = conv3d_forward(
-                t,
-                params[f"enc{i}.conv{j}.kernel"],
-                params[f"enc{i}.conv{j}.bias"],
-                stride=1,
-                padding=KERNEL // 2,
-            )
-            t, cp = prelu_forward(t, params[f"enc{i}.prelu{j}"])
-            ec["convs"].append((cc, cp))
+        t, ec["convs"] = _block_forward(t, params, f"enc{i}", cfg.convs_per_block[i])
         res, ec["tile"] = tile_channels_forward(res_src, t.shape[1])
         t = t + res
         feats.append(t)
@@ -194,17 +213,7 @@ def evnet_forward(x, params, cfg: EvNetConfig, want_cache: bool = False):
         t, dc["up_prelu"] = prelu_forward(t, params[f"up{i}.prelu"])
         res_src = t
         t, dc["skip_widths"] = concat_channels_forward([t, feats[i]])
-        dc["convs"] = []
-        for j in range(cfg.convs_per_block[i]):
-            t, cc = conv3d_forward(
-                t,
-                params[f"dec{i}.conv{j}.kernel"],
-                params[f"dec{i}.conv{j}.bias"],
-                stride=1,
-                padding=KERNEL // 2,
-            )
-            t, cp = prelu_forward(t, params[f"dec{i}.prelu{j}"])
-            dc["convs"].append((cc, cp))
+        t, dc["convs"] = _block_forward(t, params, f"dec{i}", cfg.convs_per_block[i])
         t = t + res_src  # decoder residual; channel counts already match
         cache["dec"].append(dc)
 
@@ -226,12 +235,7 @@ def evnet_backward(grad_probs, cache, cfg: EvNetConfig) -> dict[str, np.ndarray]
     for dc in reversed(cache["dec"]):
         i = dc["level"]
         g_res = g
-        for j in range(len(dc["convs"]) - 1, -1, -1):
-            cc, cp = dc["convs"][j]
-            g, grads[f"dec{i}.prelu{j}"] = prelu_backward(g, cp)
-            g, grads[f"dec{i}.conv{j}.kernel"], grads[f"dec{i}.conv{j}.bias"] = (
-                conv3d_backward(g, cc)
-            )
+        g = _block_backward(g, dc["convs"], f"dec{i}", grads)
         g_up, skip_grads[i] = concat_channels_backward(g, dc["skip_widths"])
         g = g_up + g_res
         g, grads[f"up{i}.prelu"] = prelu_backward(g, dc["up_prelu"])
@@ -245,12 +249,7 @@ def evnet_backward(grad_probs, cache, cfg: EvNetConfig) -> dict[str, np.ndarray]
         # the level-0 residual comes straight from the input, so its gradient
         # has no parameter to land on
         g_res = tile_channels_backward(g, ec["tile"]) if i > 0 else None
-        for j in range(len(ec["convs"]) - 1, -1, -1):
-            cc, cp = ec["convs"][j]
-            g, grads[f"enc{i}.prelu{j}"] = prelu_backward(g, cp)
-            g, grads[f"enc{i}.conv{j}.kernel"], grads[f"enc{i}.conv{j}.bias"] = (
-                conv3d_backward(g, cc)
-            )
+        g = _block_backward(g, ec["convs"], f"enc{i}", grads)
         if i == 0:
             break  # level 0 feeds from the input; nothing upstream to fill
         if cfg.multiscale_inputs and cfg.multiscale_mode == "concat":

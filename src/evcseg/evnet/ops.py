@@ -6,8 +6,11 @@ Computation stays in the dtype of the inputs, so float64 gradient checks and
 float32 training share one code path.
 
 conv3d is cross-correlation (no kernel flip) done as one im2col matrix
-product per call; the strided 2x2x2 down/up convolutions exploit their
-non-overlapping windows and reduce to reshapes around a tensor contraction.
+product per call. Its input gradient is the same correlation, of the
+output gradient spread to stride steps with the flipped, channel-swapped
+kernel; its kernel gradient is one more im2col product. The strided
+2x2x2 down/up convolutions exploit their non-overlapping windows and
+reduce to reshapes around a tensor contraction.
 """
 
 from __future__ import annotations
@@ -68,32 +71,25 @@ def conv3d_forward(x, kernel, bias, stride=1, padding=0):
 def conv3d_backward(grad_y, cache):
     """Gradients of conv3d_forward; returns (grad_x, grad_kernel, grad_bias)."""
     xp, kernel, stride, padding, out_sp, x_shape = cache
-    o, c, kd, kh, kw = kernel.shape
+    o, c, k = kernel.shape[:3]
     n, _, d, h, w = x_shape
     od, oh, ow = out_sp
     p, s = padding, stride
 
-    gmat = grad_y.transpose(0, 2, 3, 4, 1).reshape(n * od * oh * ow, o)
     grad_bias = grad_y.sum(axis=(0, 2, 3, 4))
+    gmat = grad_y.transpose(0, 2, 3, 4, 1).reshape(n * od * oh * ow, o)
+    grad_kernel = (gmat.T @ _im2col(xp, kernel.shape[2:], s, out_sp)).reshape(kernel.shape)
 
-    cols = _im2col(xp, (kd, kh, kw), stride, out_sp)
-    grad_kernel = (gmat.T @ cols).reshape(kernel.shape)
-
-    # push the cols-shaped gradient back onto the padded input, one kernel
-    # offset at a time; the slices below invert the window gather
-    t = (gmat @ kernel.reshape(o, -1)).reshape(n, od, oh, ow, c, kd, kh, kw)
-    t = t.transpose(0, 4, 1, 2, 3, 5, 6, 7)
-    grad_xp = np.zeros_like(xp)
-    for i in range(kd):
-        for j in range(kh):
-            for k in range(kw):
-                grad_xp[
-                    :, :, i : i + s * od : s, j : j + s * oh : s, k : k + s * ow : s
-                ] += t[..., i, j, k]
-    if p:
-        grad_x = grad_xp[:, :, p : p + d, p : p + h, p : p + w]
-    else:
-        grad_x = grad_xp
+    # the input gradient is the forward correlation again: grad_y spread to
+    # stride steps at offset k - 1, against the flipped, channel-swapped
+    # kernel; only the window over the unpadded input is correlated
+    spread = np.zeros((n, o, *(m + k - 1 for m in xp.shape[2:])), dtype=grad_y.dtype)
+    spread[:, :, k - 1 :: s, k - 1 :: s, k - 1 :: s][:, :, :od, :oh, :ow] = grad_y
+    grad_x, _ = conv3d_forward(
+        spread[:, :, p : p + d + k - 1, p : p + h + k - 1, p : p + w + k - 1],
+        kernel[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4),
+        np.zeros(c, dtype=kernel.dtype),
+    )
     return grad_x, grad_kernel, grad_bias
 
 

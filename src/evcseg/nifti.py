@@ -1,19 +1,15 @@
-"""NIfTI-1 reading and writing, plus a tiny raw format for tests.
+"""NIfTI-1 reading and writing.
 
 Only the single-precision slice of NIfTI-1 that this pipeline needs:
 datatypes uint8/int16/int32/float32/float64, gzip detected by magic bytes
 rather than extension, transparent byte-swapped (big-endian) headers, and
 the sform-over-qform affine precedence. Values come back as float64 with
 scl_slope/scl_inter applied whenever slope is nonzero.
-
-The raw format is 12 bytes of little-endian uint32 shape followed by
-float32 voxels, x fastest. It exists so tests can build files by hand.
 """
 
 from __future__ import annotations
 
 import gzip
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -359,32 +355,3 @@ def write_nifti(obj, path, dtype=None) -> None:
     else:
         with open(path, "wb") as fh:
             fh.write(blob)
-
-
-# --------------------------------------------------------------------------
-# raw test format
-# --------------------------------------------------------------------------
-
-
-def write_raw_volume(v: Volume, path) -> None:
-    """Write shape as 3 little-endian uint32 words, then float32 voxels, x fastest."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<3I", *v.shape))
-        fh.write(np.asfortranarray(v.data.astype("<f4")).tobytes(order="F"))
-
-
-def read_raw_volume(path) -> Volume:
-    """Read the raw test format; the grid is 1 mm isotropic at the origin."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < 12:
-        raise TruncatedFileError(f"{path}: raw header needs 12 bytes, file has {len(buf)}")
-    shape = struct.unpack("<3I", buf[:12])
-    count = int(np.prod(shape))
-    if len(buf) < 12 + 4 * count:
-        raise TruncatedFileError(
-            f"{path}: raw payload needs {4 * count} bytes for shape {shape}, "
-            f"file has {len(buf) - 12}"
-        )
-    data = np.frombuffer(buf, dtype="<f4", count=count, offset=12)
-    return Volume(data=data.reshape(shape, order="F").astype(np.float64))

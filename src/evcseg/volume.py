@@ -21,11 +21,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import DataError, GeometryError
 
 # --------------------------------------------------------------------------
 # types
 # --------------------------------------------------------------------------
+
+
+def _check_finite(data: np.ndarray, what: str) -> None:
+    bad = data.size - np.count_nonzero(np.isfinite(data))
+    if bad:
+        raise DataError(f"{what} must be finite; {bad} values are NaN or infinite")
 
 
 def _check_affine(affine: np.ndarray) -> np.ndarray:
@@ -44,7 +50,7 @@ class Volume:
     """A scalar 3D volume on a world-anchored voxel grid.
 
     Args:
-        data: array of shape (nx, ny, nz); converted to float64.
+        data: finite array of shape (nx, ny, nz); converted to float64.
         affine: 4x4 voxel-index-to-world-mm transform.
     """
 
@@ -55,6 +61,7 @@ class Volume:
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 3:
             raise GeometryError(f"volume data must be 3D, got ndim={data.ndim}")
+        _check_finite(data, "volume data")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "affine", _check_affine(self.affine))
 
@@ -108,6 +115,7 @@ class ProbMap:
             raise GeometryError(
                 f"probability map must be (L >= 2, nx, ny, nz), got {data.shape}"
             )
+        _check_finite(data, "probabilities")
         if data.min() < 0.0:
             raise GeometryError("probabilities must be nonnegative")
         sums = data.sum(axis=0)

@@ -9,7 +9,6 @@ from evcseg.augment import (
     apply_rigid,
     intensity_augment,
     rigid_augment,
-    volume_rng,
 )
 from evcseg.errors import ConfigError, GeometryError
 from evcseg.metrics import dice
@@ -252,20 +251,3 @@ class TestRigidAugment:
         v, m = random_pair(np.random.default_rng(0))
         with pytest.raises(ConfigError):
             rigid_augment(v, m, np.random.default_rng(0), rot, trans)
-
-
-class TestVolumeRng:
-    def test_stream_determinism_and_separation(self):
-        a = volume_rng(3, 5).uniform(size=4)
-        b = volume_rng(3, 5).uniform(size=4)
-        c = volume_rng(3, 6).uniform(size=4)
-        d = volume_rng(4, 5).uniform(size=4)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-        assert not np.array_equal(a, d)
-
-    def test_negative_arguments_rejected(self):
-        with pytest.raises(ConfigError):
-            volume_rng(-1, 0)
-        with pytest.raises(ConfigError):
-            volume_rng(0, -1)

@@ -13,7 +13,8 @@ import pytest
 
 from conftest import TOY_GRID
 from evcseg import cli
-from evcseg.nifti import read_mask, read_probmap, write_nifti
+from evcseg.evnet import load_checkpoint, save_checkpoint
+from evcseg.nifti import read_mask, read_nifti, read_probmap, write_nifti
 from evcseg.volume import ProbMap, Volume
 
 GRID_FLAGS = ["--pad", "16", "16", "16", "--no-resize-half"]
@@ -152,6 +153,37 @@ class TestExtractCommand:
         )
         assert code == 3
         assert "absent.evc" in capsys.readouterr().err
+
+    def test_checkpoint_missing_tensor_is_data_error(
+        self, phantom_dataset, init_checkpoint, tmp_path, capsys
+    ):
+        params, cfg, _ = load_checkpoint(init_checkpoint)
+        del params["head.bias"]
+        ckpt = tmp_path / "partial.evc"
+        save_checkpoint(ckpt, params, cfg)
+        code = run(
+            ["extract",
+             "--in", str(phantom_dataset / "images" / "phantom_000.nii.gz"),
+             "--out", str(tmp_path / "m.nii.gz"), "--checkpoint", str(ckpt),
+             "--crf-iters", "0", *GRID_FLAGS]
+        )
+        assert code == 3
+        assert "head.bias" in capsys.readouterr().err
+        assert not (tmp_path / "m.nii.gz").exists()
+
+    def test_nan_voxel_is_data_error(self, phantom_dataset, init_checkpoint, tmp_path, capsys):
+        image = tmp_path / "nan.nii"
+        write_nifti(read_nifti(phantom_dataset / "images" / "phantom_000.nii.gz"), image)
+        data = bytearray(image.read_bytes())
+        data[-4:] = np.array(np.nan, "<f4").tobytes()  # the last voxel
+        image.write_bytes(bytes(data))
+        code = run(
+            ["extract", "--in", str(image), "--out", str(tmp_path / "m.nii.gz"),
+             "--checkpoint", str(init_checkpoint), "--crf-iters", "0", *GRID_FLAGS]
+        )
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.nii.gz").exists()
 
     def test_geometry_problem_is_compute_error(
         self, phantom_dataset, init_checkpoint, tmp_path, capsys

@@ -1,12 +1,15 @@
 """Whole-network checks: gradient routing, architecture reduction,
 determinism, the optimizer recursion, and checkpoint round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
 from evcseg.errors import (
     BadMagicError,
     ConfigError,
+    FormatError,
     GeometryError,
     TrainingError,
     TruncatedFileError,
@@ -313,6 +316,39 @@ class TestCheckpoint:
         cut_payload.write_bytes(data[:-8])
         with pytest.raises(TruncatedFileError):
             load_checkpoint(cut_payload)
+
+    @pytest.mark.parametrize("edit", ["missing", "extra", "misshapen"])
+    def test_tensors_must_match_config(self, tmp_path, edit):
+        cfg = EvNetConfig(levels=2, base_channels=2, seed=34)
+        params = init_params(cfg)
+        if edit == "missing":
+            del params["head.bias"]
+        elif edit == "extra":
+            params["head.scale"] = np.ones(2)
+        else:
+            params["head.bias"] = np.zeros(3)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, params, cfg)
+        with pytest.raises(FormatError, match="head"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda c: c.pop("multiscale_mode"), lambda c: c.update(dropout=0.5)],
+        ids=["missing", "unknown"],
+    )
+    def test_config_keys_must_match(self, tmp_path, edit):
+        cfg = EvNetConfig(levels=2, base_channels=2, seed=35)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, init_params(cfg), cfg)
+        data = path.read_bytes()
+        n = int.from_bytes(data[8:12], "little")
+        manifest = json.loads(data[12 : 12 + n])
+        edit(manifest["config"])
+        blob = json.dumps(manifest).encode()
+        path.write_bytes(data[:8] + len(blob).to_bytes(4, "little") + blob + data[12 + n :])
+        with pytest.raises(FormatError, match="config"):
+            load_checkpoint(path)
 
     def test_config_hash_sensitivity(self):
         a = EvNetConfig(levels=2, base_channels=2, seed=1)

@@ -176,6 +176,21 @@ class TestConv3d:
         _, _, gb = ops.conv3d_backward(gy, cache)
         np.testing.assert_allclose(gb, gy.sum(axis=(0, 2, 3, 4)), rtol=1e-12)
 
+    @pytest.mark.parametrize("s,p", [(1, 2), (2, 1)])
+    def test_backward_keeps_float32(self, s, p):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, 3, 6, 5, 7))
+        kernel = rng.standard_normal((4, 3, 5, 5, 5))
+        y, cache = ops.conv3d_forward(x, kernel, np.zeros(4), stride=s, padding=p)
+        gy = rng.standard_normal(y.shape)
+        exact = ops.conv3d_backward(gy, cache)
+        _, cache32 = ops.conv3d_forward(
+            x.astype(np.float32), kernel.astype(np.float32), np.zeros(4, np.float32), s, p
+        )
+        for g32, g64 in zip(ops.conv3d_backward(gy.astype(np.float32), cache32), exact):
+            assert g32.dtype == np.float32
+            assert rel_err(g32, g64) < 1e-5
+
     @pytest.mark.parametrize(
         "shape,k,s,p",
         [

@@ -26,9 +26,7 @@ from evcseg.nifti import (
     read_mask,
     read_nifti,
     read_probmap,
-    read_raw_volume,
     write_nifti,
-    write_raw_volume,
 )
 from evcseg.volume import LabelMask, ProbMap, Volume
 
@@ -319,29 +317,3 @@ class TestWriteRoundTrip:
         write_nifti(v, tmp_path / "a.nii.gz")
         write_nifti(v, tmp_path / "b.nii.gz")
         assert (tmp_path / "a.nii.gz").read_bytes() == (tmp_path / "b.nii.gz").read_bytes()
-
-
-class TestRawFormat:
-    def test_hand_built_file_reads(self, tmp_path):
-        data = np.arange(24, dtype=np.float32).reshape(2, 3, 4, order="F")
-        blob = struct.pack("<3I", 2, 3, 4) + data.tobytes(order="F")
-        (tmp_path / "r.raw").write_bytes(blob)
-        v = read_raw_volume(tmp_path / "r.raw")
-        assert v.shape == (2, 3, 4)
-        assert v.data[1, 0, 0] == 1.0  # x fastest
-        np.testing.assert_array_equal(v.data, data.astype(np.float64))
-
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(42)
-        v = Volume(data=rng.random((3, 5, 2)).astype(np.float32).astype(np.float64))
-        write_raw_volume(v, tmp_path / "w.raw")
-        back = read_raw_volume(tmp_path / "w.raw")
-        assert np.array_equal(back.data, v.data)
-
-    def test_truncations(self, tmp_path):
-        (tmp_path / "h.raw").write_bytes(b"\x01\x00")
-        with pytest.raises(TruncatedFileError):
-            read_raw_volume(tmp_path / "h.raw")
-        (tmp_path / "p.raw").write_bytes(struct.pack("<3I", 4, 4, 4) + b"\x00" * 8)
-        with pytest.raises(TruncatedFileError):
-            read_raw_volume(tmp_path / "p.raw")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from evcseg.errors import GeometryError
+from evcseg.errors import DataError, GeometryError
 from evcseg.volume import (
     LabelMask,
     ProbMap,
@@ -74,6 +74,17 @@ class TestTypes:
         bad = np.stack([np.full((2, 2, 2), -0.1), np.full((2, 2, 2), 1.1)])
         with pytest.raises(GeometryError):
             ProbMap(data=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        data = np.ones((2, 2, 2))
+        data[1, 0, 1] = bad
+        with pytest.raises(DataError):
+            Volume(data=data)
+        probs = np.stack([np.full((2, 2, 2), 0.5), np.full((2, 2, 2), 0.5)])
+        probs[0, 1, 0, 1] = bad
+        with pytest.raises(DataError):
+            ProbMap(data=probs)
 
     def test_spacing_from_columns(self):
         aff = np.diag([0.7, 1.0, 2.5, 1.0])
