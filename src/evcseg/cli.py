@@ -89,16 +89,22 @@ def _grid_from_args(args) -> GridConfig:
 
 def _add_crf_args(p: argparse.ArgumentParser) -> None:
     crf = p.add_argument_group("CRF refinement")
-    crf.add_argument("--crf-iters", type=int, default=5, help="mean-field iterations; 0 skips the CRF")
-    crf.add_argument("--w-app", type=float, default=5.0, help="appearance kernel weight")
-    crf.add_argument("--w-smooth", type=float, default=3.0, help="smoothness kernel weight")
-    crf.add_argument("--theta-alpha", type=float, default=4.0, help="appearance spatial bandwidth, mm")
-    crf.add_argument("--theta-beta", type=float, default=0.1, help="appearance intensity bandwidth")
-    crf.add_argument("--theta-gamma", type=float, default=3.0, help="smoothness spatial bandwidth, mm")
+    crf.add_argument("--crf-iters", type=int, default=CrfConfig.iterations,
+                     help="mean-field iterations; 0 skips the CRF")
+    crf.add_argument("--w-app", type=float, default=CrfConfig.w_appearance,
+                     help="appearance kernel weight")
+    crf.add_argument("--w-smooth", type=float, default=CrfConfig.w_smoothness,
+                     help="smoothness kernel weight")
+    crf.add_argument("--theta-alpha", type=float, default=CrfConfig.theta_alpha,
+                     help="appearance spatial bandwidth, mm")
+    crf.add_argument("--theta-beta", type=float, default=CrfConfig.theta_beta,
+                     help="appearance intensity bandwidth")
+    crf.add_argument("--theta-gamma", type=float, default=CrfConfig.theta_gamma,
+                     help="smoothness spatial bandwidth, mm")
     crf.add_argument(
         "--crf-backend",
         choices=("brute", "filtered"),
-        default="filtered",
+        default=CrfConfig.backend,
         help="message passing backend (brute is exact but tiny-volume only)",
     )
 
@@ -210,16 +216,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--data", required=True, help="directory with images/ and masks/ subdirs")
     p.add_argument("--out", required=True, help="checkpoint path to write")
     p.add_argument("--log", default=None, help="loss log path (default OUT.log.json)")
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--batch", type=int, default=1)
-    p.add_argument("--holdout", type=int, default=0, help="cases held out for validation")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--levels", type=int, default=2, help="resolution levels in the network")
-    p.add_argument("--base-channels", type=int, default=4)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--holdout", type=int, default=TrainConfig.holdout,
+                   help="cases held out for validation")
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--levels", type=int, default=EvNetConfig.levels,
+                   help="resolution levels in the network")
+    p.add_argument("--base-channels", type=int, default=EvNetConfig.base_channels)
     p.add_argument(
-        "--multiscale-mode", choices=("concat", "add"), default="concat",
+        "--multiscale-mode", choices=("concat", "add"), default=EvNetConfig.multiscale_mode,
         help="how downscaled raw inputs join the encoder",
     )
     p.add_argument(

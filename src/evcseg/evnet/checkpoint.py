@@ -6,8 +6,9 @@ manifest records the architecture config, a hash of it for compatibility
 checks, and per-tensor shape/dtype/offset (offsets are relative to the end
 of the manifest). Tensors are stored float32 little-endian in C order,
 sorted by name, so identical weights always produce identical files.
-Loading checks the config keys, and each tensor's name and shape against
-the network that config builds.
+Loading checks the config keys and hash, and each tensor's name, shape and
+offset against the network that config builds; any malformed manifest
+raises ``FormatError``.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ def load_checkpoint(path):
         manifest = json.loads(data[start : start + n].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: unreadable manifest: {e}") from e
-    if manifest.get("format") != FORMAT_NAME:
-        raise FormatError(f"{path}: unexpected format {manifest.get('format')!r}")
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
+        raise FormatError(f"{path}: not an {FORMAT_NAME} manifest")
     cfg_dict = manifest.get("config")
     if not isinstance(cfg_dict, dict):
         raise FormatError(f"{path}: manifest has no config object")
@@ -91,10 +92,29 @@ def load_checkpoint(path):
             f"{path}: config keys missing {sorted(keys - set(cfg_dict))}, "
             f"unknown {sorted(set(cfg_dict) - keys)}"
         )
-    cfg = EvNetConfig(**{**cfg_dict, "convs_per_block": tuple(cfg_dict["convs_per_block"])})
-    tensors = manifest["tensors"]
+    try:
+        cfg = EvNetConfig(**{**cfg_dict, "convs_per_block": tuple(cfg_dict["convs_per_block"])})
+        expected = {name: a.shape for name, a in init_params(cfg, np.float32).items()}
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"{path}: bad config value: {e}") from e
+    if manifest.get("config_hash") != config_hash(cfg):
+        raise FormatError(f"{path}: config_hash does not match the config")
+    tensors = manifest.get("tensors")
+    if not isinstance(tensors, dict):
+        raise FormatError(f"{path}: manifest has no tensors object")
+    for name, info in tensors.items():
+        if not (
+            isinstance(info, dict)
+            and isinstance(info.get("shape"), list)
+            and type(info.get("offset")) is int
+            and info["offset"] >= 0
+            and info.get("dtype") == "float32"
+        ):
+            raise FormatError(
+                f"{path}: tensor {name} needs a shape list, a non-negative "
+                f"integer offset and dtype float32, got {info!r}"
+            )
     shapes = {name: tuple(info["shape"]) for name, info in tensors.items()}
-    expected = {name: a.shape for name, a in init_params(cfg, np.float32).items()}
     wrong = sorted(k for k in shapes.keys() | expected.keys() if shapes.get(k) != expected.get(k))
     if wrong:
         raise FormatError(f"{path}: tensors do not match the config: " + "; ".join(
@@ -104,9 +124,7 @@ def load_checkpoint(path):
     base = start + n
     params = {}
     for name, info in tensors.items():
-        if info["dtype"] != "float32":
-            raise FormatError(f"{path}: tensor {name} has dtype {info['dtype']}")
-        shape = shapes[name]
+        shape = expected[name]
         count = int(np.prod(shape)) if shape else 1
         off = base + info["offset"]
         if off + 4 * count > len(data):

@@ -30,19 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import (
-    DEFAULT_ROT_DEG,
-    DEFAULT_SCALE_RANGE,
-    DEFAULT_SHIFT_RANGE,
-    DEFAULT_TRANS_VOX,
-    intensity_augment,
-    rigid_augment,
-)
+from .augment import intensity_augment, rigid_augment
 from .crf import CrfConfig, refine
 from .errors import ConfigError, DataError, EvcsegError
 from .evnet import (
     EvNetConfig,
-    config_hash,
     evnet_backward,
     evnet_forward,
     init_params,
@@ -68,6 +60,11 @@ from .volume import (
 
 DEFAULT_PAD = (64, 64, 64)
 FULL_GRID_PAD = (256, 256, 256)
+# Network-input intensity scale: resample to this isotropic spacing, divide
+# by this percentile of the volume, clamp to [0, NORM_CLAMP].
+SPACING_MM = 1.0
+NORM_PERCENTILE = 99.0
+NORM_CLAMP = 1.5
 
 
 def worker_count() -> int:
@@ -84,13 +81,36 @@ def worker_count() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def _nifti_files(directory: Path) -> dict[str, Path]:
-    """Map filename -> path for the NIfTI files directly inside a directory."""
-    return {
-        p.name: p
-        for p in sorted(directory.iterdir())
-        if p.is_file() and (p.name.endswith(".nii") or p.name.endswith(".nii.gz"))
-    }
+def _paired_files(
+    a_dir: Path, b_dir: Path, a_kind: str, b_kind: str
+) -> list[tuple[str, Path, Path]]:
+    """Match the NIfTI files directly inside two directories by filename.
+
+    Every file without a partner is named in one error, so a single run
+    lists all of them.
+    """
+    listed = []
+    for kind, d in ((a_kind, a_dir), (b_kind, b_dir)):
+        if not d.is_dir():
+            raise DataError(f"{kind} directory not found: {d}")
+        listed.append({
+            p.name: p for p in sorted(d.iterdir())
+            if p.is_file() and p.name.endswith((".nii", ".nii.gz"))
+        })
+    a, b = listed
+    problems = [f"{a_kind} without {b_kind}: {a[n]}" for n in sorted(a.keys() - b.keys())]
+    problems += [f"{b_kind} without {a_kind}: {b[n]}" for n in sorted(b.keys() - a.keys())]
+    if problems:
+        raise DataError("unpaired files:\n" + "\n".join(problems))
+    if not a:
+        raise DataError(f"no NIfTI files under {a_dir}")
+    return [(n, a[n], b[n]) for n in sorted(a)]
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @contextmanager
@@ -104,19 +124,15 @@ def _stage(name: str):
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Target grid and intensity normalization for the network input.
+    """Target grid for the network input.
 
     The default pads to 64^3 and halves to a 32^3 network grid; the scanner
-    scale is pad 256^3 halved to 128^3. Intensities are divided by the
-    volume's ``norm_percentile`` percentile and clamped to
-    ``[0, norm_clamp]`` before padding.
+    scale is pad 256^3 halved to 128^3. Spacing and intensity normalization
+    are fixed: see ``SPACING_MM``, ``NORM_PERCENTILE`` and ``NORM_CLAMP``.
     """
 
     pad_shape: tuple[int, int, int] = DEFAULT_PAD
     resize_half: bool = True
-    spacing_mm: float = 1.0
-    norm_percentile: float = 99.0
-    norm_clamp: float = 1.5
 
     def __post_init__(self):
         pad = tuple(int(s) for s in self.pad_shape)
@@ -125,14 +141,6 @@ class GridConfig:
         if self.resize_half and any(s % 2 for s in pad):
             raise ConfigError(f"pad_shape must be even to halve, got {pad}")
         object.__setattr__(self, "pad_shape", pad)
-        if not self.spacing_mm > 0:
-            raise ConfigError(f"spacing_mm must be positive, got {self.spacing_mm}")
-        if not 0 < self.norm_percentile <= 100:
-            raise ConfigError(
-                f"norm_percentile must be in (0, 100], got {self.norm_percentile}"
-            )
-        if not self.norm_clamp > 0:
-            raise ConfigError(f"norm_clamp must be positive, got {self.norm_clamp}")
 
     def network_shape(self) -> tuple[int, int, int]:
         if self.resize_half:
@@ -160,22 +168,22 @@ def preprocess_volume(v: Volume, grid: GridConfig) -> tuple[Volume, dict]:
     with _stage("reorient"):
         v1 = reorient_ras(v)
     with _stage("resample"):
-        v2 = resample_isotropic(v1, grid.spacing_mm)
+        v2 = resample_isotropic(v1, SPACING_MM)
     with _stage("normalize"):
-        divisor = float(np.percentile(v2.data, grid.norm_percentile))
+        divisor = float(np.percentile(v2.data, NORM_PERCENTILE))
         divisor = max(divisor, 1e-12)
-        v2 = Volume(np.clip(v2.data / divisor, 0.0, grid.norm_clamp), v2.affine)
+        v2 = Volume(np.clip(v2.data / divisor, 0.0, NORM_CLAMP), v2.affine)
     with _stage("pad"):
         v3, offsets = pad_to(v2, grid.pad_shape)
     with _stage("resize"):
         v4 = resize_half(v3) if grid.resize_half else v3
     meta = {
         "original": {"shape": list(v.shape), "affine": v.affine.tolist()},
-        "resample": {"spacing_mm": grid.spacing_mm, "shape": list(v2.shape)},
+        "resample": {"spacing_mm": SPACING_MM, "shape": list(v2.shape)},
         "normalize": {
-            "percentile": grid.norm_percentile,
+            "percentile": NORM_PERCENTILE,
             "divisor": divisor,
-            "clamp": grid.norm_clamp,
+            "clamp": NORM_CLAMP,
         },
         "pad": {"target": list(grid.pad_shape), "offsets": list(offsets)},
         "resize_half": grid.resize_half,
@@ -189,15 +197,13 @@ def preprocess_volume(v: Volume, grid: GridConfig) -> tuple[Volume, dict]:
 class PipelineConfig:
     """Everything :func:`extract` needs for one volume.
 
-    ``evnet`` may stay None to adopt the checkpoint's stored network
-    config; when given, its config hash must match the checkpoint's.
+    The network config always comes from the checkpoint.
     """
 
     input_path: str
     output_path: str
     checkpoint_path: str
     sidecar_path: str | None = None
-    evnet: EvNetConfig | None = None
     crf: CrfConfig = field(default_factory=CrfConfig)
     cleanup: bool = True
     grid: GridConfig = field(default_factory=GridConfig)
@@ -226,16 +232,13 @@ def extract(cfg: PipelineConfig) -> ExtractResult:
     Chain: reorient, resample, normalize, pad, optional halving, network
     forward pass, CRF refinement (skipped entirely at 0 iterations),
     optional component cleanup, nearest-neighbor mapping to the native
-    grid, NIfTI write plus JSON transform sidecar. Deterministic: a fixed
-    checkpoint and config always produce identical bytes.
+    grid, NIfTI write plus JSON transform sidecar. A mask with no foreground
+    is still written, and the sidecar flags it ``empty_mask``.
+    Deterministic: a fixed checkpoint and config always produce identical
+    bytes.
     """
     with _stage("checkpoint"):
         params, net_cfg, manifest = load_checkpoint(cfg.checkpoint_path)
-        if cfg.evnet is not None and config_hash(cfg.evnet) != manifest["config_hash"]:
-            raise ConfigError(
-                "checkpoint was trained with a different network config "
-                f"(hash {manifest['config_hash']}, expected {config_hash(cfg.evnet)})"
-            )
     with _stage("config"):
         _check_grid_fits(cfg.grid, net_cfg)
     with _stage("read"):
@@ -276,15 +279,15 @@ def extract(cfg: PipelineConfig) -> ExtractResult:
         },
         "transforms": meta,
     }
+    if not native.data.any():
+        sidecar["flags"] = ["empty_mask"]
     with _stage("write"):
         out_path = Path(cfg.output_path)
         if out_path.parent != Path(""):
             out_path.parent.mkdir(parents=True, exist_ok=True)
         write_nifti(native, out_path)
         sidecar_path = cfg.resolved_sidecar()
-        with open(sidecar_path, "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(sidecar_path, sidecar)
     return ExtractResult(
         output_path=out_path,
         sidecar_path=sidecar_path,
@@ -321,10 +324,6 @@ class TrainConfig:
     holdout: int = 0
     seed: int = 0
     augment: bool = True
-    aug_scale: tuple[float, float] = DEFAULT_SCALE_RANGE
-    aug_shift: tuple[float, float] = DEFAULT_SHIFT_RANGE
-    aug_rot_deg: float = DEFAULT_ROT_DEG
-    aug_trans_vox: float = DEFAULT_TRANS_VOX
     evnet: EvNetConfig = field(default_factory=EvNetConfig)
     grid: GridConfig = field(default_factory=GridConfig)
 
@@ -353,25 +352,6 @@ class TrainResult:
     best_loss: float | None
 
 
-def _paired_files(data_dir) -> list[tuple[str, Path, Path]]:
-    """Match images/ and masks/ by filename; report every mismatch at once."""
-    root = Path(data_dir)
-    img_dir = root / "images"
-    msk_dir = root / "masks"
-    for d in (img_dir, msk_dir):
-        if not d.is_dir():
-            raise DataError(f"dataset directory is missing {d}")
-    images = _nifti_files(img_dir)
-    masks = _nifti_files(msk_dir)
-    problems = [f"image without mask: {images[n]}" for n in sorted(images.keys() - masks.keys())]
-    problems += [f"mask without image: {masks[n]}" for n in sorted(masks.keys() - images.keys())]
-    if problems:
-        raise DataError("unpaired dataset files:\n" + "\n".join(problems))
-    if not images:
-        raise DataError(f"no NIfTI pairs found under {root}")
-    return [(n, images[n], masks[n]) for n in sorted(images)]
-
-
 def _load_training_pairs(cfg: TrainConfig) -> list[tuple[str, Volume, LabelMask]]:
     """Read and preprocess every pair onto the network grid.
 
@@ -380,7 +360,10 @@ def _load_training_pairs(cfg: TrainConfig) -> list[tuple[str, Volume, LabelMask]
     """
     out: list[tuple[str, Volume, LabelMask]] = []
     problems: list[str] = []
-    for name, img_path, msk_path in _paired_files(cfg.data_dir):
+    root = Path(cfg.data_dir)
+    for name, img_path, msk_path in _paired_files(
+        root / "images", root / "masks", "image", "mask"
+    ):
         try:
             vol = read_nifti(img_path)
             msk = read_mask(msk_path)
@@ -406,8 +389,8 @@ def _augmented(pair, cfg: TrainConfig, epoch: int, index: int):
     if not cfg.augment:
         return vol, msk
     rng = np.random.default_rng((cfg.seed, epoch, index))
-    vol, msk = rigid_augment(vol, msk, rng, cfg.aug_rot_deg, cfg.aug_trans_vox)
-    vol = intensity_augment(vol, rng, cfg.aug_scale, cfg.aug_shift)
+    vol, msk = rigid_augment(vol, msk, rng)
+    vol = intensity_augment(vol, rng)
     return vol, msk
 
 
@@ -486,9 +469,7 @@ def train(cfg: TrainConfig) -> TrainResult:
             )
 
     log_path = cfg.resolved_log()
-    with open(log_path, "w", encoding="utf-8") as fh:
-        json.dump({"seed": cfg.seed, "epochs": history}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(log_path, {"seed": cfg.seed, "epochs": history})
     return TrainResult(
         checkpoint_path=ckpt_path,
         log_path=log_path,
@@ -539,26 +520,10 @@ def evaluate(pred_dir, truth_dir, json_path=None, csv_path=None) -> dict:
     balanced_ahd = inf and is flagged. Optionally written as JSON
     (per-case) and CSV (summary).
     """
-    pred_root, truth_root = Path(pred_dir), Path(truth_dir)
-    if not pred_root.is_dir():
-        raise DataError(f"prediction directory not found: {pred_root}")
-    if not truth_root.is_dir():
-        raise DataError(f"truth directory not found: {truth_root}")
-    preds = _nifti_files(pred_root)
-    truths = _nifti_files(truth_root)
-    problems = [f"prediction without truth: {preds[n]}" for n in sorted(preds.keys() - truths.keys())]
-    problems += [f"truth without prediction: {truths[n]}" for n in sorted(truths.keys() - preds.keys())]
-    if problems:
-        raise DataError("unmatched evaluation files:\n" + "\n".join(problems))
-    if not preds:
-        raise DataError(f"no NIfTI files to evaluate under {pred_root}")
-
-    names = sorted(preds)
+    pairs = _paired_files(Path(pred_dir), Path(truth_dir), "prediction", "truth")
+    names = [name for name, _, _ in pairs]
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        scored = list(
-            pool.map(lambda n: _score_case(n, preds[n], truths[n]), names)
-        )
-    cases = dict(scored)
+        cases = dict(pool.map(lambda pair: _score_case(*pair), pairs))
 
     summary = {}
     for metric in _METRICS:
@@ -572,9 +537,7 @@ def evaluate(pred_dir, truth_dir, json_path=None, csv_path=None) -> dict:
     report = {"cases": cases, "summary": summary}
 
     if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(json_path, report)
     if csv_path is not None:
         lines = ["metric,mean,std,n"]
         for metric in _METRICS:

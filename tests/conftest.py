@@ -1,5 +1,7 @@
 """Session fixtures shared by the pipeline, CLI, and acceptance tests."""
 
+import json
+
 import pytest
 
 from evcseg.evnet import EvNetConfig
@@ -8,6 +10,16 @@ from evcseg.synth import synth_dataset
 
 TOY_EVNET = EvNetConfig(levels=2, base_channels=2, seed=0)
 TOY_GRID = GridConfig(pad_shape=(16, 16, 16), resize_half=False)
+
+
+def rewrite_manifest(path, edit):
+    """Apply ``edit`` to a checkpoint's JSON manifest in place."""
+    data = path.read_bytes()
+    n = int.from_bytes(data[8:12], "little")
+    manifest = json.loads(data[12 : 12 + n])
+    edit(manifest)
+    blob = json.dumps(manifest).encode()
+    path.write_bytes(data[:8] + len(blob).to_bytes(4, "little") + blob + data[12 + n :])
 
 
 @pytest.fixture(scope="session")

@@ -11,10 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TOY_GRID
+from conftest import TOY_GRID, rewrite_manifest
 from evcseg import cli
+from evcseg.crf import CrfConfig
 from evcseg.evnet import load_checkpoint, save_checkpoint
 from evcseg.nifti import read_mask, read_nifti, read_probmap, write_nifti
+from evcseg.pipeline import PipelineConfig, TrainConfig
 from evcseg.volume import ProbMap, Volume
 
 GRID_FLAGS = ["--pad", "16", "16", "16", "--no-resize-half"]
@@ -109,6 +111,45 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+class Intercepted(Exception):
+    """Raised by a stand-in for a pipeline entry point, carrying its args."""
+
+
+class TestDefaults:
+    """With only the required flags, each command builds the default configs."""
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        def capture(*args):
+            raise Intercepted(*args)
+
+        for name in ("extract", "train", "refine"):
+            monkeypatch.setattr(cli, name, capture)
+
+    def test_extract(self, captured):
+        with pytest.raises(Intercepted) as exc:
+            run(["extract", "--in", "a.nii", "--out", "m.nii", "--checkpoint", "c.evc"])
+        (cfg,) = exc.value.args
+        assert cfg == PipelineConfig(
+            input_path="a.nii", output_path="m.nii", checkpoint_path="c.evc"
+        )
+
+    def test_train(self, captured):
+        with pytest.raises(Intercepted) as exc:
+            run(["train", "--data", "d", "--out", "c.evc"])
+        (cfg,) = exc.value.args
+        assert cfg == TrainConfig(data_dir="d", checkpoint_path="c.evc")
+
+    def test_refine(self, captured, tmp_path):
+        write_nifti(ProbMap(np.full((2, 4, 4, 4), 0.5)), tmp_path / "p.nii.gz")
+        write_nifti(Volume(np.zeros((4, 4, 4))), tmp_path / "v.nii.gz")
+        with pytest.raises(Intercepted) as exc:
+            run(["refine", "--prob", str(tmp_path / "p.nii.gz"),
+                 "--image", str(tmp_path / "v.nii.gz"), "--out", str(tmp_path / "m.nii.gz")])
+        _, _, crf = exc.value.args
+        assert crf == CrfConfig()
+
+
 class TestTrainCommand:
     def test_zero_epochs(self, phantom_dataset, tmp_path, capsys):
         code = run(
@@ -161,6 +202,23 @@ class TestExtractCommand:
         del params["head.bias"]
         ckpt = tmp_path / "partial.evc"
         save_checkpoint(ckpt, params, cfg)
+        code = run(
+            ["extract",
+             "--in", str(phantom_dataset / "images" / "phantom_000.nii.gz"),
+             "--out", str(tmp_path / "m.nii.gz"), "--checkpoint", str(ckpt),
+             "--crf-iters", "0", *GRID_FLAGS]
+        )
+        assert code == 3
+        assert "head.bias" in capsys.readouterr().err
+        assert not (tmp_path / "m.nii.gz").exists()
+
+    def test_negative_tensor_offset_is_data_error(
+        self, phantom_dataset, init_checkpoint, tmp_path, capsys
+    ):
+        # An offset before the payload would read the tensor from the manifest.
+        ckpt = tmp_path / "bad_offset.evc"
+        shutil.copy(init_checkpoint, ckpt)
+        rewrite_manifest(ckpt, lambda m: m["tensors"]["head.bias"].update(offset=-1000))
         code = run(
             ["extract",
              "--in", str(phantom_dataset / "images" / "phantom_000.nii.gz"),

@@ -1,11 +1,10 @@
 """Whole-network checks: gradient routing, architecture reduction,
 determinism, the optimizer recursion, and checkpoint round trips."""
 
-import json
-
 import numpy as np
 import pytest
 
+from conftest import rewrite_manifest
 from evcseg.errors import (
     BadMagicError,
     ConfigError,
@@ -39,6 +38,17 @@ def network_loss(x, params, cfg, truth):
     probs, _ = evnet_forward(x, params, cfg)
     report, _ = soft_dice_loss(probs, truth)
     return report.value
+
+
+# Manifest faults in the tensor table; each must raise FormatError naming
+# the tensors or the bad entry.
+TENSOR_TABLE_EDITS = {
+    "no_tensors": lambda m: m.pop("tensors"),
+    "tensors_list": lambda m: m.update(tensors=[]),
+    "no_shape": lambda m: m["tensors"]["head.bias"].pop("shape"),
+    "no_offset": lambda m: m["tensors"]["head.bias"].pop("offset"),
+    "negative_offset": lambda m: m["tensors"]["head.bias"].update(offset=-1000),
+}
 
 
 def network_grads(x, params, cfg, truth):
@@ -317,7 +327,9 @@ class TestCheckpoint:
         with pytest.raises(TruncatedFileError):
             load_checkpoint(cut_payload)
 
-    @pytest.mark.parametrize("edit", ["missing", "extra", "misshapen"])
+    @pytest.mark.parametrize(
+        "edit", ["missing", "extra", "misshapen", *TENSOR_TABLE_EDITS]
+    )
     def test_tensors_must_match_config(self, tmp_path, edit):
         cfg = EvNetConfig(levels=2, base_channels=2, seed=34)
         params = init_params(cfg)
@@ -325,28 +337,33 @@ class TestCheckpoint:
             del params["head.bias"]
         elif edit == "extra":
             params["head.scale"] = np.ones(2)
-        else:
+        elif edit == "misshapen":
             params["head.bias"] = np.zeros(3)
         path = tmp_path / "net.ckpt"
         save_checkpoint(path, params, cfg)
-        with pytest.raises(FormatError, match="head"):
+        if edit in TENSOR_TABLE_EDITS:
+            rewrite_manifest(path, TENSOR_TABLE_EDITS[edit])
+        match = "tensors" if edit in ("no_tensors", "tensors_list") else "head"
+        with pytest.raises(FormatError, match=match):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "edit",
-        [lambda c: c.pop("multiscale_mode"), lambda c: c.update(dropout=0.5)],
-        ids=["missing", "unknown"],
+        [
+            lambda m: m["config"].pop("multiscale_mode"),
+            lambda m: m["config"].update(dropout=0.5),
+            lambda m: m["config"].update(convs_per_block=5),
+            lambda m: m["config"].update(levels="2"),
+            lambda m: m["config"].update(base_channels=2.5),
+            lambda m: m.update(config_hash="0" * 16),
+        ],
+        ids=["missing", "unknown", "scalar_convs", "string_levels", "float_channels", "hash"],
     )
     def test_config_keys_must_match(self, tmp_path, edit):
         cfg = EvNetConfig(levels=2, base_channels=2, seed=35)
         path = tmp_path / "net.ckpt"
         save_checkpoint(path, init_params(cfg), cfg)
-        data = path.read_bytes()
-        n = int.from_bytes(data[8:12], "little")
-        manifest = json.loads(data[12 : 12 + n])
-        edit(manifest["config"])
-        blob = json.dumps(manifest).encode()
-        path.write_bytes(data[:8] + len(blob).to_bytes(4, "little") + blob + data[12 + n :])
+        rewrite_manifest(path, edit)
         with pytest.raises(FormatError, match="config"):
             load_checkpoint(path)
 

@@ -8,9 +8,10 @@ import pytest
 from conftest import TOY_EVNET, TOY_GRID
 from evcseg.crf import CrfConfig
 from evcseg.errors import ConfigError, DataError, GeometryError
-from evcseg.evnet import EvNetConfig, init_params, load_checkpoint
+from evcseg.evnet import EvNetConfig, init_params, load_checkpoint, save_checkpoint
 from evcseg.nifti import read_mask, read_nifti, write_nifti
 from evcseg.pipeline import (
+    NORM_CLAMP,
     GridConfig,
     PipelineConfig,
     TrainConfig,
@@ -55,10 +56,6 @@ class TestGridConfig:
         [
             dict(pad_shape=(33, 32, 32)),  # odd but halving requested
             dict(pad_shape=(0, 32, 32)),
-            dict(spacing_mm=0.0),
-            dict(norm_percentile=0.0),
-            dict(norm_percentile=101.0),
-            dict(norm_clamp=0.0),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -84,7 +81,7 @@ class TestPreprocessVolume:
         assert meta["pre_resize_shape"] == [40, 40, 40]
         assert meta["network_grid"]["shape"] == [40, 40, 40]
         assert meta["original"]["shape"] == [32, 32, 32]
-        assert out.data.max() <= grid.norm_clamp
+        assert out.data.max() <= NORM_CLAMP
         assert out.data.min() >= 0.0
 
     def test_normalization_divisor(self):
@@ -185,15 +182,23 @@ class TestExtract:
         extract(b)
         assert (tmp_path / "a.nii.gz").read_bytes() == (tmp_path / "b.nii.gz").read_bytes()
 
-    def test_checkpoint_config_mismatch(self, phantom_dataset, init_checkpoint, tmp_path):
-        cfg = toy_pipeline_config(
-            phantom_dataset,
-            init_checkpoint,
-            tmp_path / "m.nii.gz",
-            evnet=EvNetConfig(levels=3, base_channels=2),
-        )
-        with pytest.raises(ConfigError, match="stage 'checkpoint'"):
-            extract(cfg)
+    @pytest.mark.parametrize("background_bias,flagged", [(50.0, True), (-50.0, False)])
+    def test_empty_mask_flagged(
+        self, phantom_dataset, init_checkpoint, tmp_path, background_bias, flagged
+    ):
+        # head.bias decides the label everywhere: background (label 0) or
+        # foreground wins every voxel.
+        params, net_cfg, _ = load_checkpoint(init_checkpoint)
+        params["head.bias"] = np.array([background_bias, -background_bias], np.float32)
+        ckpt = tmp_path / "biased.evc"
+        save_checkpoint(ckpt, params, net_cfg)
+        res = extract(toy_pipeline_config(phantom_dataset, ckpt, tmp_path / "m.nii.gz"))
+        assert res.native_mask.data.any() != flagged
+        sidecar = json.loads(res.sidecar_path.read_text())
+        if flagged:
+            assert sidecar["flags"] == ["empty_mask"]
+        else:
+            assert "flags" not in sidecar
 
     def test_missing_checkpoint(self, phantom_dataset, tmp_path):
         cfg = toy_pipeline_config(
