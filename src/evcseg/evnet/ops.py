@@ -5,23 +5,22 @@ Every op comes as a forward returning (output, cache) and a backward taking
 Computation stays in the dtype of the inputs, so float64 gradient checks and
 float32 training share one code path.
 
-conv3d is cross-correlation (no kernel flip) done as one im2col matrix
-product per call. Its input gradient is the same correlation, of the
-output gradient spread to stride steps with the flipped, channel-swapped
-kernel; its kernel gradient is one more im2col product. The strided
-2x2x2 down/up convolutions exploit their non-overlapping windows and
-reduce to reshapes around a tensor contraction.
+conv3d is cross-correlation (no kernel flip) summed offset by offset: each
+kernel tap kernel[:, :, i, j, l] meets one strided window of the padded
+input, so no window matrix is built. The kernel gradient contracts the
+output gradient with the same windows, and the input gradient is the
+forward correlation again (conv3d_transpose). The stride-2 2x2x2 down
+convolution is conv3d at stride 2, and the up convolution its transpose.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import GeometryError
 
 # --------------------------------------------------------------------------
-# general 3D convolution (im2col)
+# 3D convolution by kernel offset
 # --------------------------------------------------------------------------
 
 
@@ -30,21 +29,27 @@ def conv3d_output_shape(spatial, kernel, stride, padding):
     return tuple((n + 2 * padding - kernel) // stride + 1 for n in spatial)
 
 
-def _pad_spatial(x, p):
-    if p == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p), (p, p)))
+def _offset_windows(xp, kshape, stride, out_sp):
+    """Yield ((i, j, l), window) for every kernel offset.
+
+    window is the part of xp that kernel[:, :, i, j, l] meets, flattened
+    channel-major to (c, n * out voxels), so that each contraction over
+    channels is one matrix product.
+    """
+    s = stride
+    ed, eh, ew = (s * (m - 1) + 1 for m in out_sp)
+    for i, j, l in np.ndindex(*kshape):
+        win = xp[:, :, i : i + ed : s, j : j + eh : s, l : l + ew : s]
+        yield (i, j, l), win.swapaxes(0, 1).reshape(xp.shape[1], -1)
 
 
-def _im2col(xp, kshape, stride, out_spatial):
-    """Window matrix (n * out voxels, c * kernel voxels). One big copy."""
-    n, c = xp.shape[:2]
-    win = sliding_window_view(xp, kshape, axis=(2, 3, 4))
-    win = win[:, :, ::stride, ::stride, ::stride]
-    od, oh, ow = out_spatial
-    return win.transpose(0, 2, 3, 4, 1, 5, 6, 7).reshape(
-        n * od * oh * ow, c * kshape[0] * kshape[1] * kshape[2]
-    )
+def _kernel_grad(xp, g, kshape, stride):
+    """Gradient of <g, conv(xp, K)> in K, shape (o, c, *kshape), for g (n, o, *out)."""
+    gmat = g.swapaxes(0, 1).reshape(g.shape[1], -1)
+    grad = np.empty((g.shape[1], xp.shape[1], *kshape), dtype=np.result_type(xp, g))
+    for (i, j, l), win in _offset_windows(xp, kshape, stride, g.shape[2:]):
+        grad[:, :, i, j, l] = np.dot(gmat, win.T)
+    return grad
 
 
 def conv3d_forward(x, kernel, bias, stride=1, padding=0):
@@ -59,37 +64,46 @@ def conv3d_forward(x, kernel, bias, stride=1, padding=0):
     out_sp = conv3d_output_shape((d, h, w), kd, stride, padding)
     if any(s < 1 for s in out_sp):
         raise GeometryError(f"conv output shape {out_sp} is empty for input {(d, h, w)}")
-    xp = _pad_spatial(x, padding)
-    cols = _im2col(xp, (kd, kh, kw), stride, out_sp)
-    y = cols @ kernel.reshape(o, -1).T
-    y = y.reshape(n, *out_sp, o).transpose(0, 4, 1, 2, 3)
-    y = np.ascontiguousarray(y) + bias.reshape(1, o, 1, 1, 1)
+    xp = np.pad(x, ((0, 0), (0, 0)) + ((padding, padding),) * 3) if padding else x
+    acc = np.zeros((o, n * np.prod(out_sp)), dtype=np.result_type(x, kernel, bias))
+    for (i, j, l), win in _offset_windows(xp, (kd, kh, kw), stride, out_sp):
+        acc += np.dot(kernel[:, :, i, j, l], win)
+    y = np.ascontiguousarray(acc.reshape(o, n, *out_sp).swapaxes(0, 1))
+    y += bias.reshape(1, o, 1, 1, 1)
     cache = (xp, kernel, stride, padding, out_sp, x.shape)
     return y, cache
 
 
-def conv3d_backward(grad_y, cache):
-    """Gradients of conv3d_forward; returns (grad_x, grad_kernel, grad_bias)."""
-    xp, kernel, stride, padding, out_sp, x_shape = cache
-    o, c, k = kernel.shape[:3]
-    n, _, d, h, w = x_shape
-    od, oh, ow = out_sp
-    p, s = padding, stride
+def conv3d_transpose(g, kernel, bias, stride, padding, spatial):
+    """Adjoint of conv3d_forward's linear part in x, plus bias (c,).
 
-    grad_bias = grad_y.sum(axis=(0, 2, 3, 4))
-    gmat = grad_y.transpose(0, 2, 3, 4, 1).reshape(n * od * oh * ow, o)
-    grad_kernel = (gmat.T @ _im2col(xp, kernel.shape[2:], s, out_sp)).reshape(kernel.shape)
-
-    # the input gradient is the forward correlation again: grad_y spread to
-    # stride steps at offset k - 1, against the flipped, channel-swapped
-    # kernel; only the window over the unpadded input is correlated
-    spread = np.zeros((n, o, *(m + k - 1 for m in xp.shape[2:])), dtype=grad_y.dtype)
-    spread[:, :, k - 1 :: s, k - 1 :: s, k - 1 :: s][:, :, :od, :oh, :ow] = grad_y
-    grad_x, _ = conv3d_forward(
+    Takes g (n, o, *out) through kernel (o, c, k, k, k) to (n, c, *spatial).
+    This is the forward correlation of g, spread to stride steps at offset
+    k - 1, with the flipped, channel-swapped kernel, over the unpadded input.
+    """
+    n, o = g.shape[:2]
+    if kernel.shape[0] != o:
+        raise GeometryError(f"kernel expects {kernel.shape[0]} input channels, tensor has {o}")
+    k, p, s = kernel.shape[2], padding, stride
+    od, oh, ow = g.shape[2:]
+    d, h, w = spatial
+    spread = np.zeros((n, o, *(m + 2 * p + k - 1 for m in spatial)), dtype=g.dtype)
+    spread[:, :, k - 1 :: s, k - 1 :: s, k - 1 :: s][:, :, :od, :oh, :ow] = g
+    y, _ = conv3d_forward(
         spread[:, :, p : p + d + k - 1, p : p + h + k - 1, p : p + w + k - 1],
         kernel[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4),
-        np.zeros(c, dtype=kernel.dtype),
+        bias,
     )
+    return y
+
+
+def conv3d_backward(grad_y, cache):
+    """Gradients of conv3d_forward; returns (grad_x, grad_kernel, grad_bias)."""
+    xp, kernel, stride, padding, _, x_shape = cache
+    grad_bias = grad_y.sum(axis=(0, 2, 3, 4))
+    grad_kernel = _kernel_grad(xp, grad_y, kernel.shape[2:], stride)
+    zero = np.zeros(x_shape[1], dtype=kernel.dtype)
+    grad_x = conv3d_transpose(grad_y, kernel, zero, stride, padding, x_shape[2:])
     return grad_x, grad_kernel, grad_bias
 
 
@@ -98,35 +112,18 @@ def conv3d_backward(grad_y, cache):
 # --------------------------------------------------------------------------
 
 
-def _split_blocks(x):
-    """(n,c,d,h,w) -> (n,c,d/2,2,h/2,2,w/2,2); dims must be even."""
-    n, c, d, h, w = x.shape
-    if d % 2 or h % 2 or w % 2:
-        raise GeometryError(f"stride-2 ops need even spatial dims, got {(d, h, w)}")
-    return x.reshape(n, c, d // 2, 2, h // 2, 2, w // 2, 2)
+def _check_even(x):
+    if any(m % 2 for m in x.shape[2:]):
+        raise GeometryError(f"stride-2 ops need even spatial dims, got {x.shape[2:]}")
 
 
 def downconv_forward(x, kernel, bias):
     """Stride-2 2x2x2 convolution; kernel (o, c, 2, 2, 2), halves each axis."""
-    xr = _split_blocks(x)
-    if kernel.shape[1] != x.shape[1]:
-        raise GeometryError(
-            f"kernel expects {kernel.shape[1]} input channels, tensor has {x.shape[1]}"
-        )
-    y = np.einsum("ncdihjwk,ocijk->nodhw", xr, kernel, optimize=True)
-    y = y + bias.reshape(1, -1, 1, 1, 1)
-    return y, (xr, kernel)
+    _check_even(x)
+    return conv3d_forward(x, kernel, bias, stride=2)
 
 
-def downconv_backward(grad_y, cache):
-    xr, kernel = cache
-    grad_bias = grad_y.sum(axis=(0, 2, 3, 4))
-    grad_kernel = np.einsum("ncdihjwk,nodhw->ocijk", xr, grad_y, optimize=True)
-    grad_xr = np.einsum("nodhw,ocijk->ncdihjwk", grad_y, kernel, optimize=True)
-    n, c = xr.shape[:2]
-    dd, hh, ww = xr.shape[2], xr.shape[4], xr.shape[6]
-    grad_x = grad_xr.reshape(n, c, dd * 2, hh * 2, ww * 2)
-    return grad_x, grad_kernel, grad_bias
+downconv_backward = conv3d_backward
 
 
 def upconv_forward(x, kernel, bias):
@@ -135,23 +132,15 @@ def upconv_forward(x, kernel, bias):
     Doubles each spatial axis. With a shared kernel array this is the exact
     adjoint of downconv_forward's linear part.
     """
-    if kernel.shape[0] != x.shape[1]:
-        raise GeometryError(
-            f"kernel expects {kernel.shape[0]} input channels, tensor has {x.shape[1]}"
-        )
-    n, c, d, h, w = x.shape
-    o = kernel.shape[1]
-    t = np.einsum("ncdhw,coijk->nodihjwk", x, kernel, optimize=True)
-    y = t.reshape(n, o, 2 * d, 2 * h, 2 * w) + bias.reshape(1, o, 1, 1, 1)
+    y = conv3d_transpose(x, kernel, bias, 2, 0, tuple(2 * m for m in x.shape[2:]))
     return y, (x, kernel)
 
 
 def upconv_backward(grad_y, cache):
     x, kernel = cache
-    gr = _split_blocks(grad_y)
     grad_bias = grad_y.sum(axis=(0, 2, 3, 4))
-    grad_kernel = np.einsum("ncdhw,nodihjwk->coijk", x, gr, optimize=True)
-    grad_x = np.einsum("nodihjwk,coijk->ncdhw", gr, kernel, optimize=True)
+    grad_kernel = _kernel_grad(grad_y, x, kernel.shape[2:], 2)
+    grad_x, _ = conv3d_forward(grad_y, kernel, np.zeros(kernel.shape[0], dtype=kernel.dtype), 2)
     return grad_x, grad_kernel, grad_bias
 
 
@@ -231,8 +220,9 @@ def softmax_channels_backward(grad_y, y):
 
 def halve_spatial(x):
     """2x2x2 block mean; trilinear factor-2 downsampling lands on block means."""
-    xr = _split_blocks(x)
-    return xr.mean(axis=(3, 5, 7))
+    _check_even(x)
+    n, c, d, h, w = x.shape
+    return x.reshape(n, c, d // 2, 2, h // 2, 2, w // 2, 2).mean(axis=(3, 5, 7))
 
 
 def raw_input_at_level(x, level):

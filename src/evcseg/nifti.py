@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     BadMagicError,
     DataError,
+    FormatError,
     GeometryError,
     TruncatedFileError,
     UnsupportedDatatypeError,
@@ -175,12 +176,15 @@ def _parse_header(buf: bytes, path) -> NiftiHeader:
         raise GeometryError(f"{path}: dim[0] must be 1..7, got {ndim}")
     if any(int(d) < 1 for d in raw["dim"][1 : 1 + ndim]):
         raise GeometryError(f"{path}: non-positive axis length in dim")
+    vox_offset = float(raw["vox_offset"])
+    if not (np.isfinite(vox_offset) and vox_offset >= 0):
+        raise FormatError(f"{path}: vox_offset {vox_offset} is not a byte offset")
     return NiftiHeader(
         dim=np.array(raw["dim"], dtype=np.int64),
         datatype=int(raw["datatype"]),
         bitpix=int(raw["bitpix"]),
         pixdim=np.array(raw["pixdim"], dtype=np.float64),
-        vox_offset=int(raw["vox_offset"]),
+        vox_offset=int(vox_offset),
         scl_slope=float(raw["scl_slope"]),
         scl_inter=float(raw["scl_inter"]),
         qform_code=int(raw["qform_code"]),

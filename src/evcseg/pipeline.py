@@ -32,7 +32,7 @@ import numpy as np
 
 from .augment import intensity_augment, rigid_augment
 from .crf import CrfConfig, refine
-from .errors import ConfigError, DataError, EvcsegError
+from .errors import ConfigError, DataError, EvcsegError, TrainingError
 from .evnet import (
     EvNetConfig,
     evnet_backward,
@@ -442,7 +442,7 @@ def train(cfg: TrainConfig) -> TrainResult:
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train_set))
         epoch_losses = []
-        for start in range(0, len(order), cfg.batch_size):
+        for b, start in enumerate(range(0, len(order), cfg.batch_size)):
             chunk = order[start : start + cfg.batch_size]
             batch = [_augmented(train_set[i], cfg, epoch, int(i)) for i in chunk]
             x = np.stack([v.data for v, _ in batch])[:, None].astype(np.float32)
@@ -450,6 +450,8 @@ def train(cfg: TrainConfig) -> TrainResult:
             with _stage("train-step"):
                 probs, cache = evnet_forward(x, params, cfg.evnet, want_cache=True)
                 report, grad = soft_dice_loss(probs, t)
+                if not np.isfinite(report.value):
+                    raise TrainingError(f"non-finite training loss at epoch {epoch}, batch {b}")
                 grads = evnet_backward(grad.astype(np.float32), cache, cfg.evnet)
                 params, velocity = sgd_step(params, grads, velocity, cfg.lr, cfg.momentum)
             epoch_losses += list(report.per_example)

@@ -1,7 +1,9 @@
-"""Smoke test of the benchmark harness: one short extract-crf run.
+"""Smoke tests of the benchmark harness: a short extract-crf run and a
+traced train run.
 
-It catches a change to the program that breaks what ``bench/`` imports or
-the loading of ``bench/checkpoint.evc``.
+They catch a change to the program that breaks what ``bench/`` imports, the
+loading of ``bench/checkpoint.evc``, or what the traced spans read: the
+``evcseg.evnet.network`` conv names and the conv cache layout.
 """
 
 import json
@@ -22,3 +24,17 @@ def test_extract_crf_runs_and_is_correct():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_traced_train_times_the_convs():
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "train",
+         "--seed", "0", "--seconds", "0", "--trace", "1"],
+        cwd=REPO, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["metrics"]["evnet.conv3d_forward_s"]["value"] > 0
+    assert result["metrics"]["evnet.conv3d_backward_s"]["value"] > 0

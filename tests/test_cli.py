@@ -161,6 +161,19 @@ class TestTrainCommand:
         assert (tmp_path / "c.evc").exists()
         assert json.loads((tmp_path / "c.evc.log.json").read_text())["epochs"] == []
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_diverging_loss_names_epoch_and_batch(self, phantom_dataset, tmp_path, capsys):
+        # the first update at this rate makes the next forward pass overflow
+        # to a NaN loss, which is caught before any gradient is taken
+        code = run(
+            ["train", "--data", str(phantom_dataset), "--out", str(tmp_path / "c.evc"),
+             "--epochs", "3", "--lr", "1e10", "--levels", "2", "--base-channels", "2",
+             "--no-augment", *GRID_FLAGS]
+        )
+        assert code == 4
+        assert "non-finite training loss at epoch 0, batch 1" in capsys.readouterr().err
+
     def test_bad_data_dir(self, tmp_path, capsys):
         code = run(
             ["train", "--data", str(tmp_path), "--out", str(tmp_path / "c.evc"),
@@ -241,6 +254,22 @@ class TestExtractCommand:
         )
         assert code == 3
         assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.nii.gz").exists()
+
+    def test_nan_vox_offset_is_data_error(
+        self, phantom_dataset, init_checkpoint, tmp_path, capsys
+    ):
+        image = tmp_path / "nan_offset.nii"
+        write_nifti(read_nifti(phantom_dataset / "images" / "phantom_000.nii.gz"), image)
+        data = bytearray(image.read_bytes())
+        data[108:112] = np.array(np.nan, "<f4").tobytes()  # vox_offset
+        image.write_bytes(bytes(data))
+        code = run(
+            ["extract", "--in", str(image), "--out", str(tmp_path / "m.nii.gz"),
+             "--checkpoint", str(init_checkpoint), "--crf-iters", "0", *GRID_FLAGS]
+        )
+        assert code == 3
+        assert "vox_offset" in capsys.readouterr().err
         assert not (tmp_path / "m.nii.gz").exists()
 
     def test_geometry_problem_is_compute_error(

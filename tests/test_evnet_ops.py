@@ -6,6 +6,8 @@ reimplementation. All gradient checks run in double precision on tensors
 of spatial size at most 6 per axis.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -531,3 +533,29 @@ class TestHalveSpatial:
     def test_odd_rejected(self):
         with pytest.raises(GeometryError):
             ops.halve_spatial(np.zeros((1, 1, 3, 4, 4)))
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak bytes it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestConvMemory:
+    def test_peak_stays_near_tensor_size(self):
+        # the dec0 block conv at the default grid: c4 -> o2, 5^3, padding 2,
+        # 32^3, float32; a window matrix (n * voxels, c * 125) would be 67 MB
+        rng = np.random.default_rng(80)
+        x = rng.standard_normal((1, 4, 32, 32, 32)).astype(np.float32)
+        kernel = rng.standard_normal((2, 4, 5, 5, 5)).astype(np.float32)
+        bias = np.zeros(2, np.float32)
+        (y, cache), fwd_peak = _traced_peak(ops.conv3d_forward, x, kernel, bias, 1, 2)
+        gy = rng.standard_normal(y.shape).astype(np.float32)
+        _, bwd_peak = _traced_peak(ops.conv3d_backward, gy, cache)
+        budget = 16 * (x.nbytes + y.nbytes)
+        assert fwd_peak < budget, (fwd_peak, budget)
+        assert bwd_peak < budget, (bwd_peak, budget)

@@ -17,6 +17,7 @@ import pytest
 from evcseg.errors import (
     BadMagicError,
     DataError,
+    FormatError,
     GeometryError,
     TruncatedFileError,
     UnsupportedDatatypeError,
@@ -248,6 +249,25 @@ class TestFormatErrors:
         craft_file(tmp_path / "d0.nii", hdr, np.zeros((2, 2, 2), np.float32))
         with pytest.raises(GeometryError):
             read_nifti(tmp_path / "d0.nii")
+
+    @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vox_offset(self, tmp_path, offset):
+        hdr = craft_header(
+            dim=(3, 2, 2, 2, 1, 1, 1, 1), datatype=16, bitpix=32, vox_offset=offset
+        )
+        craft_file(tmp_path / "vo.nii", hdr, np.zeros((2, 2, 2), np.float32))
+        with pytest.raises(FormatError, match="vox_offset"):
+            read_nifti(tmp_path / "vo.nii")
+
+    def test_negative_vox_offset_in_header_pair(self, tmp_path):
+        hdr = craft_header(
+            dim=(3, 2, 2, 2, 1, 1, 1, 1), datatype=16, bitpix=32,
+            vox_offset=-8.0, magic=b"ni1\x00",
+        )
+        (tmp_path / "p.hdr").write_bytes(hdr)
+        (tmp_path / "p.img").write_bytes(np.zeros(8, np.float32).tobytes())
+        with pytest.raises(FormatError, match="vox_offset"):
+            read_nifti(tmp_path / "p.hdr")
 
 
 class TestWriteRoundTrip:
