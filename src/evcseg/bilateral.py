@@ -12,13 +12,18 @@ with intensities already scaled by their bandwidth. The sum includes
 j = i; callers wanting the strict off-diagonal sum subtract the self
 term. Positions sit on the lattice, so only intensity is gridded (the
 bilateral grid of Chen, Paris & Durand 2007 with the spatial axes left at
-voxel resolution): a linear splat into intensity cells CELL bandwidths
-wide, a blur along intensity, `gaussian_blur` in space, and a linear
-slice back. Splat and slice each convolve with a tent of variance
-CELL^2/6, so the intensity blur carries the remaining variance, and its
-kernel is rescaled to mass sqrt(2*pi)/CELL so amplitudes match the
-unnormalized Gaussian. Third-of-bandwidth cells keep the discrete blur
-well sampled and the quantization wobble near one percent.
+voxel resolution), one intensity cell CELL bandwidths wide at a time:
+the values splatted into the cell with tent weights are blurred in space
+by `gaussian_blur` and added back to each voxel, weighted by the
+intensity kernel linearly interpolated at the voxel's distance from the
+cell. That is the grid's splat, intensity blur, spatial blur and linear
+slice in another order (the two blurs commute, and slicing a blurred
+cell column interpolates the kernel), with no grid held in memory.
+Splat and slice each convolve with a tent of variance CELL^2/6, so the
+intensity kernel carries the remaining variance, and it is rescaled to
+mass sqrt(2*pi)/CELL so amplitudes match the unnormalized Gaussian.
+Third-of-bandwidth cells keep the discrete kernel well sampled and the
+quantization wobble near one percent.
 """
 
 from __future__ import annotations
@@ -58,20 +63,12 @@ def bilateral_filter(values, inten, spacing, theta):
     values = np.asarray(values, dtype=np.float64)
     if values.shape[1:] != np.shape(inten):
         raise ValueError(f"values {values.shape} do not match intensities {np.shape(inten)}")
-    flat = values.reshape(values.shape[0], -1)
-    pos = np.reshape(inten, -1) / CELL  # intensity in cells
-    cell = np.floor(pos)
-    base = (cell - cell.min()).astype(np.int64)
-    frac = pos - cell
-    # each voxel has a column of cells to itself, so no two voxels collide;
-    # blur mass past either end of the intensity range is never sliced back,
-    # so the grid needs no padding
-    voxel = np.arange(flat.shape[1])
-    grid = np.zeros((flat.shape[0], base.max() + 2, flat.shape[1]))
-    grid[:, base, voxel] = (1.0 - frac) * flat
-    grid[:, base + 1, voxel] = frac * flat
-    grid = convolve1d(grid, _blur_kernel(), axis=1, mode="constant")
-    grid = gaussian_blur(grid.reshape(grid.shape[:2] + values.shape[1:]), spacing, theta)
-    grid = grid.reshape(grid.shape[:2] + (-1,))
-    out = (1.0 - frac) * grid[:, base, voxel] + frac * grid[:, base + 1, voxel]
-    return out.reshape(values.shape)
+    pos = np.asarray(inten, dtype=np.float64) / CELL  # intensity in cells
+    pos = pos - np.floor(pos.min())
+    kern = np.pad(_blur_kernel(), 1)  # interpolates to 0 past the last tap
+    offsets = np.arange(kern.size) - kern.size // 2
+    out = np.zeros(values.shape)
+    for cell in range(int(pos.max()) + 2):
+        splat = np.maximum(0.0, 1.0 - np.abs(pos - cell))
+        out += np.interp(cell - pos, offsets, kern) * gaussian_blur(splat * values, spacing, theta)
+    return out

@@ -103,17 +103,6 @@ def _features(vol: Volume):
     return pos, inten
 
 
-def pairwise_kernel(fi, fj, cfg: CrfConfig) -> float:
-    """Kernel value for feature vectors (x_mm, y_mm, z_mm, intensity)."""
-    fi = np.asarray(fi, dtype=np.float64)
-    fj = np.asarray(fj, dtype=np.float64)
-    dp2 = float(((fi[:3] - fj[:3]) ** 2).sum())
-    di2 = float((fi[3] - fj[3]) ** 2)
-    app = np.exp(-dp2 / (2 * cfg.theta_alpha**2) - di2 / (2 * cfg.theta_beta**2))
-    smooth = np.exp(-dp2 / (2 * cfg.theta_gamma**2))
-    return float(cfg.w_appearance * app + cfg.w_smoothness * smooth)
-
-
 def kernel_matrix(vol: Volume, cfg: CrfConfig) -> np.ndarray:
     """Dense pairwise kernel with zero diagonal. Brute backend only."""
     n = vol.data.size
@@ -131,18 +120,6 @@ def kernel_matrix(vol: Volume, cfg: CrfConfig) -> np.ndarray:
     return k
 
 
-def gibbs_energy(x: LabelMask, u: UnaryField, vol: Volume, cfg: CrfConfig) -> float:
-    """Exact energy of a hard labeling: unary sum plus Potts pairwise sum."""
-    labels = x.data.reshape(-1).astype(np.int64)
-    uf = u.neg_log_probs.reshape(u.neg_log_probs.shape[0], -1)
-    if labels.size != uf.shape[1]:
-        raise GeometryError("labeling and unary field sizes differ")
-    e_unary = uf[labels, np.arange(labels.size)].sum()
-    k = kernel_matrix(vol, cfg)
-    differ = labels[:, None] != labels[None, :]
-    return float(e_unary + 0.5 * (k * differ).sum())
-
-
 def _softmax_labels(logits):
     z = logits - logits.max(axis=0, keepdims=True)
     e = np.exp(z)
@@ -156,10 +133,6 @@ def _free_energy(qf, uf, m):
     0.5 * sum (1 - q) * m, because each voxel's marginals sum to 1.
     """
     return float((qf * uf).sum() + 0.5 * ((1.0 - qf) * m).sum() + xlogy(qf, qf).sum())
-
-
-def _free_energy_exact(qf, uf, k):
-    return _free_energy(qf, uf, qf @ k)
 
 
 def filtered_message_pass(q, vol: Volume, cfg: CrfConfig):

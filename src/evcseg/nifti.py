@@ -10,6 +10,7 @@ scl_slope/scl_inter applied whenever slope is nonzero.
 from __future__ import annotations
 
 import gzip
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -212,10 +213,14 @@ def _read_bytes(path) -> bytes:
     return buf
 
 
-def _read_array(path) -> tuple[np.ndarray, NiftiHeader]:
+def _read_array(path) -> tuple[np.ndarray, np.ndarray]:
+    """The voxel array (float64, scaling applied) and the header's affine."""
     path = Path(path)
     buf = _read_bytes(path)
     hdr = _parse_header(buf, path)
+    affine = hdr.affine()
+    if not np.isfinite(affine).all():
+        raise FormatError(f"{path}: header affine has non-finite entries")
 
     if hdr.magic == b"ni1":
         # header/payload pair: voxels live in the sibling .img file
@@ -236,7 +241,7 @@ def _read_array(path) -> tuple[np.ndarray, NiftiHeader]:
     if hdr.byteswapped:
         dtype = dtype.newbyteorder(">")
 
-    count = int(np.prod(hdr.shape))
+    count = math.prod(hdr.shape)  # Python ints: no overflow
     need = offset + count * dtype.itemsize
     if len(buf) < need:
         raise TruncatedFileError(
@@ -248,10 +253,10 @@ def _read_array(path) -> tuple[np.ndarray, NiftiHeader]:
     slope, inter = hdr.scl_slope, hdr.scl_inter
     if slope != 0.0 and np.isfinite(slope) and (slope, inter) != (1.0, 0.0):
         data = data * slope + inter
-    return data, hdr
+    return data, affine
 
 
-def _squeeze_to_3d(data: np.ndarray, hdr: NiftiHeader, path) -> np.ndarray:
+def _squeeze_to_3d(data: np.ndarray, path) -> np.ndarray:
     if data.ndim == 3:
         return data
     extra = data.shape[3:]
@@ -264,25 +269,25 @@ def _squeeze_to_3d(data: np.ndarray, hdr: NiftiHeader, path) -> np.ndarray:
 
 def read_nifti(path) -> Volume:
     """Read a 3D NIfTI-1 volume (values float64, scaling applied)."""
-    data, hdr = _read_array(path)
-    return Volume(data=_squeeze_to_3d(data, hdr, path), affine=hdr.affine())
+    data, affine = _read_array(path)
+    return Volume(data=_squeeze_to_3d(data, path), affine=affine)
 
 
 def read_mask(path) -> LabelMask:
     """Read a NIfTI-1 file that must contain only 0s and 1s."""
-    data, hdr = _read_array(path)
-    data = _squeeze_to_3d(data, hdr, path)
+    data, affine = _read_array(path)
+    data = _squeeze_to_3d(data, path)
     if not np.isin(data, (0.0, 1.0)).all():
         raise DataError(f"{path}: mask file contains values other than 0 and 1")
-    return LabelMask(data=data.astype(np.uint8), affine=hdr.affine())
+    return LabelMask(data=data.astype(np.uint8), affine=affine)
 
 
 def read_probmap(path) -> ProbMap:
     """Read a 4D NIfTI-1 probability map; the 4th axis holds the labels."""
-    data, hdr = _read_array(path)
+    data, affine = _read_array(path)
     if data.ndim != 4:
         raise GeometryError(f"{path}: expected 4D probability map, file is {data.shape}")
-    return ProbMap(data=np.moveaxis(data, 3, 0), affine=hdr.affine())
+    return ProbMap(data=np.moveaxis(data, 3, 0), affine=affine)
 
 
 def read_header(path) -> NiftiHeader:

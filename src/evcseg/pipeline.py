@@ -447,7 +447,9 @@ def train(cfg: TrainConfig) -> TrainResult:
             batch = [_augmented(train_set[i], cfg, epoch, int(i)) for i in chunk]
             x = np.stack([v.data for v, _ in batch])[:, None].astype(np.float32)
             t = np.stack([m.data for _, m in batch])
-            with _stage("train-step"):
+            # a diverging run overflows inside numpy; the loss and gradient
+            # checks report it, so numpy's own warnings stay quiet
+            with _stage("train-step"), np.errstate(over="ignore", invalid="ignore"):
                 probs, cache = evnet_forward(x, params, cfg.evnet, want_cache=True)
                 report, grad = soft_dice_loss(probs, t)
                 if not np.isfinite(report.value):

@@ -38,6 +38,8 @@ def _check_affine(affine: np.ndarray) -> np.ndarray:
     affine = np.asarray(affine, dtype=np.float64)
     if affine.shape != (4, 4):
         raise GeometryError(f"affine must be 4x4, got {affine.shape}")
+    if not np.isfinite(affine).all():
+        raise GeometryError("affine has non-finite entries")
     if not np.allclose(affine[3], [0.0, 0.0, 0.0, 1.0]):
         raise GeometryError("affine last row must be [0, 0, 0, 1]")
     if abs(np.linalg.det(affine[:3, :3])) < 1e-12:

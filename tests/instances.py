@@ -1,9 +1,39 @@
-"""Shared builders for refinement test instances."""
+"""Shared builders for refinement test instances, and the CRF oracles
+that only the tests use."""
 
 import numpy as np
 
-from evcseg.crf import CrfConfig
-from evcseg.volume import ProbMap, Volume
+from evcseg.crf import CrfConfig, UnaryField, _free_energy, kernel_matrix
+from evcseg.errors import GeometryError
+from evcseg.volume import LabelMask, ProbMap, Volume
+
+
+def pairwise_kernel(fi, fj, cfg: CrfConfig) -> float:
+    """Kernel value for feature vectors (x_mm, y_mm, z_mm, intensity)."""
+    fi = np.asarray(fi, dtype=np.float64)
+    fj = np.asarray(fj, dtype=np.float64)
+    dp2 = float(((fi[:3] - fj[:3]) ** 2).sum())
+    di2 = float((fi[3] - fj[3]) ** 2)
+    app = np.exp(-dp2 / (2 * cfg.theta_alpha**2) - di2 / (2 * cfg.theta_beta**2))
+    smooth = np.exp(-dp2 / (2 * cfg.theta_gamma**2))
+    return float(cfg.w_appearance * app + cfg.w_smoothness * smooth)
+
+
+def gibbs_energy(x: LabelMask, u: UnaryField, vol: Volume, cfg: CrfConfig) -> float:
+    """Exact energy of a hard labeling: unary sum plus Potts pairwise sum."""
+    labels = x.data.reshape(-1).astype(np.int64)
+    uf = u.neg_log_probs.reshape(u.neg_log_probs.shape[0], -1)
+    if labels.size != uf.shape[1]:
+        raise GeometryError("labeling and unary field sizes differ")
+    e_unary = uf[labels, np.arange(labels.size)].sum()
+    k = kernel_matrix(vol, cfg)
+    differ = labels[:, None] != labels[None, :]
+    return float(e_unary + 0.5 * (k * differ).sum())
+
+
+def free_energy_exact(qf, uf, k):
+    """The CRF's free-energy formula fed the exact message qf @ k."""
+    return _free_energy(qf, uf, qf @ k)
 
 
 def sphere_mask(shape, center, radius):

@@ -161,8 +161,6 @@ class TestTrainCommand:
         assert (tmp_path / "c.evc").exists()
         assert json.loads((tmp_path / "c.evc.log.json").read_text())["epochs"] == []
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_diverging_loss_names_epoch_and_batch(self, phantom_dataset, tmp_path, capsys):
         # the first update at this rate makes the next forward pass overflow
         # to a NaN loss, which is caught before any gradient is taken
@@ -270,6 +268,22 @@ class TestExtractCommand:
         )
         assert code == 3
         assert "vox_offset" in capsys.readouterr().err
+        assert not (tmp_path / "m.nii.gz").exists()
+
+    def test_nan_sform_is_data_error(
+        self, phantom_dataset, init_checkpoint, tmp_path, capsys
+    ):
+        image = tmp_path / "nan_sform.nii"
+        write_nifti(read_nifti(phantom_dataset / "images" / "phantom_000.nii.gz"), image)
+        data = bytearray(image.read_bytes())
+        data[280:284] = np.array(np.nan, "<f4").tobytes()  # srow_x[0]
+        image.write_bytes(bytes(data))
+        code = run(
+            ["extract", "--in", str(image), "--out", str(tmp_path / "m.nii.gz"),
+             "--checkpoint", str(init_checkpoint), "--crf-iters", "0", *GRID_FLAGS]
+        )
+        assert code == 3
+        assert "nan_sform.nii" in capsys.readouterr().err
         assert not (tmp_path / "m.nii.gz").exists()
 
     def test_geometry_problem_is_compute_error(

@@ -7,27 +7,33 @@ before the mean-field machinery built on them is trusted.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from evcseg import crf
+from evcseg.bilateral import bilateral_filter
 from evcseg.crf import (
     CrfConfig,
     MeanFieldState,
     UnaryField,
     filtered_message_pass,
-    gibbs_energy,
     kernel_matrix,
     mean_field_step,
-    pairwise_kernel,
     refine,
     unary_from_probmap,
 )
 from evcseg.errors import CapacityError, ConfigError, DomainError, GeometryError
 from evcseg.metrics import dice
 from evcseg.volume import LabelMask, ProbMap, Volume
-from instances import noisy_sphere_instance, random_crf_instance
+from instances import (
+    free_energy_exact,
+    gibbs_energy,
+    noisy_sphere_instance,
+    pairwise_kernel,
+    random_crf_instance,
+)
 
 
 def brute_kernel(pos, inten, cfg):
@@ -314,7 +320,7 @@ class TestFreeEnergy:
         k = kernel_matrix(vol, cfg)
         qf = p.data.reshape(2, -1)
         uf = u.neg_log_probs.reshape(2, -1)
-        assert crf._free_energy_exact(qf, uf, k) == pytest.approx(
+        assert free_energy_exact(qf, uf, k) == pytest.approx(
             brute_free_energy(qf, uf, k), rel=1e-12
         )
 
@@ -384,6 +390,23 @@ class TestFilteredMessagePass:
         exact = brute_messages(q, vol, cfg)
         scale = exact.max() - exact.min()
         assert np.max(np.abs(approx - exact)) < 0.05 * scale
+
+
+class TestBilateralMemory:
+    def test_peak_stays_near_field_size(self):
+        # two channels on the default 32^3 grid at 2 mm; an intensity grid
+        # of (channels, cells, voxels) would hold 32 cells here, 16.8 MB
+        rng = np.random.default_rng(81)
+        values = rng.uniform(size=(2, 32, 32, 32))
+        inten = rng.uniform(size=(32, 32, 32)) / 0.1
+        tracemalloc.start()
+        try:
+            bilateral_filter(values, inten, (2.0, 2.0, 2.0), 4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = 16 * values.nbytes
+        assert peak < budget, (peak, budget)
 
 
 class TestRefine:

@@ -270,6 +270,34 @@ class TestFormatErrors:
             read_nifti(tmp_path / "p.hdr")
 
 
+    @pytest.mark.parametrize(
+        "form",
+        [
+            {"sform": 1, "srow": ((np.nan, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))},
+            {"sform": 1, "srow": ((1, 0, 0, np.inf), (0, 1, 0, 0), (0, 0, 1, 0))},
+            {"qform": 1, "quat": (np.nan, 0.0, 0.0)},
+            {"qform": 1, "qoff": (0.0, -np.inf, 0.0)},
+            {"pixdim": (1, np.nan, 1, 1, 1, 1, 1, 1)},
+            {"pixdim": (1, 1, 1, np.inf, 1, 1, 1, 1)},
+        ],
+        ids=["srow_nan", "srow_inf", "quatern_nan", "qoffset_inf", "pixdim_nan", "pixdim_inf"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_affine(self, tmp_path, form):
+        hdr = craft_header(dim=(3, 2, 2, 2, 1, 1, 1, 1), datatype=16, bitpix=32, **form)
+        craft_file(tmp_path / "af.nii", hdr, np.zeros((2, 2, 2), np.float32))
+        with pytest.raises(FormatError, match="af.nii"):
+            read_nifti(tmp_path / "af.nii")
+        with pytest.raises(FormatError, match="af.nii"):
+            read_mask(tmp_path / "af.nii")
+
+    def test_overflowing_dim_is_truncated(self, tmp_path):
+        # 32767^7 voxels overflow int64, so the count must be exact
+        hdr = craft_header(dim=(7,) + (32767,) * 7, datatype=16, bitpix=32)
+        craft_file(tmp_path / "big.nii", hdr, np.zeros((2, 2, 2), np.float32))
+        with pytest.raises(TruncatedFileError):
+            read_nifti(tmp_path / "big.nii")
+
 class TestWriteRoundTrip:
     def test_float32_volume_bit_exact(self, tmp_path):
         rng = np.random.default_rng(42)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import TOY_EVNET, TOY_GRID
 from evcseg.crf import CrfConfig
-from evcseg.errors import ConfigError, DataError, GeometryError
+from evcseg.errors import ConfigError, DataError, GeometryError, TrainingError
 from evcseg.evnet import EvNetConfig, init_params, load_checkpoint, save_checkpoint
 from evcseg.nifti import read_mask, read_nifti, write_nifti
 from evcseg.pipeline import (
@@ -293,6 +293,14 @@ class TestTrain:
             self.toy_train_config(phantom_dataset, tmp_path / "a.evc", augment=True)
         )
         assert plain.history != auged.history
+
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_raises_no_numpy_warning(self, phantom_dataset, tmp_path):
+        # at this rate the first update makes the next forward pass overflow;
+        # the loss check reports it, without numpy's own warnings
+        cfg = self.toy_train_config(phantom_dataset, tmp_path / "t.evc", epochs=3, lr=1e10)
+        with pytest.raises(TrainingError, match="non-finite training loss at epoch 0, batch 1"):
+            train(cfg)
 
     def test_holdout_too_large(self, phantom_dataset, tmp_path):
         with pytest.raises(ConfigError, match="holdout"):

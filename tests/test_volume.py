@@ -49,6 +49,14 @@ class TestTypes:
         with pytest.raises(GeometryError):
             Volume(data=np.ones((2, 2, 2)), affine=aff)
 
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 3), (3, 3)])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_affine_rejected(self, entry):
+        aff = np.eye(4)
+        aff[entry] = np.nan
+        with pytest.raises(GeometryError, match="finite"):
+            Volume(data=np.ones((2, 2, 2)), affine=aff)
+
     def test_bad_last_row_rejected(self):
         aff = np.eye(4)
         aff[3, 0] = 2.0
