@@ -70,5 +70,7 @@ def bilateral_filter(values, inten, spacing, theta):
     out = np.zeros(values.shape)
     for cell in range(int(pos.max()) + 2):
         splat = np.maximum(0.0, 1.0 - np.abs(pos - cell))
-        out += np.interp(cell - pos, offsets, kern) * gaussian_blur(splat * values, spacing, theta)
+        if splat.any():  # an empty cell adds exactly zero
+            blurred = gaussian_blur(splat * values, spacing, theta)
+            out += np.interp(cell - pos, offsets, kern) * blurred
     return out

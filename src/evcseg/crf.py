@@ -18,7 +18,11 @@ kernel evaluation, so the bandwidths keep their meaning across scanners.
 
 Each state carries the message of its marginals, which gives both its
 free energy and the next parallel update, so a refinement of n sweeps
-makes 1 + n message passes.
+makes 1 + n message passes. The message pass is linear and the two
+labels' marginals sum to 1, so the filtered backend filters labels 1..
+only: label 0's message is the kernel mass (the pass over a field of
+ones) minus theirs. The first pass filters the ones field alongside the
+foreground, and the states carry the mass forward.
 """
 
 from __future__ import annotations
@@ -77,6 +81,8 @@ class MeanFieldState:
 
     message is M_l(i) = sum_{j != i} k_ij q_l(j), shaped (L, N), from the
     backend that made the state; the next parallel sweep updates from it.
+    mass is the filtered backend's message of a field of ones, shaped (N,),
+    from which label 0's message follows; None under the brute backend.
     trace_exact is False once any entry came from the filtered backend's
     approximate kernel sums.
     """
@@ -85,6 +91,7 @@ class MeanFieldState:
     message: np.ndarray
     free_energy_trace: tuple
     trace_exact: bool = True
+    mass: np.ndarray | None = None
 
 
 def unary_from_probmap(p: ProbMap) -> UnaryField:
@@ -92,15 +99,11 @@ def unary_from_probmap(p: ProbMap) -> UnaryField:
     return UnaryField(neg_log_probs=-np.log(clamped))
 
 
-def _features(vol: Volume):
-    """Voxel positions in mm and intensities min-max scaled to [0, 1]."""
-    shape = vol.data.shape
-    idx = np.indices(shape).reshape(3, -1).T
-    pos = idx * vol.spacing
-    data = vol.data.reshape(-1)
+def _intensities(vol: Volume) -> np.ndarray:
+    """Voxel intensities min-max scaled to [0, 1], on the volume's grid."""
+    data = vol.data
     lo, hi = data.min(), data.max()
-    inten = (data - lo) / (hi - lo) if hi > lo else np.zeros_like(data)
-    return pos, inten
+    return (data - lo) / (hi - lo) if hi > lo else np.zeros_like(data)
 
 
 def kernel_matrix(vol: Volume, cfg: CrfConfig) -> np.ndarray:
@@ -110,7 +113,8 @@ def kernel_matrix(vol: Volume, cfg: CrfConfig) -> np.ndarray:
         raise CapacityError(
             f"{n} voxels exceed the brute-force cap of {BRUTE_MAX_VOXELS}"
         )
-    pos, inten = _features(vol)
+    pos = np.indices(vol.data.shape).reshape(3, -1).T * vol.spacing
+    inten = _intensities(vol).reshape(-1)
     dp2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
     di2 = (inten[:, None] - inten[None, :]) ** 2
     k = cfg.w_appearance * np.exp(
@@ -146,7 +150,7 @@ def filtered_message_pass(q, vol: Volume, cfg: CrfConfig):
     """
     out = np.zeros(q.shape)
     if cfg.w_appearance > 0:
-        inten = _features(vol)[1].reshape(vol.data.shape) / cfg.theta_beta
+        inten = _intensities(vol) / cfg.theta_beta
         out += cfg.w_appearance * bilateral_filter(q, inten, vol.spacing, cfg.theta_alpha)
     if cfg.w_smoothness > 0:
         out += cfg.w_smoothness * gaussian_blur(q, vol.spacing, cfg.theta_gamma)
@@ -154,19 +158,25 @@ def filtered_message_pass(q, vol: Volume, cfg: CrfConfig):
     return out
 
 
-def _scored(q, uf, vol, cfg, k, trace, exact) -> MeanFieldState:
+def _scored(q, uf, vol, cfg, k, trace, exact, mass) -> MeanFieldState:
     """State for marginals q: their message, and their free energy appended
-    to trace. k is the brute kernel matrix, or None for the filtered backend."""
+    to trace. k is the brute kernel matrix, or None for the filtered backend,
+    whose kernel mass is filtered along with labels 1.. when mass is None."""
     qf = q.reshape(uf.shape)
-    if k is None:
-        m = filtered_message_pass(q, vol, cfg).reshape(uf.shape)
-    else:
+    if k is not None:
         m = qf @ k  # k is symmetric
+    else:
+        rest = q[1:] if mass is not None else np.concatenate([np.ones_like(q[:1]), q[1:]])
+        rest = filtered_message_pass(rest, vol, cfg).reshape(len(rest), -1)
+        if mass is None:
+            mass, rest = rest[0], rest[1:]
+        m = np.concatenate([(mass - rest.sum(axis=0))[None], rest])
     return MeanFieldState(
         q=q,
         message=m,
         free_energy_trace=trace + (_free_energy(qf, uf, m),),
         trace_exact=exact and k is not None,
+        mass=mass,
     )
 
 
@@ -191,7 +201,7 @@ def mean_field_step(
             q_new[:, i] = z / z.sum()
     return _scored(
         q_new.reshape(state.q.shape), uf, vol, cfg, k,
-        state.free_energy_trace, state.trace_exact,
+        state.free_energy_trace, state.trace_exact, state.mass,
     )
 
 
@@ -200,7 +210,7 @@ def _initial_state(u: UnaryField, vol: Volume, cfg: CrfConfig) -> MeanFieldState
     uf = u.neg_log_probs.reshape(labels, -1)
     q0 = _softmax_labels(-uf).reshape(u.neg_log_probs.shape)
     k = kernel_matrix(vol, cfg) if cfg.backend == "brute" else None
-    return _scored(q0, uf, vol, cfg, k, (), True)
+    return _scored(q0, uf, vol, cfg, k, (), True, None)
 
 
 def refine(p: ProbMap, vol: Volume, cfg: CrfConfig):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gzip
 import math
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -209,7 +210,12 @@ def _read_bytes(path) -> bytes:
         rest = fh.read()
     buf = head + rest
     if head == GZIP_MAGIC:
-        return gzip.decompress(buf)
+        try:
+            return gzip.decompress(buf)
+        except EOFError as e:
+            raise TruncatedFileError(f"{path}: gzip stream ends early") from e
+        except (zlib.error, gzip.BadGzipFile) as e:
+            raise FormatError(f"{path}: corrupt gzip stream ({e})") from e
     return buf
 
 

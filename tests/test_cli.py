@@ -286,6 +286,20 @@ class TestExtractCommand:
         assert "nan_sform.nii" in capsys.readouterr().err
         assert not (tmp_path / "m.nii.gz").exists()
 
+    def test_truncated_gzip_is_data_error(
+        self, phantom_dataset, init_checkpoint, tmp_path, capsys
+    ):
+        image = tmp_path / "cut.nii.gz"
+        blob = (phantom_dataset / "images" / "phantom_000.nii.gz").read_bytes()
+        image.write_bytes(blob[: len(blob) // 2])
+        code = run(
+            ["extract", "--in", str(image), "--out", str(tmp_path / "m.nii.gz"),
+             "--checkpoint", str(init_checkpoint), "--crf-iters", "0", *GRID_FLAGS]
+        )
+        assert code == 3
+        assert "cut.nii.gz" in capsys.readouterr().err
+        assert not (tmp_path / "m.nii.gz").exists()
+
     def test_geometry_problem_is_compute_error(
         self, phantom_dataset, init_checkpoint, tmp_path, capsys
     ):

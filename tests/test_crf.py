@@ -12,8 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from evcseg import crf
-from evcseg.bilateral import bilateral_filter
+from evcseg import bilateral, crf
+from evcseg.bilateral import CELL, bilateral_filter, gaussian_blur
 from evcseg.crf import (
     CrfConfig,
     MeanFieldState,
@@ -407,6 +407,85 @@ class TestBilateralMemory:
             tracemalloc.stop()
         budget = 16 * values.nbytes
         assert peak < budget, (peak, budget)
+
+
+class TestBilateralEmptyCells:
+    def test_cells_without_voxels_are_skipped(self, monkeypatch):
+        # two intensity clusters 20 bandwidths apart leave ~50 empty cells
+        # between them; each skipped cell would add exactly zero
+        rng = np.random.default_rng(82)
+        shape = (6, 5, 4)
+        high = rng.uniform(size=shape) < 0.5
+        inten = rng.uniform(size=shape) + np.where(high, 20.0, 0.0)
+        values = rng.uniform(size=(2,) + shape)
+        spacing, theta = (1.0, 1.5, 0.7), 2.0
+
+        pos = inten / CELL
+        pos = pos - np.floor(pos.min())
+        kern = np.pad(bilateral._blur_kernel(), 1)
+        offsets = np.arange(kern.size) - kern.size // 2
+        every_cell = np.zeros(values.shape)
+        for cell in range(int(pos.max()) + 2):
+            splat = np.maximum(0.0, 1.0 - np.abs(pos - cell))
+            every_cell += np.interp(cell - pos, offsets, kern) * gaussian_blur(
+                splat * values, spacing, theta
+            )
+
+        calls = []
+
+        def counting_blur(*args):
+            calls.append(1)
+            return gaussian_blur(*args)
+
+        monkeypatch.setattr(bilateral, "gaussian_blur", counting_blur)
+        out = bilateral_filter(values, inten, spacing, theta)
+        assert len(calls) < int(pos.max()) + 2
+        np.testing.assert_array_equal(out, every_cell)
+
+
+class TestTwoLabelMessage:
+    """The filtered backend filters the foreground marginal only; the
+    background message is the kernel mass minus the foreground's."""
+
+    def test_one_channel_per_sweep_after_the_mass(self, monkeypatch):
+        channels = []
+
+        def recording(q, vol, cfg):
+            channels.append(q.shape[0])
+            return filtered_message_pass(q, vol, cfg)
+
+        monkeypatch.setattr(crf, "filtered_message_pass", recording)
+        p, vol, cfg = random_crf_instance(seed=200)
+        refine(p, vol, dataclasses.replace(cfg, backend="filtered", iterations=5))
+        assert channels == [2, 1, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize(
+        "seed, affine",
+        [(seed, None) for seed in range(200, 210)]
+        + [(200, np.diag([1.0, 1.5, 0.7, 1.0]))],
+        ids=[str(seed) for seed in range(200, 210)] + ["anisotropic"],
+    )
+    def test_message_matches_direct_pass(self, seed, affine):
+        p, vol, cfg = random_crf_instance(seed=seed)
+        if affine is not None:
+            vol = Volume(vol.data, affine=affine)
+        cfg = dataclasses.replace(cfg, backend="filtered")
+        u = unary_from_probmap(p)
+        state = initial_state(u, vol, cfg)
+        for sweep in range(6):
+            if sweep:
+                state = mean_field_step(state, u, vol, cfg)
+            direct = filtered_message_pass(state.q, vol, cfg).reshape(state.message.shape)
+            scale = direct.max() - direct.min()
+            err = np.max(np.abs(state.message - direct))
+            assert err <= 1e-12 * scale, (sweep, err, scale)
+
+    def test_brute_states_carry_no_mass(self):
+        p, vol, cfg = random_crf_instance(seed=12, max_side=6)
+        u = unary_from_probmap(p)
+        state = initial_state(u, vol, cfg)
+        assert state.mass is None
+        assert mean_field_step(state, u, vol, cfg).mass is None
 
 
 class TestRefine:

@@ -298,6 +298,35 @@ class TestFormatErrors:
         with pytest.raises(TruncatedFileError):
             read_nifti(tmp_path / "big.nii")
 
+
+class TestCorruptGzip:
+    """A damaged gzip stream is a FormatError naming the file, not a raw
+    EOFError or zlib.error from the decompressor."""
+
+    @staticmethod
+    def gzipped(tmp_path):
+        path = tmp_path / "v.nii.gz"
+        write_nifti(Volume(np.arange(512.0).reshape(8, 8, 8)), path)
+        return path, path.read_bytes()
+
+    def test_truncated_stream(self, tmp_path):
+        path, blob = self.gzipped(tmp_path)
+        path.write_bytes(blob[: len(blob) // 2])
+        with pytest.raises(TruncatedFileError, match="v.nii.gz"):
+            read_nifti(path)
+        with pytest.raises(TruncatedFileError, match="v.nii.gz"):
+            read_header(path)
+
+    @pytest.mark.parametrize("offset", [40, -8], ids=["deflate_data", "crc"])
+    def test_flipped_byte(self, tmp_path, offset):
+        path, blob = self.gzipped(tmp_path)
+        data = bytearray(blob)
+        data[offset] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="v.nii.gz"):
+            read_nifti(path)
+
+
 class TestWriteRoundTrip:
     def test_float32_volume_bit_exact(self, tmp_path):
         rng = np.random.default_rng(42)
