@@ -11,8 +11,8 @@ These are training-time perturbations in voxel space: the grid shape and
 its world anchor stay put, and anything mapped in from outside the grid
 is filled with 0.
 
-Magnitude defaults are artifact choices tuned to stay mild at typical
-head-scan scales.
+The magnitudes are fixed artifact choices, mild at typical head-scan
+scales.
 """
 
 from __future__ import annotations
@@ -23,41 +23,20 @@ from scipy import ndimage
 from .errors import ConfigError, GeometryError
 from .volume import LabelMask, Volume
 
-DEFAULT_SCALE_RANGE = (0.9, 1.1)
-DEFAULT_SHIFT_RANGE = (-0.05, 0.05)
-DEFAULT_ROT_DEG = 10.0
-DEFAULT_TRANS_VOX = 5.0
+SCALE_RANGE = (0.9, 1.1)
+SHIFT_RANGE = (-0.05, 0.05)
+MAX_ROT_DEG = 10.0
+MAX_TRANS_VOX = 5.0
 
 
-def _check_range(name: str, rng_pair, positive: bool = False) -> tuple[float, float]:
-    lo, hi = (float(rng_pair[0]), float(rng_pair[1]))
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ConfigError(f"{name} must be finite, got ({lo}, {hi})")
-    if lo > hi:
-        raise ConfigError(f"{name} must satisfy lo <= hi, got ({lo}, {hi})")
-    if positive and lo <= 0:
-        raise ConfigError(f"{name} must be positive, got ({lo}, {hi})")
-    return lo, hi
-
-
-def intensity_augment(
-    v: Volume,
-    rng: np.random.Generator,
-    scale_range: tuple[float, float] = DEFAULT_SCALE_RANGE,
-    shift_range: tuple[float, float] = DEFAULT_SHIFT_RANGE,
-) -> Volume:
+def intensity_augment(v: Volume, rng: np.random.Generator) -> Volume:
     """Return ``s * v + t`` with one uniform draw of ``(s, t)`` per call.
 
-    Args:
-        v: input volume; not modified.
-        rng: generator the two draws are taken from, scale then shift.
-        scale_range: uniform bounds for ``s``; must be positive.
-        shift_range: uniform bounds for ``t``.
+    ``s`` is drawn from SCALE_RANGE, then ``t`` from SHIFT_RANGE; ``v`` is
+    not modified.
     """
-    s_lo, s_hi = _check_range("scale_range", scale_range, positive=True)
-    t_lo, t_hi = _check_range("shift_range", shift_range)
-    s = rng.uniform(s_lo, s_hi)
-    t = rng.uniform(t_lo, t_hi)
+    s = rng.uniform(*SCALE_RANGE)
+    t = rng.uniform(*SHIFT_RANGE)
     return Volume(s * v.data + t, v.affine)
 
 
@@ -115,21 +94,14 @@ def apply_rigid(
 
 
 def rigid_augment(
-    v: Volume,
-    m: LabelMask,
-    rng: np.random.Generator,
-    max_rot_deg: float = DEFAULT_ROT_DEG,
-    max_trans_vox: float = DEFAULT_TRANS_VOX,
+    v: Volume, m: LabelMask, rng: np.random.Generator
 ) -> tuple[Volume, LabelMask]:
     """Randomly rotate and translate an image/mask pair together.
 
-    Per axis, the angle is uniform in ``[-max_rot_deg, max_rot_deg]`` and
-    the translation uniform in ``[-max_trans_vox, max_trans_vox]``; the
+    Per axis, the angle is uniform in ``[-MAX_ROT_DEG, MAX_ROT_DEG]`` and
+    the translation uniform in ``[-MAX_TRANS_VOX, MAX_TRANS_VOX]``; the
     three angles are drawn before the three translations.
     """
-    for name, bound in (("max_rot_deg", max_rot_deg), ("max_trans_vox", max_trans_vox)):
-        if not np.isfinite(bound) or bound < 0:
-            raise ConfigError(f"{name} must be finite and >= 0, got {bound}")
-    angles = rng.uniform(-max_rot_deg, max_rot_deg, size=3)
-    trans = rng.uniform(-max_trans_vox, max_trans_vox, size=3)
+    angles = rng.uniform(-MAX_ROT_DEG, MAX_ROT_DEG, size=3)
+    trans = rng.uniform(-MAX_TRANS_VOX, MAX_TRANS_VOX, size=3)
     return apply_rigid(v, m, angles, trans)

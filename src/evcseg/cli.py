@@ -4,7 +4,8 @@ Exit codes: 0 on success, 2 for usage errors, 3 for data problems (bad
 files, bad config values, missing paths), 4 for compute problems
 (geometry, capacity, training divergence). Each subcommand accepts
 ``--config FILE`` with defaults in JSON or flat ``key=value`` form, keyed
-by option dest names (e.g. ``crf_iters=0``); explicit flags win.
+by option dest names (e.g. ``crf_iters=0``); each value must pass its
+option's type, count and choices, and explicit flags win.
 """
 
 from __future__ import annotations
@@ -272,13 +273,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 def _load_config_file(path) -> dict:
     """Read defaults from JSON or flat key=value lines."""
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        loaded = json.loads(text)
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"{path}: config JSON must be an object")
-        return loaded
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        if text.lstrip().startswith("{"):
+            return json.loads(text)  # an object, or a decode error
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ConfigError(f"{path}: unreadable config: {e}") from None
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -295,13 +295,41 @@ def _load_config_file(path) -> dict:
     return values
 
 
+def _config_value(action: argparse.Action, value, where: str):
+    """value as the option's own type, nargs and choices would read it."""
+    if action.nargs == 0:  # a flag: the file says whether it is set
+        if not isinstance(value, bool):
+            raise ConfigError(f"{where}: expected true or false, got {value!r}")
+        return value
+    items = [value] if action.nargs is None else value
+    if not isinstance(items, list) or len(items) != (action.nargs or 1):
+        raise ConfigError(f"{where}: expected {action.nargs or 1} values, got {value!r}")
+    convert = action.type or str
+    out = []
+    for item in items:
+        if item is None:
+            raise ConfigError(f"{where}: null is no value; leave the key out for the default")
+        # each value is read from its text, as the command line reads a flag's
+        text = item if isinstance(item, str) else json.dumps(item)
+        try:
+            item = convert(text)
+        except ValueError:
+            raise ConfigError(f"{where}: invalid {convert.__name__} value {text}") from None
+        if action.choices is not None and item not in action.choices:
+            raise ConfigError(f"{where}: {item!r} is not one of {list(action.choices)}")
+        out.append(item)
+    return out[0] if action.nargs is None else out
+
+
 def _apply_config_defaults(sub: argparse.ArgumentParser, path) -> None:
     values = _load_config_file(path)
-    known = {a.dest for a in sub._actions}
-    unknown = sorted(set(values) - known)
+    actions = {a.dest: a for a in sub._actions}
+    unknown = sorted(set(values) - set(actions))
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    sub.set_defaults(**values)
+    sub.set_defaults(
+        **{k: _config_value(actions[k], v, f"{path}: {k}") for k, v in values.items()}
+    )
 
 
 def main(argv=None) -> int:

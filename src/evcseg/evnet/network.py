@@ -3,11 +3,13 @@
 Each encoder level halves the grid with a strided 2x2x2 convolution and,
 when multi-scale inputs are on, sees the raw input volume downsampled to
 its own grid, appended to the downconv output before the level's conv
-block. Blocks are residual: their input (taken before the raw-input merge,
-so turning the merge off or zeroing its weights recovers the plain
-single-scale network exactly) is channel-tiled onto the block output. The
-decoder mirrors the encoder with transposed convolutions and skip
-concatenations, ending in a 1x1x1 conv and a softmax over two channels.
+block; that raw input is halved once per level on the way down. Blocks are
+residual: their input (taken before the raw-input merge, so turning the
+merge off or zeroing its weights recovers the plain single-scale network
+exactly) is added to the block output, the one-channel network input
+broadcasting over level 0's channels. The decoder mirrors the encoder with
+transposed convolutions and skip concatenations, ending in a 1x1x1 conv and
+a softmax over two channels.
 
 Parameters live in a flat name -> array dict; `evnet_forward` optionally
 returns a cache that `evnet_backward` consumes to produce a gradient dict
@@ -28,13 +30,11 @@ from .ops import (
     conv3d_forward,
     downconv_backward,
     downconv_forward,
+    halve_spatial,
     prelu_backward,
     prelu_forward,
-    raw_input_at_level,
     softmax_channels_backward,
     softmax_channels_forward,
-    tile_channels_backward,
-    tile_channels_forward,
     upconv_backward,
     upconv_forward,
 )
@@ -184,7 +184,7 @@ def evnet_forward(x, params, cfg: EvNetConfig, want_cache: bool = False):
     _check_input(x, cfg)
     cache = {"enc": [], "dec": []}
     feats = []
-    t = x
+    t = raw = x
     for i in range(cfg.levels):
         ec = {}
         if i > 0:
@@ -192,18 +192,15 @@ def evnet_forward(x, params, cfg: EvNetConfig, want_cache: bool = False):
                 t, params[f"down{i}.kernel"], params[f"down{i}.bias"]
             )
             t, ec["down_prelu"] = prelu_forward(t, params[f"down{i}.prelu"])
-            res_src = t
-            if cfg.multiscale_inputs:
-                raw = raw_input_at_level(x, i)
-                if cfg.multiscale_mode == "concat":
-                    t, ec["ms_widths"] = concat_channels_forward([t, raw])
-                else:
-                    t = t + raw  # raw has one channel; broadcast over channels
-        else:
-            res_src = x
+        res_src = t
+        if i > 0 and cfg.multiscale_inputs:
+            raw = halve_spatial(raw)
+            if cfg.multiscale_mode == "concat":
+                t, ec["ms_widths"] = concat_channels_forward([t, raw])
+            else:
+                t = t + raw  # raw has one channel; broadcast over channels
         t, ec["convs"] = _block_forward(t, params, f"enc{i}", cfg.convs_per_block[i])
-        res, ec["tile"] = tile_channels_forward(res_src, t.shape[1])
-        t = t + res
+        t = t + res_src  # level 0's one input channel broadcasts over the block's
         feats.append(t)
         cache["enc"].append(ec)
 
@@ -246,9 +243,7 @@ def evnet_backward(grad_probs, cache, cfg: EvNetConfig) -> dict[str, np.ndarray]
         ec = cache["enc"][i]
         if i in skip_grads:
             g = g + skip_grads[i]
-        # the level-0 residual comes straight from the input, so its gradient
-        # has no parameter to land on
-        g_res = tile_channels_backward(g, ec["tile"]) if i > 0 else None
+        g_res = g
         g = _block_backward(g, ec["convs"], f"enc{i}", grads)
         if i == 0:
             break  # level 0 feeds from the input; nothing upstream to fill

@@ -182,24 +182,6 @@ def concat_channels_backward(grad_y, widths):
     return np.split(grad_y, splits, axis=1)
 
 
-def tile_channels_forward(x, out_channels):
-    """Repeat channels to width out_channels (residual-shortcut broadcast)."""
-    c = x.shape[1]
-    if out_channels % c:
-        raise GeometryError(f"cannot tile {c} channels to {out_channels}")
-    reps = out_channels // c
-    if reps == 1:
-        return x, (c, reps)
-    return np.concatenate([x] * reps, axis=1), (c, reps)
-
-
-def tile_channels_backward(grad_y, cache):
-    c, reps = cache
-    if reps == 1:
-        return grad_y
-    return grad_y.reshape(grad_y.shape[0], reps, c, *grad_y.shape[2:]).sum(axis=1)
-
-
 def softmax_channels_forward(x):
     """Softmax over the channel axis, stabilized by the per-voxel max."""
     z = x - x.max(axis=1, keepdims=True)
@@ -213,22 +195,8 @@ def softmax_channels_backward(grad_y, y):
     return y * (grad_y - dot)
 
 
-# --------------------------------------------------------------------------
-# multi-scale input pyramid
-# --------------------------------------------------------------------------
-
-
 def halve_spatial(x):
     """2x2x2 block mean; trilinear factor-2 downsampling lands on block means."""
     _check_even(x)
     n, c, d, h, w = x.shape
     return x.reshape(n, c, d // 2, 2, h // 2, 2, w // 2, 2).mean(axis=(3, 5, 7))
-
-
-def raw_input_at_level(x, level):
-    """The raw input tensor downsampled by 2**level (level 0 is x itself)."""
-    if level < 0:
-        raise GeometryError(f"level must be nonnegative, got {level}")
-    for _ in range(level):
-        x = halve_spatial(x)
-    return x

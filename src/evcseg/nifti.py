@@ -254,7 +254,10 @@ def _read_array(path) -> tuple[np.ndarray, np.ndarray]:
             f"{path}: payload needs {need} bytes for shape {hdr.shape}, file has {len(buf)}"
         )
     flat = np.frombuffer(buf, dtype=dtype, count=count, offset=offset)
-    data = flat.reshape(hdr.shape, order="F").astype(np.float64)
+    # a signaling NaN sets numpy's invalid flag in this cast; the finite
+    # check on the volume reports it, so the flag is not worth a warning
+    with np.errstate(invalid="ignore"):
+        data = flat.reshape(hdr.shape, order="F").astype(np.float64)
 
     slope, inter = hdr.scl_slope, hdr.scl_inter
     if slope != 0.0 and np.isfinite(slope) and (slope, inter) != (1.0, 0.0):

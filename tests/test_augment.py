@@ -5,6 +5,10 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from evcseg.augment import (
+    MAX_ROT_DEG,
+    MAX_TRANS_VOX,
+    SCALE_RANGE,
+    SHIFT_RANGE,
     _rotation_matrix,
     apply_rigid,
     intensity_augment,
@@ -57,19 +61,17 @@ def random_pair(rng, shape=(10, 10, 10)):
 
 
 class TestIntensityAugment:
-    def test_identity_ranges(self):
-        rng = np.random.default_rng(0)
-        v = Volume(rng.standard_normal((5, 6, 7)))
-        out = intensity_augment(v, rng, scale_range=(1.0, 1.0), shift_range=(0.0, 0.0))
-        assert np.array_equal(out.data, v.data)
-        assert np.array_equal(out.affine, v.affine)
-
     def test_fixed_scale_and_shift(self):
+        # replay the two draws, scale then shift, from an identically seeded
+        # generator; the output must be exactly s * v + t
         v = Volume(np.full((3, 3, 3), 3.0))
-        out = intensity_augment(
-            v, np.random.default_rng(0), scale_range=(2.0, 2.0), shift_range=(1.0, 1.0)
-        )
-        assert np.all(out.data == 7.0)
+        out = intensity_augment(v, np.random.default_rng(0))
+        replay = np.random.default_rng(0)
+        s = replay.uniform(*SCALE_RANGE)
+        t = replay.uniform(*SHIFT_RANGE)
+        assert SCALE_RANGE[0] <= s <= SCALE_RANGE[1]
+        assert SHIFT_RANGE[0] <= t <= SHIFT_RANGE[1]
+        assert np.all(out.data == s * 3.0 + t)
 
     def test_single_draw_per_volume(self):
         data = np.zeros((4, 4, 4))
@@ -94,24 +96,6 @@ class TestIntensityAugment:
         v = Volume(data)
         intensity_augment(v, np.random.default_rng(0))
         assert np.all(v.data == 1.0)
-
-    @pytest.mark.parametrize(
-        "scale_range,shift_range",
-        [
-            ((0.0, 1.0), (0.0, 0.0)),
-            ((-0.5, 1.0), (0.0, 0.0)),
-            ((1.2, 0.9), (0.0, 0.0)),
-            ((np.nan, 1.0), (0.0, 0.0)),
-            ((1.0, 1.0), (0.1, -0.1)),
-            ((1.0, 1.0), (-np.inf, 0.0)),
-        ],
-    )
-    def test_bad_ranges(self, scale_range, shift_range):
-        v = Volume(np.zeros((2, 2, 2)))
-        with pytest.raises(ConfigError):
-            intensity_augment(
-                v, np.random.default_rng(0), scale_range=scale_range, shift_range=shift_range
-            )
 
 
 class TestApplyRigid:
@@ -188,12 +172,6 @@ class TestApplyRigid:
 
 
 class TestRigidAugment:
-    def test_zero_bounds_identity(self):
-        v, m = random_pair(np.random.default_rng(2))
-        out_v, out_m = rigid_augment(v, m, np.random.default_rng(0), 0.0, 0.0)
-        assert np.array_equal(out_v.data, v.data)
-        assert np.array_equal(out_m.data, m.data)
-
     def test_seeded_determinism(self):
         v, m = random_pair(np.random.default_rng(2))
         a_v, a_m = rigid_augment(v, m, np.random.default_rng(7))
@@ -214,10 +192,10 @@ class TestRigidAugment:
         # Re-derive the draws with an identically seeded generator and apply
         # them explicitly; both outputs must match bitwise.
         v, m = random_pair(np.random.default_rng(6))
-        out_v, out_m = rigid_augment(v, m, np.random.default_rng(21), 10.0, 2.0)
+        out_v, out_m = rigid_augment(v, m, np.random.default_rng(21))
         rng = np.random.default_rng(21)
-        angles = rng.uniform(-10.0, 10.0, size=3)
-        trans = rng.uniform(-2.0, 2.0, size=3)
+        angles = rng.uniform(-MAX_ROT_DEG, MAX_ROT_DEG, size=3)
+        trans = rng.uniform(-MAX_TRANS_VOX, MAX_TRANS_VOX, size=3)
         exp_v, exp_m = apply_rigid(v, m, angles, trans)
         assert np.array_equal(out_v.data, exp_v.data)
         assert np.array_equal(out_m.data, exp_m.data)
@@ -232,12 +210,10 @@ class TestRigidAugment:
         msk[7:10, 7:10, 7:10] = 1
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            out_v, out_m = rigid_augment(
-                Volume(img), LabelMask(msk), rng, max_rot_deg=10.0, max_trans_vox=2.0
-            )
+            out_v, out_m = rigid_augment(Volume(img), LabelMask(msk), rng)
             replay = np.random.default_rng(seed)
-            replay.uniform(-10.0, 10.0, size=3)
-            trans = replay.uniform(-2.0, 2.0, size=3)
+            replay.uniform(-MAX_ROT_DEG, MAX_ROT_DEG, size=3)
+            trans = replay.uniform(-MAX_TRANS_VOX, MAX_TRANS_VOX, size=3)
             expected_center = np.array([8.0, 8.0, 8.0]) + trans
             mask_centroid = np.argwhere(out_m.data == 1).mean(axis=0)
             coords = np.argwhere(out_v.data > 0)
@@ -245,9 +221,3 @@ class TestRigidAugment:
             img_centroid = (coords * weights[:, None]).sum(axis=0) / weights.sum()
             assert np.linalg.norm(mask_centroid - expected_center) <= 0.6
             assert np.linalg.norm(img_centroid - mask_centroid) <= 0.5
-
-    @pytest.mark.parametrize("rot,trans", [(-1.0, 0.0), (0.0, -2.0), (np.inf, 0.0)])
-    def test_bad_bounds_rejected(self, rot, trans):
-        v, m = random_pair(np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            rigid_augment(v, m, np.random.default_rng(0), rot, trans)

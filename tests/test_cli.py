@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 import venv
 from pathlib import Path
 
@@ -254,6 +255,31 @@ class TestExtractCommand:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "m.nii.gz").exists()
 
+    def test_signaling_nan_voxel_prints_only_the_error(
+        self, phantom_dataset, init_checkpoint, tmp_path
+    ):
+        # the float32 -> float64 cast of a signaling NaN sets numpy's invalid
+        # flag; the finite check alone must speak, so run the real console
+        # entry in a fresh interpreter, whose warnings would reach stderr
+        image = tmp_path / "snan.nii"
+        write_nifti(read_nifti(phantom_dataset / "images" / "phantom_000.nii.gz"), image)
+        data = bytearray(image.read_bytes())
+        data[-4:] = bytes([0x01, 0x00, 0x80, 0x7F])  # the last voxel
+        image.write_bytes(bytes(data))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "evcseg.cli", "extract", "--in", str(image),
+             "--out", str(tmp_path / "m.nii.gz"), "--checkpoint", str(init_checkpoint),
+             "--crf-iters", "0", *GRID_FLAGS],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("evcseg: error: ")
+        assert "finite" in lines[0]
+
     def test_nan_vox_offset_is_data_error(
         self, phantom_dataset, init_checkpoint, tmp_path, capsys
     ):
@@ -402,6 +428,42 @@ class TestConfigFile:
         cfg.write_text("phantoms=3\n")
         assert run(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 3
         assert "phantoms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "blob", [b'{"n": 2,', b"n=\xff\n"], ids=["broken-json", "not-utf8"]
+    )
+    def test_unreadable_file_is_data_error(self, blob, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(blob)
+        assert run(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 3
+        assert f"{cfg}: unreadable config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,text,key",
+        [
+            ("extract", "crf_iters=2.5\npad=[16, 16, 16]\nno_resize_half=true\n", "crf_iters"),
+            ("extract", "crf_iters=true\npad=[16, 16, 16]\nno_resize_half=true\n", "crf_iters"),
+            ("extract", json.dumps({"pad": [16, 16, 16.7], "no_resize_half": True}), "pad"),
+            ("synth", "n=2.5\nsize=16\n", "n"),
+        ],
+        ids=["float-for-int", "bool-for-int", "float-in-int-list", "synth-float-for-int"],
+    )
+    def test_value_must_fit_its_option(
+        self, command, text, key, phantom_dataset, init_checkpoint, tmp_path, capsys
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out.nii.gz"
+        argv = {
+            "extract": ["extract", "--in", str(phantom_dataset / "images" / "phantom_000.nii.gz"),
+                        "--out", str(out), "--checkpoint", str(init_checkpoint)],
+            "synth": ["synth", "--out", str(out)],
+        }[command]
+        assert run([*argv, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("evcseg: error: ")
+        assert f"{cfg}: {key}:" in err
+        assert not out.exists()
 
 
 class TestVersionFlag:

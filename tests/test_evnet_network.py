@@ -4,6 +4,7 @@ determinism, the optimizer recursion, and checkpoint round trips."""
 import numpy as np
 import pytest
 
+import evcseg.evnet.network as network
 from conftest import rewrite_manifest
 from evcseg.errors import (
     BadMagicError,
@@ -224,6 +225,45 @@ class TestArchitectureReduction:
         out_ev, _ = evnet_forward(x, p_ev, cfg_ev)
         out_v, _ = evnet_forward(x, p_v, cfg_v)
         assert np.max(np.abs(out_ev - out_v)) > 1e-9
+
+
+class TestInputPyramid:
+    """Encoder level i > 0 merges x downsampled to 2**i-wide block means."""
+
+    @staticmethod
+    def raw_inputs(monkeypatch, x, cfg):
+        """The raw tensor each encoder level i = 1.. merges, in level order."""
+        calls = []
+        concat = network.concat_channels_forward
+
+        def record(tensors):
+            calls.append(tensors)
+            return concat(tensors)
+
+        monkeypatch.setattr(network, "concat_channels_forward", record)
+        evnet_forward(x, init_params(cfg), cfg)
+        # the encoder's merges come before the decoder's skip concatenations
+        return [tensors[1] for tensors in calls[: cfg.levels - 1]]
+
+    def test_each_level_sees_block_means(self, monkeypatch):
+        cfg = EvNetConfig(levels=4, base_channels=2, seed=50)
+        x = np.random.default_rng(51).standard_normal((2, 1, 16, 16, 8))
+        raws = self.raw_inputs(monkeypatch, x, cfg)
+        assert len(raws) == 3
+        n, _, d, h, w = x.shape
+        for i, raw in enumerate(raws, start=1):
+            b = 2**i
+            expect = x.reshape(n, 1, d // b, b, h // b, b, w // b, b).mean(axis=(3, 5, 7))
+            assert raw.shape == expect.shape
+            assert np.max(np.abs(raw - expect)) < 1e-12
+
+    def test_constant_input_stays_constant(self, monkeypatch):
+        cfg = EvNetConfig(levels=3, base_channels=2, seed=52)
+        x = np.full((1, 1, 8, 8, 8), 3.25)
+        raws = self.raw_inputs(monkeypatch, x, cfg)
+        assert len(raws) == 2
+        for i, raw in enumerate(raws, start=1):
+            np.testing.assert_array_equal(raw, np.full((1, 1) + (8 >> i,) * 3, 3.25))
 
 
 class TestSgdStep:

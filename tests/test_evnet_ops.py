@@ -383,27 +383,6 @@ class TestConcatAndTile:
                 [np.zeros((1, 1, 4, 4, 4)), np.zeros((1, 1, 2, 4, 4))]
             )
 
-    def test_tile_forward(self):
-        x = np.arange(8.0).reshape(1, 1, 2, 2, 2)
-        y, _ = ops.tile_channels_forward(x, 3)
-        assert y.shape == (1, 3, 2, 2, 2)
-        for c in range(3):
-            np.testing.assert_array_equal(y[:, c : c + 1], x)
-
-    def test_tile_rejects_non_multiple(self):
-        with pytest.raises(GeometryError):
-            ops.tile_channels_forward(np.zeros((1, 2, 2, 2, 2)), 3)
-
-    def test_tile_gradients(self):
-        rng = np.random.default_rng(32)
-        x = rng.standard_normal((1, 2, 3, 3, 3))
-        y, cache = ops.tile_channels_forward(x, 6)
-        proj = rng.standard_normal(y.shape)
-        gx = ops.tile_channels_backward(proj, cache)
-        assert rel_err(
-            fd_grad(lambda t: (ops.tile_channels_forward(t, 6)[0] * proj).sum(), x), gx
-        ) < REL_TOL
-
 
 class TestSoftmax:
     def test_matches_direct_formula(self):
@@ -430,46 +409,6 @@ class TestSoftmax:
         assert rel_err(
             fd_grad(lambda t: (ops.softmax_channels_forward(t)[0] * proj).sum(), x), gx
         ) < REL_TOL
-
-
-class TestRawInputAtLevel:
-    def test_level_zero_identity(self):
-        x = np.random.default_rng(50).standard_normal((1, 1, 4, 4, 4))
-        np.testing.assert_array_equal(ops.raw_input_at_level(x, 0), x)
-
-    def test_constant_stays_constant(self):
-        x = np.full((1, 1, 8, 8, 8), 3.25)
-        y = ops.raw_input_at_level(x, 2)
-        assert y.shape == (1, 1, 2, 2, 2)
-        np.testing.assert_array_equal(y, np.full((1, 1, 2, 2, 2), 3.25))
-
-    def test_level_one_is_block_means(self):
-        x = np.arange(64.0).reshape(1, 1, 4, 4, 4)
-        y = ops.raw_input_at_level(x, 1)
-        expect = np.zeros((1, 1, 2, 2, 2))
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    expect[0, 0, i, j, k] = x[
-                        0, 0, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2, 2 * k : 2 * k + 2
-                    ].mean()
-        np.testing.assert_allclose(y, expect, rtol=1e-14)
-
-    def test_level_two_is_wide_block_mean(self):
-        rng = np.random.default_rng(51)
-        x = rng.standard_normal((1, 1, 8, 8, 8))
-        y = ops.raw_input_at_level(x, 2)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    block = x[
-                        0, 0, 4 * i : 4 * i + 4, 4 * j : 4 * j + 4, 4 * k : 4 * k + 4
-                    ]
-                    assert abs(y[0, 0, i, j, k] - block.mean()) < 1e-12
-
-    def test_indivisible_dims(self):
-        with pytest.raises(GeometryError):
-            ops.raw_input_at_level(np.zeros((1, 1, 6, 6, 6)), 2)
 
 
 class TestSoftDiceLoss:
@@ -533,6 +472,35 @@ class TestHalveSpatial:
     def test_odd_rejected(self):
         with pytest.raises(GeometryError):
             ops.halve_spatial(np.zeros((1, 1, 3, 4, 4)))
+
+
+class TestRawInputAtLevel:
+    """Encoder level i merges the raw input halved i times."""
+
+    def test_level_one_is_block_means(self):
+        x = np.arange(64.0).reshape(1, 1, 4, 4, 4)
+        y = ops.halve_spatial(x)
+        expect = np.zeros((1, 1, 2, 2, 2))
+        for i in range(2):
+            for j in range(2):
+                for k in range(2):
+                    expect[0, 0, i, j, k] = x[
+                        0, 0, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2, 2 * k : 2 * k + 2
+                    ].mean()
+        np.testing.assert_allclose(y, expect, rtol=1e-14)
+
+    def test_level_two_is_wide_block_mean(self):
+        rng = np.random.default_rng(51)
+        x = rng.standard_normal((1, 1, 8, 8, 8))
+        y = ops.halve_spatial(ops.halve_spatial(x))
+        assert y.shape == (1, 1, 2, 2, 2)
+        for i in range(2):
+            for j in range(2):
+                for k in range(2):
+                    block = x[
+                        0, 0, 4 * i : 4 * i + 4, 4 * j : 4 * j + 4, 4 * k : 4 * k + 4
+                    ]
+                    assert abs(y[0, 0, i, j, k] - block.mean()) < 1e-12
 
 
 def _traced_peak(fn, *args):
