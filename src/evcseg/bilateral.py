@@ -1,8 +1,10 @@
 """Gaussian filtering of fields on the voxel lattice.
 
-`gaussian_blur` is the spatial Gaussian exp(-d^2 / 2 theta^2), d in mm:
-a separable convolution truncated at TRUNCATE bandwidths and left
-unnormalized, so it sums the kernel over voxel pairs.
+`gaussian_blur` is the spatial Gaussian exp(-d^2 / 2 theta^2), d in mm,
+truncated at TRUNCATE bandwidths and left unnormalized, so it sums the
+kernel over voxel pairs. It is separable: each axis is one matrix
+product with that axis's n x n banded Gaussian, whose edge is the zero
+boundary.
 
 `bilateral_filter` computes, for every voxel i and value channel c,
 
@@ -29,21 +31,25 @@ quantization wobble near one percent.
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 CELL = 1.0 / 3.0  # intensity cell size in bandwidth units
 TRUNCATE = 3.0  # every Gaussian is cut off at this many bandwidths
 
 
+def _blur_matrix(n, sp, theta):
+    """Gaussian weights between the n voxels, sp mm apart, of one axis."""
+    lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    m = np.exp(-((lag * sp) ** 2) / (2 * theta**2))
+    m[lag > np.ceil(TRUNCATE * theta / sp)] = 0.0
+    return m
+
+
 def gaussian_blur(field, spacing, theta):
-    """Blur the last len(spacing) axes of field; theta and spacing in mm."""
+    """Blur the last three axes of field; theta and spacing (per axis) in mm."""
     out = np.asarray(field, dtype=np.float64)
-    for axis, sp in enumerate(spacing):
-        radius = int(np.ceil(TRUNCATE * theta / sp))
-        t = np.arange(-radius, radius + 1) * sp
-        kern = np.exp(-(t**2) / (2 * theta**2))
-        out = convolve1d(out, kern, axis=axis - len(spacing), mode="constant")
-    return out
+    mx, my, mz = (_blur_matrix(n, sp, theta) for n, sp in zip(out.shape[-3:], spacing))
+    out = my @ (out @ mz)  # the matrices are symmetric
+    return (mx @ out.reshape(out.shape[:-2] + (-1,))).reshape(out.shape)
 
 
 def _blur_kernel():

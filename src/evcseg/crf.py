@@ -224,6 +224,8 @@ def refine(p: ProbMap, vol: Volume, cfg: CrfConfig):
             f"probability map grid {p.data.shape[1:]} does not match "
             f"volume {vol.data.shape}"
         )
+    if not np.allclose(p.affine, vol.affine, atol=1e-5):
+        raise GeometryError("probability map and volume affines disagree")
     if p.data.shape[0] != 2:
         raise DomainError("refinement is defined for two-label maps")
     u = unary_from_probmap(p)

@@ -2,7 +2,9 @@
 that only the tests use."""
 
 import numpy as np
+from scipy.ndimage import convolve1d
 
+from evcseg.bilateral import TRUNCATE
 from evcseg.crf import CrfConfig, UnaryField, _free_energy, kernel_matrix
 from evcseg.errors import GeometryError
 from evcseg.volume import LabelMask, ProbMap, Volume
@@ -17,6 +19,18 @@ def pairwise_kernel(fi, fj, cfg: CrfConfig) -> float:
     app = np.exp(-dp2 / (2 * cfg.theta_alpha**2) - di2 / (2 * cfg.theta_beta**2))
     smooth = np.exp(-dp2 / (2 * cfg.theta_gamma**2))
     return float(cfg.w_appearance * app + cfg.w_smoothness * smooth)
+
+
+def convolve_blur(field, spacing, theta):
+    """Reference for gaussian_blur: one truncated Gaussian convolution per
+    axis over the last len(spacing) axes, zero outside the grid."""
+    out = np.asarray(field, dtype=np.float64)
+    for axis, sp in enumerate(spacing):
+        radius = int(np.ceil(TRUNCATE * theta / sp))
+        t = np.arange(-radius, radius + 1) * sp
+        kern = np.exp(-(t**2) / (2 * theta**2))
+        out = convolve1d(out, kern, axis=axis - len(spacing), mode="constant")
+    return out
 
 
 def gibbs_energy(x: LabelMask, u: UnaryField, vol: Volume, cfg: CrfConfig) -> float:

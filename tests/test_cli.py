@@ -359,6 +359,22 @@ class TestRefineCommand:
         expected = np.argmax(stored.data, axis=0).astype(np.uint8)
         assert np.array_equal(read_mask(out).data, expected)
 
+    def test_affine_mismatch_is_compute_error(self, tmp_path, capsys):
+        # the image must sit on the map's grid, not merely share its shape
+        rng = np.random.default_rng(2)
+        fg = rng.uniform(0.05, 0.95, size=(6, 6, 6))
+        affine = np.diag([3.0, 3.0, 3.0, 1.0])
+        affine[:3, 3] = 50.0
+        write_nifti(ProbMap(np.stack([1.0 - fg, fg]), affine), tmp_path / "p.nii.gz")
+        write_nifti(Volume(rng.uniform(size=(6, 6, 6))), tmp_path / "v.nii.gz")
+        code = run(
+            ["refine", "--prob", str(tmp_path / "p.nii.gz"),
+             "--image", str(tmp_path / "v.nii.gz"), "--out", str(tmp_path / "m.nii.gz")]
+        )
+        assert code == 4
+        assert "affine" in capsys.readouterr().err
+        assert not (tmp_path / "m.nii.gz").exists()
+
     def test_refinement_runs_brute(self, tmp_path):
         rng = np.random.default_rng(1)
         fg = rng.uniform(0.05, 0.95, size=(6, 6, 6))

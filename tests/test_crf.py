@@ -7,7 +7,11 @@ before the mean-field machinery built on them is trusted.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from evcseg.errors import CapacityError, ConfigError, DomainError, GeometryError
 from evcseg.metrics import dice
 from evcseg.volume import LabelMask, ProbMap, Volume
 from instances import (
+    convolve_blur,
     free_energy_exact,
     gibbs_energy,
     noisy_sphere_instance,
@@ -392,6 +397,31 @@ class TestFilteredMessagePass:
         assert np.max(np.abs(approx - exact)) < 0.05 * scale
 
 
+class TestGaussianBlur:
+    """The matrix-product blur against one scipy convolution per axis."""
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize(
+        "shape, spacing, theta",
+        [
+            ((32, 32, 32), (2.0, 2.0, 2.0), 4.0),
+            ((32, 32, 32), (2.0, 2.0, 2.0), 3.0),
+            ((10, 9, 8), (1.0, 1.5, 0.7), 2.0),
+            ((6, 5, 4), (2.0, 2.0, 2.0), 1.5),
+            ((3, 7, 8), (2.0, 2.0, 2.0), 4.0),  # 3 voxels inside a radius of 6
+        ],
+        ids=["cube-theta4", "cube-theta3", "anisotropic", "non-cubic", "short-axis"],
+    )
+    def test_matches_convolution(self, channels, shape, spacing, theta):
+        rng = np.random.default_rng(83)
+        field = rng.uniform(size=(channels,) + shape)
+        expected = convolve_blur(field, spacing, theta)
+        out = gaussian_blur(field, spacing, theta)
+        assert out.shape == field.shape
+        scale = expected.max() - expected.min()
+        assert np.max(np.abs(out - expected)) <= 1e-12 * scale
+
+
 class TestBilateralMemory:
     def test_peak_stays_near_field_size(self):
         # two channels on the default 32^3 grid at 2 mm; an intensity grid
@@ -521,6 +551,15 @@ class TestRefine:
         with pytest.raises(GeometryError):
             refine(p, vol, CrfConfig())
 
+    def test_affine_mismatch(self):
+        # same shape, but a 3 mm map 50 mm away from a 1 mm image
+        affine = np.diag([3.0, 3.0, 3.0, 1.0])
+        affine[:3, 3] = 50.0
+        p = ProbMap(np.full((2, 4, 4, 4), 0.5), affine)
+        vol = Volume(np.zeros((4, 4, 4)))
+        with pytest.raises(GeometryError):
+            refine(p, vol, CrfConfig())
+
     def test_more_than_two_labels_rejected(self):
         p = ProbMap(np.full((3, 4, 4, 4), 1.0 / 3.0))
         vol = Volume(np.zeros((4, 4, 4)))
@@ -536,6 +575,35 @@ class TestRefine:
         np.testing.assert_array_equal(mask1.data, mask2.data)
         np.testing.assert_array_equal(state1.q, state2.q)
         assert state1.free_energy_trace == state2.free_energy_trace
+
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # the filtered backend blurs through BLAS matrix products; its
+        # marginals and messages must not depend on how many threads run them
+        script = (
+            "import hashlib, numpy as np\n"
+            "from evcseg.crf import CrfConfig, refine\n"
+            "from evcseg.volume import ProbMap, Volume\n"
+            "rng = np.random.default_rng(84)\n"
+            "fg = rng.uniform(0.05, 0.95, size=(32, 32, 32))\n"
+            "aff = np.diag([2.0, 2.0, 2.0, 1.0])\n"
+            "p = ProbMap(np.stack([1 - fg, fg]), aff)\n"
+            "vol = Volume(rng.uniform(size=(32, 32, 32)), aff)\n"
+            "_, s = refine(p, vol, CrfConfig(iterations=2))\n"
+            "print(hashlib.sha256(s.q.tobytes() + s.message.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(crf.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
 
 
 class TestBackendEquivalence:
