@@ -16,16 +16,30 @@ term. Positions sit on the lattice, so only intensity is gridded (the
 bilateral grid of Chen, Paris & Durand 2007 with the spatial axes left at
 voxel resolution), one intensity cell CELL bandwidths wide at a time:
 the values splatted into the cell with tent weights are blurred in space
-by `gaussian_blur` and added back to each voxel, weighted by the
-intensity kernel linearly interpolated at the voxel's distance from the
-cell. That is the grid's splat, intensity blur, spatial blur and linear
-slice in another order (the two blurs commute, and slicing a blurred
-cell column interpolates the kernel), with no grid held in memory.
-Splat and slice each convolve with a tent of variance CELL^2/6, so the
-intensity kernel carries the remaining variance, and it is rescaled to
-mass sqrt(2*pi)/CELL so amplitudes match the unnormalized Gaussian.
-Third-of-bandwidth cells keep the discrete kernel well sampled and the
-quantization wobble near one percent.
+and added back to each voxel, weighted by the intensity kernel linearly
+interpolated at the voxel's distance from the cell. That is the grid's
+splat, intensity blur, spatial blur and linear slice in another order
+(the two blurs commute, and slicing a blurred cell column interpolates
+the kernel), with no grid held in memory. Splat and slice each convolve
+with a tent of variance CELL^2/6, so the intensity kernel carries the
+remaining variance, and it is rescaled to mass sqrt(2*pi)/CELL so
+amplitudes match the unnormalized Gaussian. Third-of-bandwidth cells
+keep the discrete kernel well sampled and the quantization wobble near
+one percent.
+
+Each cell works inside two boxes, found for all cells at once from
+per-axis counts of the voxels' floor cells. A voxel at position pos (in
+cells) splats into cells floor(pos) and floor(pos) + 1 only, so a cell's
+splatted field is zero outside the bounding box of those voxels, its
+support box. The interpolated kernel is zero from `reach` cells out, past
+its zero-padded ends, so the slice adds zero outside the bounding box of
+the voxels whose floor cell lies in [cell - reach, cell + reach - 1], its
+band box. The blur therefore takes each axis matrix's band rows and
+support columns only: the parts skipped would multiply zeros or be
+dropped, so the boxes change nothing but the length of BLAS sums. The
+slice weight is gathered from tables of the kernel taps and their
+differences, slope[j] * (x - j) + kern[j] with j = floor(x), which is the
+formula np.interp evaluates between unit-spaced taps.
 """
 
 from __future__ import annotations
@@ -44,12 +58,20 @@ def _blur_matrix(n, sp, theta):
     return m
 
 
+def _blur(field, mx, my, mz):
+    """Weigh the last three axes of field: mx and my map (output, input)
+    voxels, mz maps (input, output)."""
+    out = my @ (field @ mz)
+    lead, (ny, nz) = out.shape[:-3], out.shape[-2:]
+    out = mx @ out.reshape(lead + (out.shape[-3], ny * nz))
+    return out.reshape(lead + (mx.shape[0], ny, nz))
+
+
 def gaussian_blur(field, spacing, theta):
     """Blur the last three axes of field; theta and spacing (per axis) in mm."""
-    out = np.asarray(field, dtype=np.float64)
-    mx, my, mz = (_blur_matrix(n, sp, theta) for n, sp in zip(out.shape[-3:], spacing))
-    out = my @ (out @ mz)  # the matrices are symmetric
-    return (mx @ out.reshape(out.shape[:-2] + (-1,))).reshape(out.shape)
+    field = np.asarray(field, dtype=np.float64)
+    # the matrices are symmetric, so each serves either way round
+    return _blur(field, *(_blur_matrix(n, sp, theta) for n, sp in zip(field.shape[-3:], spacing)))
 
 
 def _blur_kernel():
@@ -58,6 +80,50 @@ def _blur_kernel():
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-(t**2) / (2.0 * sigma_cells**2))
     return k * (np.sqrt(2.0 * np.pi) / CELL / k.sum())
+
+
+def _slice_weights(x, kern, slope):
+    """np.interp(x, offsets, kern) for taps at offsets -h..h, h = kern.size // 2,
+    as a gather; slope holds the tap differences, and the zero taps at the
+    ends of kern and slope make clipped indices give 0."""
+    j = np.floor(x)
+    at = j.astype(np.intp) + kern.size // 2
+    return slope.take(at, mode="clip") * (x - j) + kern.take(at, mode="clip")
+
+
+def _spans(counts):
+    """(first, one past the last) nonzero column of each row, as (rows, 2)."""
+    hit = counts > 0
+    return np.stack([hit.argmax(axis=1), hit.shape[1] - hit[:, ::-1].argmax(axis=1)], axis=1)
+
+
+def _cell_boxes(pos, reach):
+    """(cell, support box, band box) for each cell a voxel splats into.
+
+    pos >= 0 holds intensity positions in cells. A box is one slice per
+    axis; the band covers the voxels whose floor cell lies in
+    [cell - reach, cell + reach - 1].
+    """
+    low = pos.astype(np.intp)  # floor(pos)
+    frac = (pos > low).ravel()  # these voxels also splat into low + 1
+    cells = int(low.max()) + 2
+    rows = np.arange(cells)
+    support, band = [], []
+    for axis, n in enumerate(pos.shape):
+        index = np.arange(n).reshape((n,) + (1,) * (pos.ndim - 1 - axis))
+        key = (low * n + index).ravel()  # (floor cell, index along this axis)
+        floors = np.bincount(key, minlength=cells * n).reshape(cells, n)
+        splats = floors + np.bincount(key + n, frac, minlength=cells * n).reshape(cells, n)
+        below = np.zeros((cells + 1, n), np.intp)  # row c: floor cells under c
+        np.cumsum(floors, axis=0, out=below[1:])
+        near = below[np.minimum(rows + reach, cells)] - below[np.maximum(rows - reach, 0)]
+        support.append(_spans(splats))
+        band.append(_spans(near))
+    support, band = np.stack(support, axis=1), np.stack(band, axis=1)
+    return [
+        (cell, *(tuple(slice(a, b) for a, b in box[cell].tolist()) for box in (support, band)))
+        for cell in np.flatnonzero(splats.any(axis=1)).tolist()  # the same on every axis
+    ]
 
 
 def bilateral_filter(values, inten, spacing, theta):
@@ -71,12 +137,16 @@ def bilateral_filter(values, inten, spacing, theta):
         raise ValueError(f"values {values.shape} do not match intensities {np.shape(inten)}")
     pos = np.asarray(inten, dtype=np.float64) / CELL  # intensity in cells
     pos = pos - np.floor(pos.min())
-    kern = np.pad(_blur_kernel(), 1)  # interpolates to 0 past the last tap
-    offsets = np.arange(kern.size) - kern.size // 2
+    # one zero tap each side makes the kernel interpolate to 0 from reach
+    # cells out, and a second one gives 0 at clipped gather indices
+    kern = np.pad(_blur_kernel(), 2)
+    reach = kern.size // 2 - 1
+    slope = np.append(np.diff(kern), 0.0)
+    mx, my, mz = (_blur_matrix(n, sp, theta) for n, sp in zip(pos.shape, spacing))
     out = np.zeros(values.shape)
-    for cell in range(int(pos.max()) + 2):
-        splat = np.maximum(0.0, 1.0 - np.abs(pos - cell))
-        if splat.any():  # an empty cell adds exactly zero
-            blurred = gaussian_blur(splat * values, spacing, theta)
-            out += np.interp(cell - pos, offsets, kern) * blurred
+    for cell, (sx, sy, sz), band in _cell_boxes(pos, reach):
+        bx, by, bz = band
+        splat = np.maximum(0.0, 1.0 - np.abs(pos[sx, sy, sz] - cell))
+        blurred = _blur(splat * values[:, sx, sy, sz], mx[bx, sx], my[by, sy], mz[sz, bz])
+        out[:, bx, by, bz] += _slice_weights(cell - pos[band], kern, slope) * blurred
     return out

@@ -35,7 +35,8 @@ def _check_finite(data: np.ndarray, what: str) -> None:
 
 
 def _check_affine(affine: np.ndarray) -> np.ndarray:
-    affine = np.asarray(affine, dtype=np.float64)
+    """A validated, read-only copy of affine."""
+    affine = np.array(affine, dtype=np.float64)
     if affine.shape != (4, 4):
         raise GeometryError(f"affine must be 4x4, got {affine.shape}")
     if not np.isfinite(affine).all():
@@ -44,6 +45,7 @@ def _check_affine(affine: np.ndarray) -> np.ndarray:
         raise GeometryError("affine last row must be [0, 0, 0, 1]")
     if abs(np.linalg.det(affine[:3, :3])) < 1e-12:
         raise GeometryError("affine upper-left 3x3 block is singular")
+    affine.flags.writeable = False
     return affine
 
 

@@ -4,7 +4,7 @@ that only the tests use."""
 import numpy as np
 from scipy.ndimage import convolve1d
 
-from evcseg.bilateral import TRUNCATE
+from evcseg.bilateral import CELL, TRUNCATE, _blur_kernel, gaussian_blur
 from evcseg.crf import CrfConfig, UnaryField, _free_energy, kernel_matrix
 from evcseg.errors import GeometryError
 from evcseg.volume import LabelMask, ProbMap, Volume
@@ -30,6 +30,24 @@ def convolve_blur(field, spacing, theta):
         t = np.arange(-radius, radius + 1) * sp
         kern = np.exp(-(t**2) / (2 * theta**2))
         out = convolve1d(out, kern, axis=axis - len(spacing), mode="constant")
+    return out
+
+
+def full_grid_bilateral(values, inten, spacing, theta):
+    """Reference for bilateral_filter: every cell a voxel splats into is
+    splatted, blurred and sliced over the whole grid, with np.interp slice
+    weights."""
+    values = np.asarray(values, dtype=np.float64)
+    pos = np.asarray(inten, dtype=np.float64) / CELL
+    pos = pos - np.floor(pos.min())
+    kern = np.pad(_blur_kernel(), 1)  # interpolates to 0 past the last tap
+    offsets = np.arange(kern.size) - kern.size // 2
+    out = np.zeros(values.shape)
+    for cell in range(int(pos.max()) + 2):
+        splat = np.maximum(0.0, 1.0 - np.abs(pos - cell))
+        if splat.any():  # an empty cell adds exactly zero
+            blurred = gaussian_blur(splat * values, spacing, theta)
+            out += np.interp(cell - pos, offsets, kern) * blurred
     return out
 
 

@@ -30,10 +30,12 @@ from evcseg.crf import (
 )
 from evcseg.errors import CapacityError, ConfigError, DomainError, GeometryError
 from evcseg.metrics import dice
+from evcseg.synth import make_phantom
 from evcseg.volume import LabelMask, ProbMap, Volume
 from instances import (
     convolve_blur,
     free_energy_exact,
+    full_grid_bilateral,
     gibbs_energy,
     noisy_sphere_instance,
     pairwise_kernel,
@@ -439,6 +441,69 @@ class TestBilateralMemory:
         assert peak < budget, (peak, budget)
 
 
+def brain_like(shape, low, high, rng):
+    """Intensities uniform in [0.3, 1) over the voxel box [low, high) and 0
+    elsewhere, in units of the default 0.1 bandwidth."""
+    inten = np.zeros(shape)
+    box = tuple(slice(a, b) for a, b in zip(low, high))
+    inten[box] = rng.uniform(0.3, 1.0, size=inten[box].shape)
+    return inten / 0.1
+
+
+class TestBilateralBoxes:
+    """The boxed filter against the full-grid loop over every cell."""
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "brain", "low-corner", "high-corner", "far-pair", "one-cell", "constant",
+            "one-voxel-axis", "anisotropic",
+        ],
+    )
+    def test_matches_full_grid(self, case, channels):
+        rng = np.random.default_rng(85)
+        shape, spacing, theta = (32, 32, 32), (2.0, 2.0, 2.0), 4.0
+        if case == "brain":
+            inten = brain_like(shape, (7, 6, 5), (26, 25, 27), rng)
+        elif case == "low-corner":
+            inten = brain_like(shape, (0, 0, 0), (12, 9, 14), rng)
+        elif case == "high-corner":
+            inten = brain_like(shape, (20, 23, 18), shape, rng)
+        elif case == "far-pair":
+            # touching blocks 9.5 cells apart, inside the kernel's last
+            # interval, and every other voxel far above both
+            inten = np.full(shape, 30.0)
+            inten[2:9, 3:8, 4:10] = 0.0
+            inten[9:16, 3:8, 4:10] = 9.5 * CELL
+        elif case == "one-cell":
+            inten = np.zeros(shape)  # every voxel at a whole cell
+        elif case == "constant":
+            inten = np.full(shape, 0.77 / 0.1)
+        elif case == "one-voxel-axis":
+            shape = (1, 9, 8)
+            inten = rng.uniform(size=shape) / 0.1
+        else:
+            shape, spacing, theta = (10, 9, 8), (1.0, 1.5, 0.7), 2.0
+            inten = brain_like(shape, (2, 3, 1), (7, 9, 6), rng)
+        values = rng.uniform(size=(channels,) + shape)
+        expected = full_grid_bilateral(values, inten, spacing, theta)
+        out = bilateral_filter(values, inten, spacing, theta)
+        assert out.shape == values.shape
+        scale = expected.max() - expected.min()
+        assert np.max(np.abs(out - expected)) <= 1e-12 * scale
+
+    def test_slice_weights_are_interp(self):
+        kern = np.pad(bilateral._blur_kernel(), 2)
+        slope = np.append(np.diff(kern), 0.0)
+        h = kern.size // 2
+        rng = np.random.default_rng(87)
+        # whole and half offsets, and points past both ends
+        x = np.concatenate([np.arange(-h - 2, h + 2.5, 0.5), rng.uniform(-h - 3, h + 3, 10000)])
+        expected = np.interp(x, np.arange(kern.size) - h, kern)
+        np.testing.assert_array_equal(bilateral._slice_weights(x, kern, slope), expected)
+
+
 class TestBilateralEmptyCells:
     def test_cells_without_voxels_are_skipped(self, monkeypatch):
         # two intensity clusters 20 bandwidths apart leave ~50 empty cells
@@ -452,24 +517,21 @@ class TestBilateralEmptyCells:
 
         pos = inten / CELL
         pos = pos - np.floor(pos.min())
-        kern = np.pad(bilateral._blur_kernel(), 1)
-        offsets = np.arange(kern.size) - kern.size // 2
-        every_cell = np.zeros(values.shape)
-        for cell in range(int(pos.max()) + 2):
-            splat = np.maximum(0.0, 1.0 - np.abs(pos - cell))
-            every_cell += np.interp(cell - pos, offsets, kern) * gaussian_blur(
-                splat * values, spacing, theta
-            )
+        every_cell = full_grid_bilateral(values, inten, spacing, theta)
+        populated = sum(
+            bool((np.abs(pos - cell) < 1).any()) for cell in range(int(pos.max()) + 2)
+        )
 
         calls = []
+        blur = bilateral._blur
 
         def counting_blur(*args):
             calls.append(1)
-            return gaussian_blur(*args)
+            return blur(*args)
 
-        monkeypatch.setattr(bilateral, "gaussian_blur", counting_blur)
+        monkeypatch.setattr(bilateral, "_blur", counting_blur)
         out = bilateral_filter(values, inten, spacing, theta)
-        assert len(calls) < int(pos.max()) + 2
+        assert len(calls) == populated < int(pos.max()) + 2
         np.testing.assert_array_equal(out, every_cell)
 
 
@@ -604,6 +666,29 @@ class TestRefine:
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout.strip())
         assert digests[0] == digests[1]
+
+
+class TestBoxedFilterInRefine:
+    """refine with the boxed filter against refine with the full-grid loop."""
+
+    @pytest.mark.parametrize("seed", ["phantom", 200, 201, 202, 203, 204])
+    def test_matches_full_grid_refine(self, seed, monkeypatch):
+        if seed == "phantom":
+            rng = np.random.default_rng(86)
+            image, truth = make_phantom(32, rng)
+            aff = np.diag([2.0, 2.0, 2.0, 1.0])
+            fg = np.clip(0.2 + 0.6 * truth.data + 0.15 * rng.normal(size=truth.shape), 0.02, 0.98)
+            p, vol, cfg = ProbMap(np.stack([1 - fg, fg]), aff), Volume(image.data, aff), CrfConfig()
+        else:
+            p, vol, cfg = random_crf_instance(seed=seed)
+            cfg = dataclasses.replace(cfg, backend="filtered")
+        mask, state = refine(p, vol, cfg)
+        monkeypatch.setattr(crf, "bilateral_filter", full_grid_bilateral)
+        ref_mask, ref_state = refine(p, vol, cfg)
+        np.testing.assert_array_equal(mask.data, ref_mask.data)
+        for got, want in ((state.message, ref_state.message), (state.q, ref_state.q)):
+            scale = want.max() - want.min()
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 class TestBackendEquivalence:

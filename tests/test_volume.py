@@ -99,6 +99,25 @@ class TestTypes:
         v = Volume(data=np.ones((2, 2, 2)), affine=aff)
         np.testing.assert_allclose(v.spacing, [0.7, 1.0, 2.5])
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda a: Volume(np.ones((2, 2, 2)), a),
+            lambda a: LabelMask(np.ones((2, 2, 2), dtype=np.uint8), a),
+            lambda a: ProbMap(np.full((2, 2, 2, 2), 0.5), a),
+        ],
+        ids=["volume", "mask", "probmap"],
+    )
+    def test_affine_is_a_read_only_copy(self, make):
+        # a validated object must not move when its builder's array does
+        aff = np.diag([2.0, 2.0, 2.0, 1.0])
+        obj = make(aff)
+        aff[0, 3] = np.nan
+        aff[1, 1] = 0.0
+        np.testing.assert_array_equal(obj.affine, np.diag([2.0, 2.0, 2.0, 1.0]))
+        with pytest.raises(ValueError, match="read-only"):
+            obj.affine[:3, 3] = 5.0
+
 
 def axis_swap_affine(perm, flips, shape, spacing=(1.0, 1.0, 1.0)):
     """Affine whose voxel axes run along permuted, possibly negated world axes."""
