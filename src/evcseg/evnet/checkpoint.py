@@ -21,7 +21,7 @@ import os
 import numpy as np
 
 from ..errors import BadMagicError, FormatError, TruncatedFileError
-from .network import EvNetConfig, init_params
+from .network import EvNetConfig, param_shapes
 
 MAGIC = b"EVCNET01"
 FORMAT_NAME = "evcseg-checkpoint"
@@ -94,7 +94,7 @@ def load_checkpoint(path):
         )
     try:
         cfg = EvNetConfig(**{**cfg_dict, "convs_per_block": tuple(cfg_dict["convs_per_block"])})
-        expected = {name: a.shape for name, a in init_params(cfg, np.float32).items()}
+        expected = param_shapes(cfg)
     except (TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad config value: {e}") from e
     if manifest.get("config_hash") != config_hash(cfg):

@@ -28,6 +28,7 @@ from .ops import (
     concat_channels_forward,
     conv3d_backward,
     conv3d_forward,
+    conv3d_param_grads,
     downconv_backward,
     downconv_forward,
     halve_spatial,
@@ -91,47 +92,52 @@ def _block_in_channels(cfg: EvNetConfig, level: int) -> int:
     return c
 
 
-def init_params(cfg: EvNetConfig, dtype=np.float64) -> dict[str, np.ndarray]:
-    """Fan-in-scaled uniform kernels, zero biases, constant PReLU slopes."""
-    rng = np.random.default_rng(cfg.seed)
-    params: dict[str, np.ndarray] = {}
+def param_shapes(cfg: EvNetConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in the order init_params draws them."""
+    shapes: dict[str, tuple[int, ...]] = {}
 
-    def kernel(name, out_c, in_c, k):
-        fan_in = in_c * k**3
-        bound = np.sqrt(6.0 / fan_in)
-        params[f"{name}.kernel"] = rng.uniform(
-            -bound, bound, size=(out_c, in_c, k, k, k)
-        ).astype(dtype)
-        params[f"{name}.bias"] = np.zeros(out_c, dtype=dtype)
-
-    def prelu(name, c):
-        params[name] = np.full(c, cfg.prelu_init, dtype=dtype)
+    def conv(name, out_c, in_c, k):
+        shapes[f"{name}.kernel"] = (out_c, in_c, k, k, k)
+        shapes[f"{name}.bias"] = (out_c,)
 
     for i in range(cfg.levels):
         c_i = cfg.channels_at(i)
         if i > 0:
-            kernel(f"down{i}", c_i, cfg.channels_at(i - 1), 2)
-            prelu(f"down{i}.prelu", c_i)
+            conv(f"down{i}", c_i, cfg.channels_at(i - 1), 2)
+            shapes[f"down{i}.prelu"] = (c_i,)
         c_in = _block_in_channels(cfg, i)
         for j in range(cfg.convs_per_block[i]):
-            kernel(f"enc{i}.conv{j}", c_i, c_in if j == 0 else c_i, KERNEL)
-            prelu(f"enc{i}.prelu{j}", c_i)
+            conv(f"enc{i}.conv{j}", c_i, c_in if j == 0 else c_i, KERNEL)
+            shapes[f"enc{i}.prelu{j}"] = (c_i,)
 
     for i in range(cfg.levels - 2, -1, -1):
         c_i = cfg.channels_at(i)
         # transposed conv kernels are (in, out, 2, 2, 2)
-        fan_in = cfg.channels_at(i + 1) * 8
-        bound = np.sqrt(6.0 / fan_in)
-        params[f"up{i}.kernel"] = rng.uniform(
-            -bound, bound, size=(cfg.channels_at(i + 1), c_i, 2, 2, 2)
-        ).astype(dtype)
-        params[f"up{i}.bias"] = np.zeros(c_i, dtype=dtype)
-        prelu(f"up{i}.prelu", c_i)
+        shapes[f"up{i}.kernel"] = (cfg.channels_at(i + 1), c_i, 2, 2, 2)
+        shapes[f"up{i}.bias"] = (c_i,)
+        shapes[f"up{i}.prelu"] = (c_i,)
         for j in range(cfg.convs_per_block[i]):
-            kernel(f"dec{i}.conv{j}", c_i, 2 * c_i if j == 0 else c_i, KERNEL)
-            prelu(f"dec{i}.prelu{j}", c_i)
+            conv(f"dec{i}.conv{j}", c_i, 2 * c_i if j == 0 else c_i, KERNEL)
+            shapes[f"dec{i}.prelu{j}"] = (c_i,)
 
-    kernel("head", NUM_LABELS, cfg.base_channels, 1)
+    conv("head", NUM_LABELS, cfg.base_channels, 1)
+    return shapes
+
+
+def init_params(cfg: EvNetConfig, dtype=np.float64) -> dict[str, np.ndarray]:
+    """Fan-in-scaled uniform kernels, zero biases, constant PReLU slopes."""
+    rng = np.random.default_rng(cfg.seed)
+    params: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(cfg).items():
+        if name.endswith(".kernel"):
+            # fan-in counts input channels: axis 1, but axis 0 for up kernels
+            in_c = shape[0] if name.startswith("up") else shape[1]
+            bound = np.sqrt(6.0 / (in_c * shape[2] ** 3))
+            params[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
+        elif name.endswith(".bias"):
+            params[name] = np.zeros(shape, dtype=dtype)
+        else:
+            params[name] = np.full(shape, cfg.prelu_init, dtype=dtype)
     return params
 
 
@@ -165,10 +171,17 @@ def _block_forward(t, params, name, convs):
     return t, caches
 
 
-def _block_backward(g, caches, name, grads):
-    """Backward of _block_forward; fills grads and returns the input gradient."""
+def _block_backward(g, caches, name, grads, input_grad=True):
+    """Backward of _block_forward; fills grads and returns the input gradient.
+
+    With input_grad False the first conv takes only its kernel and bias
+    gradients, and None is returned.
+    """
     for j, (cc, cp) in reversed(list(enumerate(caches))):
         g, grads[f"{name}.prelu{j}"] = prelu_backward(g, cp)
+        if j == 0 and not input_grad:
+            grads[f"{name}.conv0.kernel"], grads[f"{name}.conv0.bias"] = conv3d_param_grads(g, cc)
+            return None
         g, grads[f"{name}.conv{j}.kernel"], grads[f"{name}.conv{j}.bias"] = (
             conv3d_backward(g, cc)
         )
@@ -244,9 +257,10 @@ def evnet_backward(grad_probs, cache, cfg: EvNetConfig) -> dict[str, np.ndarray]
         if i in skip_grads:
             g = g + skip_grads[i]
         g_res = g
-        g = _block_backward(g, ec["convs"], f"enc{i}", grads)
+        # level 0 feeds from the input; nothing upstream takes its gradient
+        g = _block_backward(g, ec["convs"], f"enc{i}", grads, input_grad=i > 0)
         if i == 0:
-            break  # level 0 feeds from the input; nothing upstream to fill
+            break
         if cfg.multiscale_inputs and cfg.multiscale_mode == "concat":
             g, _ = concat_channels_backward(g, ec["ms_widths"])  # raw branch ends here
         g = g + g_res

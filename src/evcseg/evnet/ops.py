@@ -7,7 +7,9 @@ float32 training share one code path.
 
 conv3d is cross-correlation (no kernel flip) summed offset by offset: each
 kernel tap kernel[:, :, i, j, l] meets one strided window of the padded
-input, so no window matrix is built. The kernel gradient contracts the
+input, so no window matrix is built. Each offset's product is accumulated
+in place by one BLAS gemm with beta = 1, so no per-offset product array
+is allocated and no second add pass runs. The kernel gradient contracts the
 output gradient with the same windows, and the input gradient is the
 forward correlation again (conv3d_transpose). The stride-2 2x2x2 down
 convolution is conv3d at stride 2, and the up convolution its transpose.
@@ -16,6 +18,7 @@ convolution is conv3d at stride 2, and the up convolution its transpose.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import get_blas_funcs
 
 from ..errors import GeometryError
 
@@ -65,10 +68,14 @@ def conv3d_forward(x, kernel, bias, stride=1, padding=0):
     if any(s < 1 for s in out_sp):
         raise GeometryError(f"conv output shape {out_sp} is empty for input {(d, h, w)}")
     xp = np.pad(x, ((0, 0), (0, 0)) + ((padding, padding),) * 3) if padding else x
-    acc = np.zeros((o, n * np.prod(out_sp)), dtype=np.result_type(x, kernel, bias))
+    dtype = np.result_type(x, kernel, bias)
+    # (voxels, o) in Fortran order, the layout gemm updates in place
+    acc = np.zeros((n * np.prod(out_sp), o), dtype=dtype, order="F")
+    gemm = get_blas_funcs("gemm", (acc,))
     for (i, j, l), win in _offset_windows(xp, (kd, kh, kw), stride, out_sp):
-        acc += np.dot(kernel[:, :, i, j, l], win)
-    y = np.ascontiguousarray(acc.reshape(o, n, *out_sp).swapaxes(0, 1))
+        acc = gemm(1.0, win.T, kernel[:, :, i, j, l].T, beta=1.0, c=acc, overwrite_c=True)
+    # for a dtype BLAS lacks, gemm summed in a copy of its own dtype
+    y = np.ascontiguousarray(acc.T.reshape(o, n, *out_sp).swapaxes(0, 1), dtype=dtype)
     y += bias.reshape(1, o, 1, 1, 1)
     cache = (xp, kernel, stride, padding, out_sp, x.shape)
     return y, cache
@@ -97,11 +104,20 @@ def conv3d_transpose(g, kernel, bias, stride, padding, spatial):
     return y
 
 
+def conv3d_param_grads(grad_y, cache):
+    """Kernel and bias gradients of conv3d_forward; returns (grad_kernel, grad_bias).
+
+    For a layer whose input gradient nothing takes, such as one fed by the
+    network input.
+    """
+    xp, kernel, stride = cache[:3]
+    return _kernel_grad(xp, grad_y, kernel.shape[2:], stride), grad_y.sum(axis=(0, 2, 3, 4))
+
+
 def conv3d_backward(grad_y, cache):
     """Gradients of conv3d_forward; returns (grad_x, grad_kernel, grad_bias)."""
-    xp, kernel, stride, padding, _, x_shape = cache
-    grad_bias = grad_y.sum(axis=(0, 2, 3, 4))
-    grad_kernel = _kernel_grad(xp, grad_y, kernel.shape[2:], stride)
+    _, kernel, stride, padding, _, x_shape = cache
+    grad_kernel, grad_bias = conv3d_param_grads(grad_y, cache)
     zero = np.zeros(x_shape[1], dtype=kernel.dtype)
     grad_x = conv3d_transpose(grad_y, kernel, zero, stride, padding, x_shape[2:])
     return grad_x, grad_kernel, grad_bias

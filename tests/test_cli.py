@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import venv
 from pathlib import Path
 
@@ -15,7 +16,8 @@ import pytest
 from conftest import TOY_GRID, rewrite_manifest
 from evcseg import cli
 from evcseg.crf import CrfConfig
-from evcseg.evnet import load_checkpoint, save_checkpoint
+from evcseg.errors import FormatError
+from evcseg.evnet import EvNetConfig, config_hash, load_checkpoint, save_checkpoint
 from evcseg.nifti import read_mask, read_nifti, read_probmap, write_nifti
 from evcseg.pipeline import PipelineConfig, TrainConfig
 from evcseg.volume import ProbMap, Volume
@@ -240,6 +242,38 @@ class TestExtractCommand:
         assert code == 3
         assert "head.bias" in capsys.readouterr().err
         assert not (tmp_path / "m.nii.gz").exists()
+
+    def test_oversized_config_is_data_error_without_allocating(
+        self, phantom_dataset, init_checkpoint, tmp_path, capsys
+    ):
+        # A config that would need 1.16 TiB of weights must be refused from
+        # tensor shapes alone, before any array of that size is drawn.
+        ckpt = tmp_path / "huge.evc"
+        shutil.copy(init_checkpoint, ckpt)
+
+        def widen(m):
+            m["config"]["base_channels"] = 100000
+            cfg = EvNetConfig(**{**m["config"], "convs_per_block": tuple(m["config"]["convs_per_block"])})
+            m["config_hash"] = config_hash(cfg)
+
+        rewrite_manifest(ckpt, widen)
+        code = run(
+            ["extract",
+             "--in", str(phantom_dataset / "images" / "phantom_000.nii.gz"),
+             "--out", str(tmp_path / "m.nii.gz"), "--checkpoint", str(ckpt),
+             "--crf-iters", "0", *GRID_FLAGS]
+        )
+        assert code == 3
+        assert "tensors do not match the config" in capsys.readouterr().err
+        assert not (tmp_path / "m.nii.gz").exists()
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="up0.kernel"):
+                load_checkpoint(ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_nan_voxel_is_data_error(self, phantom_dataset, init_checkpoint, tmp_path, capsys):
         image = tmp_path / "nan.nii"

@@ -1,10 +1,16 @@
 """Whole-network checks: gradient routing, architecture reduction,
 determinism, the optimizer recursion, and checkpoint round trips."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import evcseg.evnet.network as network
+from evcseg.evnet import ops
 from conftest import rewrite_manifest
 from evcseg.errors import (
     BadMagicError,
@@ -171,6 +177,72 @@ class TestBackward:
                 fd_vals.append((hi - lo) / (2 * EPSILON))
                 an_vals.append(grads[name].reshape(-1)[idx])
         assert rel_err(np.array(fd_vals), np.array(an_vals)) < REL_TOL
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_input_layer_takes_no_input_gradient(self, monkeypatch, dtype):
+        # enc0.conv0 reads the network input, whose gradient nothing takes; its
+        # kernel and bias gradients must equal the full conv backward's bit for
+        # bit, with one conv3d_transpose call fewer
+        cfg = EvNetConfig(levels=3, base_channels=2, seed=13)
+        rng = np.random.default_rng(105)
+        params = init_params(cfg, dtype)
+        x = rng.standard_normal((2, 1, 8, 8, 8)).astype(dtype)
+        probs, cache = evnet_forward(x, params, cfg, want_cache=True)
+        gprobs = rng.standard_normal(probs.shape).astype(dtype)
+        calls = []
+        transpose = ops.conv3d_transpose
+
+        def counted(*args):
+            calls.append(args)
+            return transpose(*args)
+
+        monkeypatch.setattr(ops, "conv3d_transpose", counted)
+        grads = evnet_backward(gprobs, cache, cfg)
+        skipping = len(calls)
+        calls.clear()
+        monkeypatch.setattr(
+            network, "conv3d_param_grads", lambda g, c: ops.conv3d_backward(g, c)[1:]
+        )
+        full = evnet_backward(gprobs, cache, cfg)
+        # every conv but the up convs takes its input gradient by a transpose
+        convs = sum(k.endswith(".kernel") and not k.startswith("up") for k in params)
+        assert len(calls) == convs and skipping == convs - 1
+        assert sorted(grads) == sorted(full) == sorted(params)
+        for k in full:
+            assert grads[k].dtype == full[k].dtype == dtype
+            np.testing.assert_array_equal(grads[k], full[k])
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # every conv accumulates through BLAS gemm calls; probabilities and
+        # gradients must not depend on how many threads run them
+        script = (
+            "import hashlib, numpy as np\n"
+            "from evcseg.evnet import EvNetConfig, evnet_backward, evnet_forward, init_params\n"
+            "cfg = EvNetConfig(levels=2, base_channels=4, seed=3)\n"
+            "h = hashlib.sha256()\n"
+            "for dtype in (np.float32, np.float64):\n"
+            "    rng = np.random.default_rng(106)\n"
+            "    params = init_params(cfg, dtype)\n"
+            "    x = rng.standard_normal((1, 1, 32, 32, 32)).astype(dtype)\n"
+            "    probs, cache = evnet_forward(x, params, cfg, want_cache=True)\n"
+            "    grads = evnet_backward(probs - 0.5, cache, cfg)\n"
+            "    h.update(probs.tobytes())\n"
+            "    for k in sorted(grads):\n"
+            "        h.update(grads[k].tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        src = str(Path(network.__file__).resolve().parents[2])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
 
     def test_grad_shapes_match_params(self):
         cfg = EvNetConfig(levels=3, base_channels=2, seed=12)

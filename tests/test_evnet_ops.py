@@ -101,6 +101,20 @@ def brute_upconv(y, kernel, bias):
     return out
 
 
+def offset_loop_conv3d(x, kernel, bias, stride, padding):
+    """conv3d summed offset by offset: one np.dot product per kernel tap, then +=."""
+    o, _, k = kernel.shape[:3]
+    out_sp = ops.conv3d_output_shape(x.shape[2:], k, stride, padding)
+    xp = np.pad(x, ((0, 0), (0, 0)) + ((padding, padding),) * 3)
+    acc = np.zeros((o, x.shape[0] * np.prod(out_sp)), dtype=np.result_type(x, kernel, bias))
+    ed, eh, ew = (stride * (m - 1) + 1 for m in out_sp)
+    for i, j, l in np.ndindex(k, k, k):
+        win = xp[:, :, i : i + ed : stride, j : j + eh : stride, l : l + ew : stride]
+        acc += np.dot(kernel[:, :, i, j, l], win.swapaxes(0, 1).reshape(x.shape[1], -1))
+    y = acc.reshape(o, x.shape[0], *out_sp).swapaxes(0, 1)
+    return y + bias.reshape(1, o, 1, 1, 1)
+
+
 class TestConv3d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(42)
@@ -223,6 +237,40 @@ class TestConv3d:
         assert rel_err(fd_grad(fx, x), gx) < REL_TOL
         assert rel_err(fd_grad(fk, kernel), gk) < REL_TOL
         assert rel_err(fd_grad(fb, bias), gb) < REL_TOL
+
+
+class TestInPlaceAccumulation:
+    """The gemm accumulation against per-offset products added one by one.
+
+    With one output channel np.dot takes BLAS's matrix-vector routine,
+    which sums channels in another order, so exactness is checked for two
+    or more outputs; no conv in the network has a single output channel.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,s,p", [(5, 1, 2), (2, 2, 0)], ids=["5cube_padded", "2cube_stride2"])
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_bit_identical_to_offset_loop(self, dtype, k, s, p, batch):
+        rng = np.random.default_rng((k, s, p, batch, np.dtype(dtype).itemsize))
+        for c, o in [(1, 2), (2, 5), (3, 3), (4, 2), (5, 4)]:
+            x = rng.standard_normal((batch, c, 6, 8, 4)).astype(dtype)
+            kernel = rng.standard_normal((o, c, k, k, k)).astype(dtype)
+            bias = rng.standard_normal(o).astype(dtype)
+            y, _ = ops.conv3d_forward(x, kernel, bias, stride=s, padding=p)
+            assert y.dtype == dtype
+            np.testing.assert_array_equal(y, offset_loop_conv3d(x, kernel, bias, s, p))
+
+    @pytest.mark.parametrize("dtypes", [
+        ("f4", "f4", "f8"), ("f4", "f8", "f4"), ("f8", "f4", "f4"),
+    ])
+    def test_result_dtype_of_mixed_inputs(self, dtypes):
+        rng = np.random.default_rng(81)
+        x = rng.standard_normal((1, 3, 4, 4, 4)).astype(dtypes[0])
+        kernel = rng.standard_normal((2, 3, 3, 3, 3)).astype(dtypes[1])
+        bias = rng.standard_normal(2).astype(dtypes[2])
+        y, _ = ops.conv3d_forward(x, kernel, bias, padding=1)
+        assert y.dtype == np.result_type(x, kernel, bias)
+        np.testing.assert_allclose(y, offset_loop_conv3d(x, kernel, bias, 1, 1), rtol=1e-5, atol=1e-5)
 
 
 class TestDownUpConv:
