@@ -40,14 +40,31 @@ dropped, so the boxes change nothing but the length of BLAS sums. The
 slice weight is gathered from tables of the kernel taps and their
 differences, slope[j] * (x - j) + kern[j] with j = floor(x), which is the
 formula np.interp evaluates between unit-spaced taps.
+
+Everything but the splat and the blur depends on the intensities alone:
+`cell_records` yields it one cell at a time (the boxes, the blur-matrix
+slices and the slice weights over the band box), and `bilateral_filter`
+applies the records. A one-shot call builds each record as the filter
+reaches it; a caller filtering many fields against one volume (the CRF's
+message passes) keeps them in a list and builds them once. Kept, the slice
+weights take one float64 per voxel of each band box: at most one
+field-sized array per populated cell. The per-axis counts that find the
+boxes take cells x axis length entries, so an intensity span too wide for
+the field (a tiny intensity bandwidth) is refused with a CapacityError
+before they are drawn.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import CapacityError
+
 CELL = 1.0 / 3.0  # intensity cell size in bandwidth units
 TRUNCATE = 3.0  # every Gaussian is cut off at this many bandwidths
+# _cell_boxes' per-axis (cell, index) counts may take as many entries as
+# the field has voxels, or this many on a smaller field
+MIN_COUNT_ENTRIES = 1 << 16
 
 
 def _blur_matrix(n, sp, theta):
@@ -126,27 +143,52 @@ def _cell_boxes(pos, reach):
     ]
 
 
-def bilateral_filter(values, inten, spacing, theta):
-    """Filter values (C, *grid) against bandwidth-scaled intensities (*grid).
+def cell_records(inten, spacing, theta):
+    """Yield, one cell at a time, what filtering against inten needs of
+    each cell a voxel splats into.
 
-    spacing (per axis) and the spatial bandwidth theta are in mm. Returns a
-    (C, *grid) array approximating the sum above.
+    A record is (cell, support box, band box, intensity positions over the
+    support box, the three blur-matrix slices, slice weights over the band
+    box). Records depend on the intensities, spacing and theta alone, so a
+    caller filtering many fields against one volume can keep them in a list.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape[1:] != np.shape(inten):
-        raise ValueError(f"values {values.shape} do not match intensities {np.shape(inten)}")
     pos = np.asarray(inten, dtype=np.float64) / CELL  # intensity in cells
     pos = pos - np.floor(pos.min())
+    entries = (np.floor(pos.max()) + 2) * max(pos.shape)
+    if not entries <= max(pos.size, MIN_COUNT_ENTRIES):
+        raise CapacityError(
+            f"intensities span {pos.max():.3g} cells of {CELL:.3g} bandwidths: the filter's "
+            f"per-axis counts would hold {entries:.3g} entries for {pos.size} voxels; "
+            "use a wider intensity bandwidth"
+        )
     # one zero tap each side makes the kernel interpolate to 0 from reach
     # cells out, and a second one gives 0 at clipped gather indices
     kern = np.pad(_blur_kernel(), 2)
     reach = kern.size // 2 - 1
     slope = np.append(np.diff(kern), 0.0)
     mx, my, mz = (_blur_matrix(n, sp, theta) for n, sp in zip(pos.shape, spacing))
+    for cell, support, band in _cell_boxes(pos, reach):
+        (sx, sy, sz), (bx, by, bz) = support, band
+        blur = (mx[bx, sx], my[by, sy], mz[sz, bz])
+        yield cell, support, band, pos[support], blur, _slice_weights(cell - pos[band], kern, slope)
+
+
+def bilateral_filter(values, inten, spacing, theta, cells=None):
+    """Filter values (C, *grid) against bandwidth-scaled intensities (*grid).
+
+    spacing (per axis) and the spatial bandwidth theta are in mm. cells are
+    the records of cell_records(inten, spacing, theta), kept from an earlier
+    call; None builds them as the filter goes. Returns a (C, *grid) array
+    approximating the sum above.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape[1:] != np.shape(inten):
+        raise ValueError(f"values {values.shape} do not match intensities {np.shape(inten)}")
+    if cells is None:
+        cells = cell_records(inten, spacing, theta)
     out = np.zeros(values.shape)
-    for cell, (sx, sy, sz), band in _cell_boxes(pos, reach):
-        bx, by, bz = band
-        splat = np.maximum(0.0, 1.0 - np.abs(pos[sx, sy, sz] - cell))
-        blurred = _blur(splat * values[:, sx, sy, sz], mx[bx, sx], my[by, sy], mz[sz, bz])
-        out[:, bx, by, bz] += _slice_weights(cell - pos[band], kern, slope) * blurred
+    for cell, support, band, pos, blur, weights in cells:
+        splat = np.maximum(0.0, 1.0 - np.abs(pos - cell))
+        blurred = _blur(splat * values[(slice(None), *support)], *blur)
+        out[(slice(None), *band)] += weights * blurred
     return out

@@ -22,17 +22,28 @@ makes 1 + n message passes. The message pass is linear and the two
 labels' marginals sum to 1, so the filtered backend filters labels 1..
 only: label 0's message is the kernel mass (the pass over a field of
 ones) minus theirs. The first pass filters the ones field alongside the
-foreground, and the states carry the mass forward.
+foreground, and the states carry the mass forward. They also carry the
+bilateral filter's per-cell records (`bilateral.cell_records`), which
+depend on the intensities alone: the first state builds them, and every
+pass of the refinement reuses them.
+
+Marginals below the smallest normal float64 are set to 0. Messages reach
+several hundred kernel units, so a confident voxel's losing label can
+fall below 1e-308. Kept as subnormals, such marginals vanish in every sum
+they join (the tests compare masks, messages and free energies with the
+plain softmax's), but they slow every filter, blur and logarithm that
+reads them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
 
-from .bilateral import bilateral_filter, gaussian_blur
+from .bilateral import bilateral_filter, cell_records, gaussian_blur
 from .errors import CapacityError, ConfigError, DomainError, GeometryError
 from .volume import LabelMask, ProbMap, Volume
 
@@ -52,6 +63,10 @@ class CrfConfig:
     update_order: str = "parallel"
 
     def __post_init__(self):
+        kernel = (self.w_appearance, self.w_smoothness, self.theta_alpha, self.theta_beta,
+                  self.theta_gamma)
+        if not all(math.isfinite(v) for v in kernel):
+            raise ConfigError(f"kernel weights and bandwidths must be finite, got {kernel}")
         if self.w_appearance < 0 or self.w_smoothness < 0:
             raise ConfigError("kernel weights must be >= 0")
         if min(self.theta_alpha, self.theta_beta, self.theta_gamma) <= 0:
@@ -84,7 +99,9 @@ class MeanFieldState:
     mass is the filtered backend's message of a field of ones, shaped (N,),
     from which label 0's message follows; None under the brute backend.
     trace_exact is False once any entry came from the filtered backend's
-    approximate kernel sums.
+    approximate kernel sums. cells holds the filtered backend's bilateral
+    records for the volume (see bilateral.cell_records), built once with the
+    first state; None under the brute backend or without an appearance term.
     """
 
     q: np.ndarray
@@ -92,6 +109,7 @@ class MeanFieldState:
     free_energy_trace: tuple
     trace_exact: bool = True
     mass: np.ndarray | None = None
+    cells: list | None = None
 
 
 def unary_from_probmap(p: ProbMap) -> UnaryField:
@@ -104,6 +122,11 @@ def _intensities(vol: Volume) -> np.ndarray:
     data = vol.data
     lo, hi = data.min(), data.max()
     return (data - lo) / (hi - lo) if hi > lo else np.zeros_like(data)
+
+
+def _appearance_intensities(vol: Volume, cfg: CrfConfig) -> np.ndarray:
+    """Intensities in units of the appearance bandwidth theta_beta."""
+    return _intensities(vol) / cfg.theta_beta
 
 
 def kernel_matrix(vol: Volume, cfg: CrfConfig) -> np.ndarray:
@@ -125,9 +148,12 @@ def kernel_matrix(vol: Volume, cfg: CrfConfig) -> np.ndarray:
 
 
 def _softmax_labels(logits):
+    """Per-voxel softmax over the label axis, with subnormal marginals set to 0."""
     z = logits - logits.max(axis=0, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=0, keepdims=True)
+    q = e / e.sum(axis=0, keepdims=True)
+    q[q < np.finfo(np.float64).tiny] = 0.0
+    return q
 
 
 def _free_energy(qf, uf, m):
@@ -139,35 +165,37 @@ def _free_energy(qf, uf, m):
     return float((qf * uf).sum() + 0.5 * ((1.0 - qf) * m).sum() + xlogy(qf, qf).sum())
 
 
-def filtered_message_pass(q, vol: Volume, cfg: CrfConfig):
+def filtered_message_pass(q, vol: Volume, cfg: CrfConfig, cells=None):
     """Approximate M_i(l) = sum_{j != i} k(f_i, f_j) q_j(l) for all voxels.
 
     q is (L, nx, ny, nz). The smoothness part is the exact truncated
     spatial Gaussian blur at theta_gamma; the appearance part is the
     bilateral filter over intensity (in theta_beta units) and space
     (theta_alpha); the self term (w_appearance + w_smoothness) q_i is
-    removed.
+    removed. cells are the filter's records for vol and cfg (a state's
+    cells); None builds them during the pass.
     """
     out = np.zeros(q.shape)
     if cfg.w_appearance > 0:
-        inten = _intensities(vol) / cfg.theta_beta
-        out += cfg.w_appearance * bilateral_filter(q, inten, vol.spacing, cfg.theta_alpha)
+        inten = _appearance_intensities(vol, cfg)
+        out += cfg.w_appearance * bilateral_filter(q, inten, vol.spacing, cfg.theta_alpha, cells)
     if cfg.w_smoothness > 0:
         out += cfg.w_smoothness * gaussian_blur(q, vol.spacing, cfg.theta_gamma)
     out -= (cfg.w_appearance + cfg.w_smoothness) * q
     return out
 
 
-def _scored(q, uf, vol, cfg, k, trace, exact, mass) -> MeanFieldState:
+def _scored(q, uf, vol, cfg, k, trace, exact, mass, cells) -> MeanFieldState:
     """State for marginals q: their message, and their free energy appended
     to trace. k is the brute kernel matrix, or None for the filtered backend,
-    whose kernel mass is filtered along with labels 1.. when mass is None."""
+    whose kernel mass is filtered along with labels 1.. when mass is None,
+    through the bilateral records cells."""
     qf = q.reshape(uf.shape)
     if k is not None:
         m = qf @ k  # k is symmetric
     else:
         rest = q[1:] if mass is not None else np.concatenate([np.ones_like(q[:1]), q[1:]])
-        rest = filtered_message_pass(rest, vol, cfg).reshape(len(rest), -1)
+        rest = filtered_message_pass(rest, vol, cfg, cells).reshape(len(rest), -1)
         if mass is None:
             mass, rest = rest[0], rest[1:]
         m = np.concatenate([(mass - rest.sum(axis=0))[None], rest])
@@ -177,6 +205,7 @@ def _scored(q, uf, vol, cfg, k, trace, exact, mass) -> MeanFieldState:
         free_energy_trace=trace + (_free_energy(qf, uf, m),),
         trace_exact=exact and k is not None,
         mass=mass,
+        cells=cells,
     )
 
 
@@ -201,7 +230,7 @@ def mean_field_step(
             q_new[:, i] = z / z.sum()
     return _scored(
         q_new.reshape(state.q.shape), uf, vol, cfg, k,
-        state.free_energy_trace, state.trace_exact, state.mass,
+        state.free_energy_trace, state.trace_exact, state.mass, state.cells,
     )
 
 
@@ -210,7 +239,12 @@ def _initial_state(u: UnaryField, vol: Volume, cfg: CrfConfig) -> MeanFieldState
     uf = u.neg_log_probs.reshape(labels, -1)
     q0 = _softmax_labels(-uf).reshape(u.neg_log_probs.shape)
     k = kernel_matrix(vol, cfg) if cfg.backend == "brute" else None
-    return _scored(q0, uf, vol, cfg, k, (), True, None)
+    cells = None
+    if k is None and cfg.w_appearance > 0 and cfg.iterations > 0:
+        # all 1 + iterations passes filter against the same intensities
+        inten = _appearance_intensities(vol, cfg)
+        cells = list(cell_records(inten, vol.spacing, cfg.theta_alpha))
+    return _scored(q0, uf, vol, cfg, k, (), True, None, cells)
 
 
 def refine(p: ProbMap, vol: Volume, cfg: CrfConfig):

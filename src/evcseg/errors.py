@@ -41,7 +41,7 @@ class ConfigError(EvcsegError):
 
 
 class CapacityError(EvcsegError):
-    """A brute-force code path was asked to exceed its size guard."""
+    """A computation was asked to exceed its size guard."""
 
 
 class DomainError(EvcsegError):

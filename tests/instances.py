@@ -7,6 +7,7 @@ from scipy.ndimage import convolve1d
 from evcseg.bilateral import CELL, TRUNCATE, _blur_kernel, gaussian_blur
 from evcseg.crf import CrfConfig, UnaryField, _free_energy, kernel_matrix
 from evcseg.errors import GeometryError
+from evcseg.synth import make_phantom
 from evcseg.volume import LabelMask, ProbMap, Volume
 
 
@@ -49,6 +50,14 @@ def full_grid_bilateral(values, inten, spacing, theta):
             blurred = gaussian_blur(splat * values, spacing, theta)
             out += np.interp(cell - pos, offsets, kern) * blurred
     return out
+
+
+def softmax_keeping_subnormals(logits):
+    """Reference for crf._softmax_labels: the plain per-voxel softmax,
+    subnormal marginals left as they come."""
+    z = logits - logits.max(axis=0, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=0, keepdims=True)
 
 
 def gibbs_energy(x: LabelMask, u: UnaryField, vol: Volume, cfg: CrfConfig) -> float:
@@ -135,3 +144,14 @@ def random_crf_instance(seed, max_side=12):
         backend="brute",
     )
     return ProbMap(probs), Volume(intensity), cfg
+
+
+def phantom_crf_instance(seed):
+    """32-cube phantom at 2 mm with a noisy foreground map of its truth and
+    the default CrfConfig; its refinement drives over a thousand foreground
+    marginals below the smallest normal float."""
+    rng = np.random.default_rng(seed)
+    image, truth = make_phantom(32, rng)
+    aff = np.diag([2.0, 2.0, 2.0, 1.0])
+    fg = np.clip(0.2 + 0.6 * truth.data + 0.15 * rng.normal(size=truth.shape), 0.02, 0.98)
+    return ProbMap(np.stack([1 - fg, fg]), aff), Volume(image.data, aff), CrfConfig()

@@ -15,8 +15,8 @@ import pytest
 
 from conftest import TOY_GRID, rewrite_manifest
 from evcseg import cli
-from evcseg.crf import CrfConfig
-from evcseg.errors import FormatError
+from evcseg.crf import CrfConfig, refine
+from evcseg.errors import CapacityError, FormatError
 from evcseg.evnet import EvNetConfig, config_hash, load_checkpoint, save_checkpoint
 from evcseg.nifti import read_mask, read_nifti, read_probmap, write_nifti
 from evcseg.pipeline import PipelineConfig, TrainConfig
@@ -372,6 +372,50 @@ class TestExtractCommand:
         )
         assert code == 4
         assert "stage 'pad'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--w-app", "nan"), ("--w-smooth", "inf"), ("--theta-alpha", "inf"),
+         ("--theta-beta", "nan"), ("--theta-gamma", "inf")],
+    )
+    def test_non_finite_crf_setting_is_data_error(
+        self, flag, value, phantom_dataset, init_checkpoint, tmp_path, capsys
+    ):
+        code = run(
+            ["extract",
+             "--in", str(phantom_dataset / "images" / "phantom_000.nii.gz"),
+             "--out", str(tmp_path / "m.nii.gz"), "--checkpoint", str(init_checkpoint),
+             flag, value, *GRID_FLAGS]
+        )
+        assert code == 3
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.nii.gz").exists()
+
+    def test_tiny_intensity_bandwidth_is_compute_error_without_allocating(
+        self, phantom_dataset, init_checkpoint, tmp_path, capsys
+    ):
+        # at theta_beta 1e-9 the intensities span 3e9 filter cells, whose
+        # per-axis counts would outgrow memory; the span alone refuses them
+        code = run(
+            ["extract",
+             "--in", str(phantom_dataset / "images" / "phantom_000.nii.gz"),
+             "--out", str(tmp_path / "m.nii.gz"), "--checkpoint", str(init_checkpoint),
+             "--theta-beta", "1e-9", *GRID_FLAGS]
+        )
+        assert code == 4
+        assert "wider intensity bandwidth" in capsys.readouterr().err
+        assert not (tmp_path / "m.nii.gz").exists()
+        rng = np.random.default_rng(4)
+        fg = rng.uniform(0.05, 0.95, size=(16, 16, 16))
+        probs, vol = ProbMap(np.stack([1.0 - fg, fg])), Volume(rng.uniform(size=(16, 16, 16)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                refine(probs, vol, CrfConfig(theta_beta=1e-9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 class TestRefineCommand:

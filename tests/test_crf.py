@@ -39,7 +39,9 @@ from instances import (
     gibbs_energy,
     noisy_sphere_instance,
     pairwise_kernel,
+    phantom_crf_instance,
     random_crf_instance,
+    softmax_keeping_subnormals,
 )
 
 
@@ -542,9 +544,9 @@ class TestTwoLabelMessage:
     def test_one_channel_per_sweep_after_the_mass(self, monkeypatch):
         channels = []
 
-        def recording(q, vol, cfg):
+        def recording(q, vol, cfg, cells):
             channels.append(q.shape[0])
-            return filtered_message_pass(q, vol, cfg)
+            return filtered_message_pass(q, vol, cfg, cells)
 
         monkeypatch.setattr(crf, "filtered_message_pass", recording)
         p, vol, cfg = random_crf_instance(seed=200)
@@ -683,12 +685,79 @@ class TestBoxedFilterInRefine:
             p, vol, cfg = random_crf_instance(seed=seed)
             cfg = dataclasses.replace(cfg, backend="filtered")
         mask, state = refine(p, vol, cfg)
-        monkeypatch.setattr(crf, "bilateral_filter", full_grid_bilateral)
+
+        def reference(values, inten, spacing, theta, cells):
+            return full_grid_bilateral(values, inten, spacing, theta)
+
+        monkeypatch.setattr(crf, "bilateral_filter", reference)
         ref_mask, ref_state = refine(p, vol, cfg)
         np.testing.assert_array_equal(mask.data, ref_mask.data)
         for got, want in ((state.message, ref_state.message), (state.q, ref_state.q)):
             scale = want.max() - want.min()
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+class TestSubnormalMarginals:
+    """refine sets marginals below the smallest normal float to 0."""
+
+    def test_refine_leaves_no_subnormal(self):
+        _, state = refine(*phantom_crf_instance(86))
+        tiny = np.finfo(np.float64).tiny
+        assert not ((state.q > 0) & (state.q < tiny)).any()
+
+    def test_matches_refine_keeping_subnormals(self, monkeypatch):
+        p, vol, cfg = phantom_crf_instance(86)
+        mask, state = refine(p, vol, cfg)
+        monkeypatch.setattr(crf, "_softmax_labels", softmax_keeping_subnormals)
+        ref_mask, ref_state = refine(p, vol, cfg)
+        tiny = np.finfo(np.float64).tiny
+        assert ((ref_state.q > 0) & (ref_state.q < tiny)).sum() > 1000
+        np.testing.assert_array_equal(mask.data, ref_mask.data)
+        np.testing.assert_array_equal(state.message, ref_state.message)
+        assert state.free_energy_trace == ref_state.free_energy_trace
+
+
+class TestKeptCellRecords:
+    """A filtered refinement builds the bilateral records once and passes the
+    same list to every message pass."""
+
+    def test_built_once_and_shared_by_every_pass(self, monkeypatch):
+        builds, passed = [], []
+
+        def counting(*args):
+            builds.append(1)
+            return bilateral.cell_records(*args)
+
+        def recording(q, inten, spacing, theta, cells):
+            passed.append(cells)
+            return bilateral_filter(q, inten, spacing, theta, cells)
+
+        monkeypatch.setattr(crf, "cell_records", counting)
+        monkeypatch.setattr(crf, "bilateral_filter", recording)
+        p, vol, cfg = random_crf_instance(seed=201)
+        _, state = refine(p, vol, dataclasses.replace(cfg, backend="filtered", iterations=5))
+        assert len(builds) == 1 and len(passed) == 6
+        assert isinstance(state.cells, list) and state.cells
+        assert all(cells is state.cells for cells in passed)
+
+    def test_peak_with_every_band_box_whole_grid(self):
+        # uniform intensities over 10 bandwidths populate 31 cells, and every
+        # band box is the whole grid, so the kept slice weights take
+        # 31 x 32^3 float64: 7.75 MB. The whole refine measured 13.3 MB; the
+        # passes and unaries take the other 5.6 MB.
+        rng = np.random.default_rng(88)
+        aff = np.diag([2.0, 2.0, 2.0, 1.0])
+        fg = rng.uniform(0.05, 0.95, size=(32, 32, 32))
+        p = ProbMap(np.stack([1 - fg, fg]), aff)
+        vol = Volume(rng.uniform(size=(32, 32, 32)), aff)
+        tracemalloc.start()
+        try:
+            _, state = refine(p, vol, CrfConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(record[-1].nbytes for record in state.cells) == 31 * 32**3 * 8
+        assert peak < 16 << 20, peak
 
 
 class TestBackendEquivalence:
