@@ -49,6 +49,8 @@ from .volume import LabelMask, ProbMap, Volume
 
 BRUTE_MAX_VOXELS = 4096
 PROB_CLAMP = 1e-6
+TINY = np.finfo(np.float64).tiny
+LOG_TINY = np.log(TINY)
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,15 @@ class CrfConfig:
             raise ConfigError(f"kernel weights and bandwidths must be finite, got {kernel}")
         if self.w_appearance < 0 or self.w_smoothness < 0:
             raise ConfigError("kernel weights must be >= 0")
-        if min(self.theta_alpha, self.theta_beta, self.theta_gamma) <= 0:
+        thetas = (self.theta_alpha, self.theta_beta, self.theta_gamma)
+        if min(thetas) <= 0:
             raise ConfigError("kernel bandwidths must be > 0")
+        # the kernels divide by 2 * theta**2; a subnormal square underflows
+        # toward 0 and turns the lag-0 weight into 0/0
+        if min(t**2 for t in thetas) < TINY:
+            raise ConfigError(
+                f"kernel bandwidths must have normal float64 squares, got {thetas}"
+            )
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         if self.backend not in ("brute", "filtered"):
@@ -148,11 +157,15 @@ def kernel_matrix(vol: Volume, cfg: CrfConfig) -> np.ndarray:
 
 
 def _softmax_labels(logits):
-    """Per-voxel softmax over the label axis, with subnormal marginals set to 0."""
+    """Per-voxel softmax over the label axis, with subnormal marginals set to 0.
+
+    exp(z) is below tiny for every z < log(tiny) and each voxel's sum is at
+    least 1, so those entries would come out 0 anyway: they are not computed.
+    """
     z = logits - logits.max(axis=0, keepdims=True)
-    e = np.exp(z)
+    e = np.exp(z, out=np.zeros_like(z), where=z >= LOG_TINY)
     q = e / e.sum(axis=0, keepdims=True)
-    q[q < np.finfo(np.float64).tiny] = 0.0
+    q[q < TINY] = 0.0
     return q
 
 

@@ -13,6 +13,19 @@ Sampling conventions used throughout:
   and constants survive resampling exactly at every spacing.
 * Cross-grid sampling (``mask_to_native``) and anything that genuinely
   leaves the source grid fills with 0.
+
+Both resamplers skip work whose result is already known. An axis whose
+output samples fall exactly on its input voxels (``ci == arange(n)``, as
+on a 1 mm scan resampled to 1 mm) is copied rather than interpolated;
+the values are the interpolation's, except that a -0.0 keeps its sign.
+``resample_nearest_to_grid`` gathers per axis when the source-index map
+``inv(src) @ dst`` has exactly one entry != 0 in every row and column of
+its 3x3 block (identity, scaling, permuted or flipped axes): one rounded
+index array per axis, read as a slice where it steps through consecutive
+voxels and by ``np.take`` elsewhere. Its float sums, so its indices, are
+those of the general path. Any other map, down to a 1e-17 off-diagonal
+term, takes that general path: source coordinates rounded one x-slab at
+a time.
 """
 
 from __future__ import annotations
@@ -223,7 +236,10 @@ def resample_isotropic(v: Volume, spacing_mm: float) -> Volume:
     for axis in range(3):
         # centers of output cells, measured in input voxel indices
         ci = (np.arange(out_shape[axis]) + 0.5) * spacing_mm / sp[axis] - 0.5
-        data = _lerp_axis(data, ci, axis)
+        if not np.array_equal(ci, np.arange(data.shape[axis])):
+            data = _lerp_axis(data, ci, axis)
+    if data is v.data:
+        data = data.copy()
 
     affine = np.eye(4)
     affine[:3, :3] = dirs * spacing_mm
@@ -270,9 +286,13 @@ def resample_nearest_to_grid(
     """Nearest-neighbor resample of `data` onto an arbitrary destination grid.
 
     Destination voxels whose nearest source voxel falls outside the source
-    grid come out 0. Works one x-slab at a time to bound memory.
+    grid come out 0. Axis-aligned grids take a per-axis gather, any other
+    one x-slab at a time to bound memory (see the module docstring).
     """
     mat = np.linalg.inv(src_affine) @ np.asarray(dst_affine, dtype=np.float64)
+    dst_axis = _aligned_axes(mat[:3, :3])
+    if dst_axis is not None:
+        return _gather_axes(data, mat, dst_axis, dst_shape)
     out = np.zeros(dst_shape, dtype=data.dtype)
     jj, kk = np.meshgrid(
         np.arange(dst_shape[1]), np.arange(dst_shape[2]), indexing="ij"
@@ -292,6 +312,37 @@ def resample_nearest_to_grid(
         slab = data[idx_c[0], idx_c[1], idx_c[2]]
         slab[~valid] = 0
         out[i] = slab
+    return out
+
+
+def _aligned_axes(lin):
+    """The destination axis each source axis is read along, when every row and
+    column of the 3x3 index map lin has exactly one entry != 0 (-0.0 is 0);
+    else None."""
+    nonzero = lin != 0
+    if (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all():
+        return nonzero.argmax(axis=1)
+    return None
+
+
+def _gather_axes(data, mat, dst_axis, dst_shape):
+    """resample_nearest_to_grid when source axis a is read along destination
+    axis dst_axis[a] alone: mat[a, d] is its only nonzero index weight."""
+    block, span = data, [None] * 3
+    for a, d in enumerate(dst_axis):
+        idx = np.rint(mat[a, d] * np.arange(dst_shape[d]) + mat[a, 3]).astype(np.intp)
+        # idx is monotone in the destination index, so the in-grid part is one run
+        inside = np.flatnonzero((idx >= 0) & (idx < data.shape[a]))
+        if inside.size == 0:
+            return np.zeros(dst_shape, dtype=data.dtype)
+        span[d] = slice(inside[0], inside[-1] + 1)
+        idx = idx[span[d]]
+        if (np.diff(idx) == 1).all():  # consecutive source voxels: a view, no copy
+            block = block[(slice(None),) * a + (slice(idx[0], idx[-1] + 1),)]
+        else:
+            block = np.take(block, idx, axis=a)
+    out = np.zeros(dst_shape, dtype=data.dtype)
+    out[tuple(span)] = block.transpose(np.argsort(dst_axis))
     return out
 
 

@@ -1,5 +1,5 @@
-"""Shared builders for refinement test instances, and the CRF oracles
-that only the tests use."""
+"""Shared builders for refinement test instances, and the CRF and
+resampling oracles that only the tests use."""
 
 import numpy as np
 from scipy.ndimage import convolve1d
@@ -8,7 +8,7 @@ from evcseg.bilateral import CELL, TRUNCATE, _blur_kernel, gaussian_blur
 from evcseg.crf import CrfConfig, UnaryField, _free_energy, kernel_matrix
 from evcseg.errors import GeometryError
 from evcseg.synth import make_phantom
-from evcseg.volume import LabelMask, ProbMap, Volume
+from evcseg.volume import LabelMask, ProbMap, Volume, _lerp_axis
 
 
 def pairwise_kernel(fi, fj, cfg: CrfConfig) -> float:
@@ -155,3 +155,41 @@ def phantom_crf_instance(seed):
     aff = np.diag([2.0, 2.0, 2.0, 1.0])
     fg = np.clip(0.2 + 0.6 * truth.data + 0.15 * rng.normal(size=truth.shape), 0.02, 0.98)
     return ProbMap(np.stack([1 - fg, fg]), aff), Volume(image.data, aff), CrfConfig()
+
+
+def slab_loop_nearest(data, src_affine, dst_affine, dst_shape):
+    """Reference for resample_nearest_to_grid: every destination voxel's
+    source coordinates computed and rounded, one x-slab at a time."""
+    mat = np.linalg.inv(src_affine) @ np.asarray(dst_affine, dtype=np.float64)
+    out = np.zeros(dst_shape, dtype=data.dtype)
+    jj, kk = np.meshgrid(
+        np.arange(dst_shape[1]), np.arange(dst_shape[2]), indexing="ij"
+    )
+    for i in range(dst_shape[0]):
+        coords = (
+            mat[:3, 0][:, None, None] * float(i)
+            + mat[:3, 1][:, None, None] * jj
+            + mat[:3, 2][:, None, None] * kk
+            + mat[:3, 3][:, None, None]
+        )
+        idx = np.rint(coords).astype(np.intp)
+        valid = np.ones(idx.shape[1:], dtype=bool)
+        for a in range(3):
+            valid &= (idx[a] >= 0) & (idx[a] < data.shape[a])
+        idx_c = [np.where(valid, idx[a], 0) for a in range(3)]
+        slab = data[idx_c[0], idx_c[1], idx_c[2]]
+        slab[~valid] = 0
+        out[i] = slab
+    return out
+
+
+def lerp_every_axis(v: Volume, spacing_mm: float) -> np.ndarray:
+    """Reference for resample_isotropic's data: one _lerp_axis pass per axis,
+    aligned or not."""
+    sp = v.spacing
+    out_shape = np.maximum(np.ceil(np.array(v.shape) * sp / spacing_mm), 1).astype(int)
+    data = v.data
+    for axis in range(3):
+        ci = (np.arange(out_shape[axis]) + 0.5) * spacing_mm / sp[axis] - 0.5
+        data = _lerp_axis(data, ci, axis)
+    return data

@@ -470,6 +470,28 @@ class TestRefineCommand:
         assert code == 0
         assert read_mask(tmp_path / "m.nii.gz").shape == (6, 6, 6)
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--theta-alpha", "1e-320"), ("--theta-gamma", "1e-320"),
+         ("--theta-beta", "1e-320"), ("--theta-alpha", "1e-160")],
+    )
+    def test_bandwidth_with_subnormal_square_is_data_error(
+        self, flag, value, tmp_path, capsys
+    ):
+        # 2 * theta**2 underflows, so the blur's lag-0 weight would be 0/0
+        rng = np.random.default_rng(5)
+        fg = rng.uniform(0.05, 0.95, size=(8, 8, 8))
+        write_nifti(ProbMap(np.stack([1.0 - fg, fg])), tmp_path / "p.nii.gz")
+        write_nifti(Volume(rng.uniform(size=(8, 8, 8))), tmp_path / "v.nii.gz")
+        code = run(
+            ["refine", "--prob", str(tmp_path / "p.nii.gz"),
+             "--image", str(tmp_path / "v.nii.gz"), "--out", str(tmp_path / "m.nii.gz"),
+             flag, value]
+        )
+        assert code == 3
+        assert "normal float64" in capsys.readouterr().err
+        assert not (tmp_path / "m.nii.gz").exists()
+
 
 class TestEvalCommand:
     def test_reports_and_exit_zero(self, tmp_path, capsys):

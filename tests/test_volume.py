@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from evcseg import volume
 from evcseg.errors import DataError, GeometryError
+from evcseg.pipeline import GridConfig, preprocess_volume
+from evcseg.synth import make_phantom
 from evcseg.volume import (
     LabelMask,
     ProbMap,
@@ -14,8 +17,10 @@ from evcseg.volume import (
     pad_to,
     reorient_ras,
     resample_isotropic,
+    resample_nearest_to_grid,
     resize_half,
 )
+from instances import lerp_every_axis, slab_loop_nearest
 
 
 def world_points(vol) -> np.ndarray:
@@ -230,6 +235,141 @@ class TestResample:
         v = Volume(data=np.zeros((2, 2, 2)))
         with pytest.raises(GeometryError):
             resample_isotropic(v, 0.0)
+
+
+class TestAlignedAxes:
+    @pytest.mark.parametrize(
+        "diag", [(1.0, 1.0, 1.0), (1.0, 0.7, 1.0), (1.0, 0.9, 1.0), (2.0, 1.0, 1.0)],
+        ids=["all", "x-z", "x-z-same-count", "y-z"],
+    )
+    def test_matches_interpolating_every_axis(self, diag):
+        rng = np.random.default_rng(11)
+        v = Volume(data=rng.normal(size=(6, 7, 5)), affine=np.diag([*diag, 1.0]))
+        out = resample_isotropic(v, 1.0)
+        assert np.array_equal(out.data, lerp_every_axis(v, 1.0))
+
+    def test_all_aligned_returns_a_fresh_array(self):
+        v = Volume(data=np.random.default_rng(12).normal(size=(4, 5, 6)))
+        out = resample_isotropic(v, 1.0)
+        assert np.array_equal(out.data, v.data)
+        assert not np.shares_memory(out.data, v.data)
+
+
+def oblique_affine(degrees):
+    """1 mm grid rotated about world z."""
+    c, s = np.cos(np.radians(degrees)), np.sin(np.radians(degrees))
+    aff = np.eye(4)
+    aff[:2, :2] = [[c, -s], [s, c]]
+    aff[:3, 3] = [1.5, -2.0, 0.25]
+    return aff
+
+
+class TestNearestGather:
+    """resample_nearest_to_grid equals the slab loop byte for byte, through
+    the per-axis gather on axis-aligned grids and the loop elsewhere."""
+
+    @pytest.fixture
+    def gathers(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return gather(*args)
+
+        gather = volume._gather_axes
+        monkeypatch.setattr(volume, "_gather_axes", spy)
+        return calls
+
+    @staticmethod
+    def check(data, src, dst, dst_shape):
+        out = resample_nearest_to_grid(data, src, dst, dst_shape)
+        ref = slab_loop_nearest(data, src, dst, dst_shape)
+        assert out.dtype == ref.dtype and out.flags.c_contiguous
+        assert np.array_equal(out, ref)
+        return out
+
+    @staticmethod
+    def labels(shape, seed=0):
+        """Values 1..250, so a 0 in the output can only mean out of grid."""
+        return np.random.default_rng(seed).integers(1, 251, size=shape).astype(np.uint8)
+
+    def test_identity(self, gathers):
+        data = self.labels((7, 8, 9))
+        out = self.check(data, np.eye(4), np.eye(4), (7, 8, 9))
+        assert np.array_equal(out, data) and len(gathers) == 1
+
+    def test_harness_train_mask_ties(self, gathers):
+        # a 64^3 phantom mask onto the default 32^3 network grid, as train does
+        image, truth = make_phantom(64, np.random.default_rng(1011))
+        net_vol, _ = preprocess_volume(image, GridConfig())
+        mat = np.linalg.inv(truth.affine) @ net_vol.affine
+        # every destination voxel sits on a tie 2i + 0.5 on every axis
+        np.testing.assert_array_equal(mat[:3, :3], 2.0 * np.eye(3))
+        np.testing.assert_array_equal(mat[:3, 3], [0.5, 0.5, 0.5])
+        self.check(truth.data, truth.affine, net_vol.affine, net_vol.shape)
+        assert len(gathers) == 1
+
+    def test_mask_to_native_doubled_grid(self, gathers, monkeypatch):
+        image, _ = make_phantom(64, np.random.default_rng(1012))
+        net_vol, meta = preprocess_volume(image, GridConfig())
+        net_mask = LabelMask(net_vol.data > 0.3, net_vol.affine)
+        seen = []
+
+        def recording(*args):
+            seen.append(args)
+            return resample(*args)
+
+        resample = volume.resample_nearest_to_grid
+        monkeypatch.setattr(volume, "resample_nearest_to_grid", recording)
+        back = mask_to_native(
+            net_mask, image, tuple(meta["pad"]["offsets"]), tuple(meta["pre_resize_shape"])
+        )
+        (data, src, dst, shape), = seen
+        assert data.shape[0] > net_mask.shape[0] and back.data.any()
+        assert np.array_equal(back.data, slab_loop_nearest(data, src, dst, shape))
+        assert len(gathers) == 1
+
+    @pytest.mark.parametrize("perm", [[1, 0, 2], [2, 0, 1], [0, 2, 1]])
+    @pytest.mark.parametrize("flips", [[False, True, False], [True, True, True]])
+    def test_permuted_flipped_anisotropic(self, perm, flips, gathers):
+        src = axis_swap_affine(perm, flips, (9, 10, 11), spacing=(1.3, 0.8, 2.0))
+        dst = axis_swap_affine([2, 1, 0], [True, False, False], (12, 7, 8),
+                               spacing=(0.9, 1.7, 1.1))
+        dst[:3, 3] = src[:3, 3] + [0.4, -0.3, 1.2]
+        self.check(self.labels((9, 10, 11)), src, dst, (12, 7, 8))
+        assert len(gathers) == 1
+
+    def test_partial_overlap_is_zero_outside(self, gathers):
+        dst = np.diag([0.75, 1.5, 1.0, 1.0])
+        dst[:3, 3] = [-3.0, 4.2, 5.5]
+        out = self.check(self.labels((10, 9, 8)), np.eye(4), dst, (16, 6, 9))
+        assert 0 < np.count_nonzero(out) < out.size
+        dst[:3, 3] += 40.0  # no overlap at all
+        assert not self.check(self.labels((10, 9, 8)), np.eye(4), dst, (16, 6, 9)).any()
+        assert len(gathers) == 2
+
+    def test_negative_zero_entry(self):
+        # inv(src) @ dst sums from +0, so the entry is built here directly
+        mat = np.diag([-1.5, 0.5, 2.0, 1.0])[:, [1, 0, 2, 3]]
+        mat[:3, 3] = [9.0, -0.5, 1.0]
+        mat[0, 0] = mat[2, 1] = -0.0
+        assert np.signbit(mat[0, 0]) and np.signbit(mat[2, 1])
+        dst_axis = volume._aligned_axes(mat[:3, :3])
+        assert list(dst_axis) == [1, 0, 2]
+        data = self.labels((8, 8, 8))
+        out = volume._gather_axes(data, mat, dst_axis, (12, 6, 4))
+        assert np.array_equal(out, slab_loop_nearest(data, np.eye(4), mat, (12, 6, 4)))
+
+    @pytest.mark.parametrize("kind", ["oblique-10deg", "diagonal-1e-17"])
+    def test_other_grids_take_the_slab_loop(self, kind, gathers):
+        if kind == "oblique-10deg":
+            dst = oblique_affine(10.0)
+        else:
+            dst = np.diag([2.0, 2.0, 2.0, 1.0])
+            dst[:3, 3] = 0.5
+            dst[0, 1] = dst[1, 2] = dst[2, 0] = 1e-17
+        out = self.check(self.labels((12, 12, 10)), np.eye(4), dst, (8, 9, 7))
+        assert out.any() and gathers == []
 
 
 class TestPad:
