@@ -70,8 +70,12 @@ MIN_COUNT_ENTRIES = 1 << 16
 def _blur_matrix(n, sp, theta):
     """Gaussian weights between the n voxels, sp mm apart, of one axis."""
     lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    m = np.exp(-((lag * sp) ** 2) / (2 * theta**2))
-    m[lag > np.ceil(TRUNCATE * theta / sp)] = 0.0
+    dist = lag * sp
+    # past 40 bandwidths the exponent is below -800 and exp gives exactly 0,
+    # so those taps are left 0 rather than formed, which could overflow
+    near = (lag <= np.ceil(TRUNCATE * theta / sp)) & (dist <= 40 * theta)
+    m = np.zeros((n, n))
+    m[near] = np.exp(-(dist[near] ** 2) / (2 * theta**2))
     return m
 
 

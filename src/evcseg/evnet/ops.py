@@ -7,12 +7,18 @@ float32 training share one code path.
 
 conv3d is cross-correlation (no kernel flip) summed offset by offset: each
 kernel tap kernel[:, :, i, j, l] meets one strided window of the padded
-input, so no window matrix is built. Each offset's product is accumulated
-in place by one BLAS gemm with beta = 1, so no per-offset product array
-is allocated and no second add pass runs. The kernel gradient contracts the
-output gradient with the same windows, and the input gradient is the
-forward correlation again (conv3d_transpose). The stride-2 2x2x2 down
-convolution is conv3d at stride 2, and the up convolution its transpose.
+input, so no window matrix is built. The padded input is copied once into
+a flat, channel-major buffer split into its stride phases (one at stride
+1, eight at stride 2), each zero-filled to the phase grid ceil(n / s).
+Every tap's window is then one contiguous slice of that buffer, taken at
+every phase-grid voxel, so no window is copied; the outputs off the
+strided grid read across rows and are cut off at the end. Each offset's
+product is accumulated in place by one BLAS gemm with beta = 1, so no
+per-offset product array is allocated and no second add pass runs. The
+kernel gradient contracts the output gradient with the same windows,
+gathered tap by tap, and the input gradient is the forward correlation
+again (conv3d_transpose). The stride-2 2x2x2 down convolution is conv3d
+at stride 2, and the up convolution its transpose.
 """
 
 from __future__ import annotations
@@ -32,26 +38,19 @@ def conv3d_output_shape(spatial, kernel, stride, padding):
     return tuple((n + 2 * padding - kernel) // stride + 1 for n in spatial)
 
 
-def _offset_windows(xp, kshape, stride, out_sp):
-    """Yield ((i, j, l), window) for every kernel offset.
+def _kernel_grad(xp, g, kshape, stride):
+    """Gradient of <g, conv(xp, K)> in K, shape (o, c, *kshape), for g (n, o, *out).
 
-    window is the part of xp that kernel[:, :, i, j, l] meets, flattened
-    channel-major to (c, n * out voxels), so that each contraction over
-    channels is one matrix product.
+    Each tap contracts g with the strided window of xp it met, flattened
+    channel-major to (c, n * out voxels).
     """
     s = stride
-    ed, eh, ew = (s * (m - 1) + 1 for m in out_sp)
-    for i, j, l in np.ndindex(*kshape):
-        win = xp[:, :, i : i + ed : s, j : j + eh : s, l : l + ew : s]
-        yield (i, j, l), win.swapaxes(0, 1).reshape(xp.shape[1], -1)
-
-
-def _kernel_grad(xp, g, kshape, stride):
-    """Gradient of <g, conv(xp, K)> in K, shape (o, c, *kshape), for g (n, o, *out)."""
+    ed, eh, ew = (s * (m - 1) + 1 for m in g.shape[2:])
     gmat = g.swapaxes(0, 1).reshape(g.shape[1], -1)
     grad = np.empty((g.shape[1], xp.shape[1], *kshape), dtype=np.result_type(xp, g))
-    for (i, j, l), win in _offset_windows(xp, kshape, stride, g.shape[2:]):
-        grad[:, :, i, j, l] = np.dot(gmat, win.T)
+    for i, j, l in np.ndindex(*kshape):
+        win = xp[:, :, i : i + ed : s, j : j + eh : s, l : l + ew : s]
+        grad[:, :, i, j, l] = np.dot(gmat, win.swapaxes(0, 1).reshape(xp.shape[1], -1).T)
     return grad
 
 
@@ -69,13 +68,31 @@ def conv3d_forward(x, kernel, bias, stride=1, padding=0):
         raise GeometryError(f"conv output shape {out_sp} is empty for input {(d, h, w)}")
     xp = np.pad(x, ((0, 0), (0, 0)) + ((padding, padding),) * 3) if padding else x
     dtype = np.result_type(x, kernel, bias)
-    # (voxels, o) in Fortran order, the layout gemm updates in place
-    acc = np.zeros((n * np.prod(out_sp), o), dtype=dtype, order="F")
-    gemm = get_blas_funcs("gemm", (acc,))
-    for (i, j, l), win in _offset_windows(xp, (kd, kh, kw), stride, out_sp):
+    # for a dtype BLAS lacks, gemm sums in a dtype of its own
+    gemm = get_blas_funcs("gemm", dtype=dtype)
+    s = stride
+    # phase (a, b, e) of xp is xp[:, :, a::s, b::s, e::s], stored channel-major
+    # as (c, n, *q) on the phase grid q = ceil(padded size / s), zero past its
+    # extent; the phases follow one another, then the kernel's reach of zeros
+    qd, qh, qw = (-(-m // s) for m in xp.shape[2:])
+    m = n * qd * qh * qw
+    reach = ((kd - 1) // s * qh + (kh - 1) // s) * qw + (kw - 1) // s
+    flat = np.zeros(s**3 * c * m + reach, dtype=gemm.dtype)
+    phases = flat[: s**3 * c * m].reshape(s, s, s, c, n, qd, qh, qw)
+    for a, b, e in np.ndindex(s, s, s):
+        src = xp[:, :, a::s, b::s, e::s].swapaxes(0, 1)
+        phases[a, b, e, :, :, : src.shape[2], : src.shape[3], : src.shape[4]] = src
+    # (phase-grid voxels, o) in Fortran order, the layout gemm updates in place
+    acc = np.zeros((m, o), dtype=gemm.dtype, order="F")
+    for i, j, l in np.ndindex(kd, kh, kw):
+        phase = ((i % s) * s + j % s) * s + l % s
+        base = phase * c * m + ((i // s) * qh + j // s) * qw + l // s
+        # the window of tap (i, j, l) at every phase-grid voxel; a voxel
+        # outside out_sp reads across rows and is cut off below
+        win = flat[base : base + c * m].reshape(c, m)
         acc = gemm(1.0, win.T, kernel[:, :, i, j, l].T, beta=1.0, c=acc, overwrite_c=True)
-    # for a dtype BLAS lacks, gemm summed in a copy of its own dtype
-    y = np.ascontiguousarray(acc.T.reshape(o, n, *out_sp).swapaxes(0, 1), dtype=dtype)
+    grid = acc.T.reshape(o, n, qd, qh, qw)[:, :, : out_sp[0], : out_sp[1], : out_sp[2]]
+    y = np.ascontiguousarray(grid.swapaxes(0, 1), dtype=dtype)
     y += bias.reshape(1, o, 1, 1, 1)
     cache = (xp, kernel, stride, padding, out_sp, x.shape)
     return y, cache

@@ -6,6 +6,7 @@ before the mean-field machinery built on them is trusted.
 """
 
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -424,6 +425,34 @@ class TestGaussianBlur:
         assert out.shape == field.shape
         scale = expected.max() - expected.min()
         assert np.max(np.abs(out - expected)) <= 1e-12 * scale
+
+
+class TestBlurMatrixRange:
+    """Blur matrices at bandwidths just above the normal-square floor."""
+
+    @pytest.mark.parametrize("theta", [0.05, 1.5, 3.0, 4.0, 40.0])
+    def test_in_range_matrix_is_the_whole_grid_formula(self, theta):
+        for n, sp in itertools.product([1, 8, 33], [0.7, 1.0, 2.0, 7.0]):
+            lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+            expected = np.exp(-((lag * sp) ** 2) / (2 * theta**2))
+            expected[lag > np.ceil(bilateral.TRUNCATE * theta / sp)] = 0.0
+            got = bilateral._blur_matrix(n, sp, theta)
+            assert got.tobytes() == expected.tobytes(), (n, sp)
+
+    @pytest.mark.parametrize("field", ["theta_alpha", "theta_gamma"])
+    @pytest.mark.parametrize("spacing", [1.0, 7.0])
+    def test_tiny_spatial_bandwidth_runs_clean(self, field, spacing):
+        # at 2e-154, (lag * sp)**2 / (2 * theta**2) leaves the float64 range a
+        # few voxels out (one at 7 mm); the RuntimeWarning filter turns any
+        # such overflow into an error
+        rng = np.random.default_rng(5)
+        affine = np.diag([spacing, spacing, spacing, 1.0])
+        fg = rng.uniform(0.05, 0.95, size=(8, 8, 8))
+        p = ProbMap(np.stack([1.0 - fg, fg]), affine)
+        vol = Volume(rng.uniform(size=(8, 8, 8)), affine)
+        mask, state = refine(p, vol, CrfConfig(**{field: 2e-154}))
+        assert np.isfinite(state.q).all()
+        assert mask.data.shape == (8, 8, 8)
 
 
 class TestBilateralMemory:

@@ -12,6 +12,7 @@ import pytest
 import evcseg.evnet.network as network
 from evcseg.evnet import ops
 from conftest import rewrite_manifest
+from test_evnet_ops import offset_loop_conv3d
 from evcseg.errors import (
     BadMagicError,
     ConfigError,
@@ -243,6 +244,39 @@ class TestBackward:
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout.strip())
         assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_bytes_match_offset_loop_convolution(self, monkeypatch, levels):
+        # every correlation in the network (block and head convs, the down
+        # conv, and each input gradient and up conv through conv3d_transpose)
+        # must give the bytes of one np.dot product per kernel tap
+        cfg = EvNetConfig(levels=levels, base_channels=2, seed=14)
+        rng = np.random.default_rng(107)
+        params = init_params(cfg, np.float32)
+        x = rng.standard_normal((2, 1, 8, 8, 8)).astype(np.float32)
+
+        def run():
+            probs, cache = evnet_forward(x, params, cfg, want_cache=True)
+            return probs, evnet_backward(probs - 0.5, cache, cfg)
+
+        def reference(x, kernel, bias, stride=1, padding=0):
+            # C order, as conv3d_forward returns: later reductions sum in
+            # memory order
+            y = np.ascontiguousarray(offset_loop_conv3d(x, kernel, bias, stride, padding))
+            out_sp = y.shape[2:]
+            xp = np.pad(x, ((0, 0), (0, 0)) + ((padding, padding),) * 3) if padding else x
+            return y, (xp, kernel, stride, padding, out_sp, x.shape)
+
+        probs, grads = run()
+        monkeypatch.setattr(ops, "conv3d_forward", reference)
+        monkeypatch.setattr(network, "conv3d_forward", reference)
+        ref_probs, ref_grads = run()
+        assert probs.dtype == ref_probs.dtype == np.float32
+        assert probs.tobytes() == ref_probs.tobytes()
+        assert sorted(grads) == sorted(ref_grads) == sorted(params)
+        for k in grads:
+            assert grads[k].dtype == ref_grads[k].dtype == np.float32, k
+            assert grads[k].tobytes() == ref_grads[k].tobytes(), k
 
     def test_grad_shapes_match_params(self):
         cfg = EvNetConfig(levels=3, base_channels=2, seed=12)

@@ -260,6 +260,26 @@ class TestInPlaceAccumulation:
             assert y.dtype == dtype
             np.testing.assert_array_equal(y, offset_loop_conv3d(x, kernel, bias, s, p))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "k,p,shape",
+        [(3, 1, (7, 5, 9)), (2, 0, (6, 5, 4))],
+        ids=["3cube_padded_odd", "2cube_one_odd_axis"],
+    )
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_stride2_phase_rounding_bit_identical(self, dtype, k, p, shape, batch):
+        # odd padded sizes give stride phases of unequal extent, zero-filled
+        # up to the phase grid ceil(n / 2)
+        rng = np.random.default_rng((k, p, batch, np.dtype(dtype).itemsize, 2))
+        for c, o in [(1, 2), (2, 5), (3, 3), (4, 2)]:
+            x = rng.standard_normal((batch, c, *shape)).astype(dtype)
+            kernel = rng.standard_normal((o, c, k, k, k)).astype(dtype)
+            bias = rng.standard_normal(o).astype(dtype)
+            y, _ = ops.conv3d_forward(x, kernel, bias, stride=2, padding=p)
+            assert y.dtype == dtype
+            assert y.shape[2:] == ops.conv3d_output_shape(shape, k, 2, p)
+            np.testing.assert_array_equal(y, offset_loop_conv3d(x, kernel, bias, 2, p))
+
     @pytest.mark.parametrize("dtypes", [
         ("f4", "f4", "f8"), ("f4", "f8", "f4"), ("f8", "f4", "f4"),
     ])
@@ -572,6 +592,20 @@ class TestConvMemory:
         (y, cache), fwd_peak = _traced_peak(ops.conv3d_forward, x, kernel, bias, 1, 2)
         gy = rng.standard_normal(y.shape).astype(np.float32)
         _, bwd_peak = _traced_peak(ops.conv3d_backward, gy, cache)
+        budget = 16 * (x.nbytes + y.nbytes)
+        assert fwd_peak < budget, (fwd_peak, budget)
+        assert bwd_peak < budget, (bwd_peak, budget)
+
+    def test_downconv_peak_stays_near_tensor_size(self):
+        # the level-0 down conv at the default grid: c2 -> o4, 2^3 at stride
+        # 2, 32^3, float32; its eight stride phases make one padded copy
+        rng = np.random.default_rng(84)
+        x = rng.standard_normal((1, 2, 32, 32, 32)).astype(np.float32)
+        kernel = rng.standard_normal((4, 2, 2, 2, 2)).astype(np.float32)
+        bias = np.zeros(4, np.float32)
+        (y, cache), fwd_peak = _traced_peak(ops.downconv_forward, x, kernel, bias)
+        gy = rng.standard_normal(y.shape).astype(np.float32)
+        _, bwd_peak = _traced_peak(ops.downconv_backward, gy, cache)
         budget = 16 * (x.nbytes + y.nbytes)
         assert fwd_peak < budget, (fwd_peak, budget)
         assert bwd_peak < budget, (bwd_peak, budget)
