@@ -15,9 +15,10 @@ every phase-grid voxel, so no window is copied; the outputs off the
 strided grid read across rows and are cut off at the end. Each offset's
 product is accumulated in place by one BLAS gemm with beta = 1, so no
 per-offset product array is allocated and no second add pass runs. The
-kernel gradient contracts the output gradient with the same windows,
-gathered tap by tap, and the input gradient is the forward correlation
-again (conv3d_transpose). The stride-2 2x2x2 down convolution is conv3d
+kernel gradient contracts the output gradient, placed on the same phase
+grid and zero off the strided outputs, with the same contiguous windows,
+and the input gradient is the forward correlation again
+(conv3d_transpose). The stride-2 2x2x2 down convolution is conv3d
 at stride 2, and the up convolution its transpose.
 """
 
@@ -38,19 +39,54 @@ def conv3d_output_shape(spatial, kernel, stride, padding):
     return tuple((n + 2 * padding - kernel) // stride + 1 for n in spatial)
 
 
+def _phase_windows(xp, kshape, stride, dtype):
+    """Every tap's window of xp (n, c, *padded) as one contiguous slice.
+
+    xp is copied once, as dtype, into a flat buffer split into its stride
+    phases: phase (a, b, e) is xp[:, :, a::s, b::s, e::s], stored
+    channel-major as (c, n, *q) on the phase grid q = ceil(padded size / s),
+    zero past its extent; the phases follow one another, then the kernel's
+    reach of zeros. Returns (q, taps), where taps lists ((i, j, l), win) in
+    kernel order and win, shape (c, n * prod(q)), is the window of tap
+    (i, j, l) at every phase-grid voxel. A voxel off the strided output grid
+    reads across rows; its result is meaningless and must be cut off or
+    weighted by zero.
+    """
+    n, c = xp.shape[:2]
+    kd, kh, kw = kshape
+    s = stride
+    qd, qh, qw = (-(-m // s) for m in xp.shape[2:])
+    m = n * qd * qh * qw
+    reach = ((kd - 1) // s * qh + (kh - 1) // s) * qw + (kw - 1) // s
+    flat = np.zeros(s**3 * c * m + reach, dtype=dtype)
+    phases = flat[: s**3 * c * m].reshape(s, s, s, c, n, qd, qh, qw)
+    for a, b, e in np.ndindex(s, s, s):
+        src = xp[:, :, a::s, b::s, e::s].swapaxes(0, 1)
+        phases[a, b, e, :, :, : src.shape[2], : src.shape[3], : src.shape[4]] = src
+    taps = []
+    for i, j, l in np.ndindex(kd, kh, kw):
+        phase = ((i % s) * s + j % s) * s + l % s
+        base = phase * c * m + ((i // s) * qh + j // s) * qw + l // s
+        taps.append(((i, j, l), flat[base : base + c * m].reshape(c, m)))
+    return (qd, qh, qw), taps
+
+
 def _kernel_grad(xp, g, kshape, stride):
     """Gradient of <g, conv(xp, K)> in K, shape (o, c, *kshape), for g (n, o, *out).
 
-    Each tap contracts g with the strided window of xp it met, flattened
-    channel-major to (c, n * out voxels).
+    g is placed on xp's phase grid, zero at every voxel that is no output,
+    and each tap contracts it with its window from _phase_windows, so no
+    window is copied.
     """
-    s = stride
-    ed, eh, ew = (s * (m - 1) + 1 for m in g.shape[2:])
-    gmat = g.swapaxes(0, 1).reshape(g.shape[1], -1)
-    grad = np.empty((g.shape[1], xp.shape[1], *kshape), dtype=np.result_type(xp, g))
-    for i, j, l in np.ndindex(*kshape):
-        win = xp[:, :, i : i + ed : s, j : j + eh : s, l : l + ew : s]
-        grad[:, :, i, j, l] = np.dot(gmat, win.swapaxes(0, 1).reshape(xp.shape[1], -1).T)
+    dtype = np.result_type(xp, g)
+    q, taps = _phase_windows(xp, kshape, stride, dtype)
+    n, o, od, oh, ow = g.shape
+    gph = np.zeros((o, n, *q), dtype=g.dtype)
+    gph[:, :, :od, :oh, :ow] = g.swapaxes(0, 1)
+    gmat = gph.reshape(o, -1)
+    grad = np.empty((o, xp.shape[1], *kshape), dtype=dtype)
+    for (i, j, l), win in taps:
+        grad[:, :, i, j, l] = np.dot(gmat, win.T)
     return grad
 
 
@@ -70,27 +106,12 @@ def conv3d_forward(x, kernel, bias, stride=1, padding=0):
     dtype = np.result_type(x, kernel, bias)
     # for a dtype BLAS lacks, gemm sums in a dtype of its own
     gemm = get_blas_funcs("gemm", dtype=dtype)
-    s = stride
-    # phase (a, b, e) of xp is xp[:, :, a::s, b::s, e::s], stored channel-major
-    # as (c, n, *q) on the phase grid q = ceil(padded size / s), zero past its
-    # extent; the phases follow one another, then the kernel's reach of zeros
-    qd, qh, qw = (-(-m // s) for m in xp.shape[2:])
-    m = n * qd * qh * qw
-    reach = ((kd - 1) // s * qh + (kh - 1) // s) * qw + (kw - 1) // s
-    flat = np.zeros(s**3 * c * m + reach, dtype=gemm.dtype)
-    phases = flat[: s**3 * c * m].reshape(s, s, s, c, n, qd, qh, qw)
-    for a, b, e in np.ndindex(s, s, s):
-        src = xp[:, :, a::s, b::s, e::s].swapaxes(0, 1)
-        phases[a, b, e, :, :, : src.shape[2], : src.shape[3], : src.shape[4]] = src
+    (qd, qh, qw), taps = _phase_windows(xp, (kd, kh, kw), stride, gemm.dtype)
     # (phase-grid voxels, o) in Fortran order, the layout gemm updates in place
-    acc = np.zeros((m, o), dtype=gemm.dtype, order="F")
-    for i, j, l in np.ndindex(kd, kh, kw):
-        phase = ((i % s) * s + j % s) * s + l % s
-        base = phase * c * m + ((i // s) * qh + j // s) * qw + l // s
-        # the window of tap (i, j, l) at every phase-grid voxel; a voxel
-        # outside out_sp reads across rows and is cut off below
-        win = flat[base : base + c * m].reshape(c, m)
+    acc = np.zeros((n * qd * qh * qw, o), dtype=gemm.dtype, order="F")
+    for (i, j, l), win in taps:
         acc = gemm(1.0, win.T, kernel[:, :, i, j, l].T, beta=1.0, c=acc, overwrite_c=True)
+    # outputs off the strided grid read across rows; cut them off
     grid = acc.T.reshape(o, n, qd, qh, qw)[:, :, : out_sp[0], : out_sp[1], : out_sp[2]]
     y = np.ascontiguousarray(grid.swapaxes(0, 1), dtype=dtype)
     y += bias.reshape(1, o, 1, 1, 1)

@@ -21,10 +21,11 @@ def sgd_step(params, grads, velocity, lr, momentum):
         (new_params, new_velocity); inputs are left untouched.
 
     Raises:
-        TrainingError: if any gradient entry is non-finite.
+        TrainingError: if any gradient entry, or any parameter after the
+            update, is non-finite.
     """
-    if lr < 0:
-        raise ConfigError(f"learning rate must be >= 0, got {lr}")
+    if not (np.isfinite(lr) and lr >= 0):
+        raise ConfigError(f"learning rate must be finite and >= 0, got {lr}")
     if not 0 <= momentum < 1:
         raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
     if set(grads) != set(params):
@@ -36,7 +37,11 @@ def sgd_step(params, grads, velocity, lr, momentum):
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient in {name}")
-        v = momentum * velocity[name] + g if velocity is not None else g.copy()
+        # an update that overflows is reported below, without numpy's warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = momentum * velocity[name] + g if velocity is not None else g.copy()
+            new_params[name] = p - lr * v
         new_velocity[name] = v
-        new_params[name] = p - lr * v
+        if not np.all(np.isfinite(new_params[name])):
+            raise TrainingError(f"non-finite {name} after the update at learning rate {lr}")
     return new_params, new_velocity

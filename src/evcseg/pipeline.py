@@ -336,6 +336,10 @@ class TrainConfig:
             raise ConfigError(f"holdout must be >= 0, got {self.holdout}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not (np.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
 
     def resolved_log(self) -> Path:
         if self.log_path is not None:

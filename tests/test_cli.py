@@ -175,6 +175,22 @@ class TestTrainCommand:
         assert code == 4
         assert "non-finite training loss at epoch 0, batch 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--lr", "nan"), ("--lr", "inf"), ("--lr", "-0.1"), ("--momentum", "nan"), ("--momentum", "1")],
+    )
+    def test_bad_rate_rejected_before_any_file(self, phantom_dataset, tmp_path, capsys, flag, value):
+        # refused with the config: a rate that cannot train must leave no
+        # checkpoint of non-finite weights behind
+        out = tmp_path / "c.evc"
+        code = run(
+            ["train", "--data", str(phantom_dataset), "--out", str(out),
+             "--epochs", "1", flag, value, "--base-channels", "2", *GRID_FLAGS]
+        )
+        assert code == 3
+        assert flag.lstrip("-") in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_data_dir(self, tmp_path, capsys):
         code = run(
             ["train", "--data", str(tmp_path), "--out", str(tmp_path / "c.evc"),

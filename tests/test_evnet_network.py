@@ -424,6 +424,22 @@ class TestSgdStep:
         with pytest.raises(ConfigError):
             sgd_step(params, grads, None, lr=0.1, momentum=1.0)
 
+    def test_non_finite_hyperparameters(self):
+        params = {"w": np.ones(1)}
+        grads = {"w": np.ones(1)}
+        for lr in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="learning rate"):
+                sgd_step(params, grads, None, lr=lr, momentum=0.0)
+        with pytest.raises(ConfigError, match="momentum"):
+            sgd_step(params, grads, None, lr=0.1, momentum=np.nan)
+
+    def test_overflowing_update_names_parameter(self):
+        # a finite but huge rate overflows float32: 1e38 * 1e2 > 3.4e38
+        params = {"a": np.ones(2, np.float32), "w": np.ones(3, np.float32)}
+        grads = {"a": np.zeros(2, np.float32), "w": np.full(3, 1e2, np.float32)}
+        with pytest.raises(TrainingError, match="non-finite w after the update"):
+            sgd_step(params, grads, None, lr=1e38, momentum=0.0)
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):

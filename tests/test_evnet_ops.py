@@ -115,6 +115,18 @@ def offset_loop_conv3d(x, kernel, bias, stride, padding):
     return y + bias.reshape(1, o, 1, 1, 1)
 
 
+def gathered_kernel_grad(xp, g, kshape, stride):
+    """The kernel gradient tap by tap, each strided window of xp gathered into a copy."""
+    s = stride
+    ed, eh, ew = (s * (m - 1) + 1 for m in g.shape[2:])
+    gmat = g.swapaxes(0, 1).reshape(g.shape[1], -1)
+    grad = np.empty((g.shape[1], xp.shape[1], *kshape), dtype=np.result_type(xp, g))
+    for i, j, l in np.ndindex(*kshape):
+        win = xp[:, :, i : i + ed : s, j : j + eh : s, l : l + ew : s]
+        grad[:, :, i, j, l] = np.dot(gmat, win.swapaxes(0, 1).reshape(xp.shape[1], -1).T)
+    return grad
+
+
 class TestConv3d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(42)
@@ -291,6 +303,63 @@ class TestInPlaceAccumulation:
         y, _ = ops.conv3d_forward(x, kernel, bias, padding=1)
         assert y.dtype == np.result_type(x, kernel, bias)
         np.testing.assert_allclose(y, offset_loop_conv3d(x, kernel, bias, 1, 1), rtol=1e-5, atol=1e-5)
+
+
+class TestKernelGrad:
+    """The kernel gradient on the phase grid against the gathered windows.
+
+    Off the output grid the phase grid adds zero-weighted voxels, which
+    moves the sum's rounding; where the phase grid is the output grid (the
+    2x2x2 stride-2 pair on even extents) the products and their order are
+    the reference's, and so are the bits.
+    """
+
+    REL = {np.float32: 1e-5, np.float64: 1e-12}
+    PAIRS = [(1, 2), (2, 5), (3, 3), (4, 2), (2, 1)]
+
+    def assert_matches(self, got, ref, exact):
+        assert got.dtype == ref.dtype
+        if exact:
+            np.testing.assert_array_equal(got, ref)
+        else:
+            assert np.abs(got - ref).max() <= self.REL[got.dtype.type] * np.abs(ref).max()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "k,s,p,shape",
+        [
+            (5, 1, 2, (6, 8, 4)),
+            (3, 2, 1, (7, 5, 9)),
+            (2, 2, 0, (6, 5, 4)),
+            (2, 2, 0, (6, 8, 4)),
+        ],
+        ids=["5cube_padded", "3cube_stride2_odd", "2cube_stride2_one_odd_axis", "2cube_stride2_even"],
+    )
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_matches_gathered_windows(self, dtype, k, s, p, shape, batch):
+        rng = np.random.default_rng((k, s, p, *shape, batch, np.dtype(dtype).itemsize))
+        exact = s == k == 2 and not any(m % 2 for m in shape)
+        for c, o in self.PAIRS:
+            x = rng.standard_normal((batch, c, *shape)).astype(dtype)
+            kernel = rng.standard_normal((o, c, k, k, k)).astype(dtype)
+            y, cache = ops.conv3d_forward(x, kernel, np.zeros(o, dtype), stride=s, padding=p)
+            g = rng.standard_normal(y.shape).astype(dtype)
+            got, _ = ops.conv3d_param_grads(g, cache)
+            self.assert_matches(got, gathered_kernel_grad(cache[0], g, kernel.shape[2:], s), exact)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_upconv_role(self, dtype, batch):
+        # upconv_backward passes the larger grad_y as xp and the up conv's
+        # input as g, at stride 2; the phase grid is then g's own grid
+        rng = np.random.default_rng((batch, np.dtype(dtype).itemsize, 17))
+        for c_in, c_out in self.PAIRS:
+            x = rng.standard_normal((batch, c_in, 3, 2, 5)).astype(dtype)
+            kernel = rng.standard_normal((c_in, c_out, 2, 2, 2)).astype(dtype)
+            y, cache = ops.upconv_forward(x, kernel, np.zeros(c_out, dtype))
+            gy = rng.standard_normal(y.shape).astype(dtype)
+            _, got, _ = ops.upconv_backward(gy, cache)
+            self.assert_matches(got, gathered_kernel_grad(gy, x, kernel.shape[2:], 2), True)
 
 
 class TestDownUpConv:

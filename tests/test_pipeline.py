@@ -1,6 +1,11 @@
 """Tests for the extract / train / evaluate orchestration layer."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +27,7 @@ from evcseg.pipeline import (
     train,
     worker_count,
 )
-from evcseg.synth import make_phantom
+from evcseg.synth import make_phantom, synth_dataset
 from evcseg.volume import LabelMask, Volume, mask_to_native
 
 FAST_CRF = CrfConfig(iterations=0)
@@ -228,6 +233,23 @@ class TestExtract:
             extract(cfg)
 
 
+def train_digests(data_dir, out):
+    """sha256 of the checkpoint and loss log of one small 32^3 training run."""
+    res = train(
+        TrainConfig(
+            data_dir=data_dir,
+            checkpoint_path=out,
+            epochs=2,
+            lr=0.05,
+            holdout=1,
+            seed=4,
+            evnet=EvNetConfig(base_channels=2, seed=4),
+            grid=GridConfig(pad_shape=(32, 32, 32), resize_half=False),
+        )
+    )
+    return [hashlib.sha256(p.read_bytes()).hexdigest() for p in (res.checkpoint_path, res.log_path)]
+
+
 class TestTrain:
     def toy_train_config(self, dataset, path, **overrides):
         defaults = dict(
@@ -301,6 +323,25 @@ class TestTrain:
         cfg = self.toy_train_config(phantom_dataset, tmp_path / "t.evc", epochs=3, lr=1e10)
         with pytest.raises(TrainingError, match="non-finite training loss at epoch 0, batch 1"):
             train(cfg)
+
+    def test_bytes_do_not_depend_on_reruns_or_blas_threads(self, tmp_path):
+        # the kernel gradient sums over the forward's phase grid, zeros
+        # included; checkpoint and loss log must still repeat byte for byte
+        synth_dataset(n=3, size=32, seed=5, out_dir=tmp_path / "data")
+        digests = [train_digests(tmp_path / "data", tmp_path / f"{r}.evc") for r in "ab"]
+        tests = str(Path(__file__).resolve().parent)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = "import sys; from test_pipeline import train_digests; print(*train_digests(*sys.argv[1:]))"
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                [src, tests, *filter(None, [os.environ.get("PYTHONPATH")])])}
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / "data"), str(tmp_path / f"t{threads}.evc")],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.split())
+        assert all(d == digests[0] for d in digests), digests
 
     def test_holdout_too_large(self, phantom_dataset, tmp_path):
         with pytest.raises(ConfigError, match="holdout"):
