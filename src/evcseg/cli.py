@@ -173,9 +173,10 @@ def _cmd_train(args) -> int:
 def _cmd_refine(args) -> int:
     probs = read_probmap(args.prob)
     image = read_nifti(args.image)
-    mask, state = refine(probs, image, _crf_from_args(args))
+    cfg = _crf_from_args(args)
+    mask, _ = refine(probs, image, cfg)
     write_nifti(mask, args.out)
-    print(f"wrote {args.out} ({len(state.free_energy_trace) - 1} updates)")
+    print(f"wrote {args.out} ({cfg.iterations} updates)")
     return EXIT_OK
 
 

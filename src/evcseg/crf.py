@@ -18,14 +18,15 @@ kernel evaluation, so the bandwidths keep their meaning across scanners.
 
 Each state carries the message of its marginals, which gives both its
 free energy and the next parallel update, so a refinement of n sweeps
-makes 1 + n message passes. The message pass is linear and the two
-labels' marginals sum to 1, so the filtered backend filters labels 1..
-only: label 0's message is the kernel mass (the pass over a field of
-ones) minus theirs. The first pass filters the ones field alongside the
-foreground, and the states carry the mass forward. They also carry the
-bilateral filter's per-cell records (`bilateral.cell_records`), which
-depend on the intensities alone: the first state builds them, and every
-pass of the refinement reuses them.
+makes 1 + n message passes for n >= 1, and none at 0, where it is the
+argmax of the input map. The message pass is linear and the two labels'
+marginals sum to 1, so the filtered backend filters labels 1.. only:
+label 0's message is the kernel mass (the pass over a field of ones)
+minus theirs. The first pass filters the ones field alongside the
+foreground, and the states carry the mass forward. They also carry what
+the backend builds from the volume alone, once per refinement: the brute
+kernel matrix, or the bilateral filter's per-cell records
+(`bilateral.cell_records`), which every pass reuses.
 
 Marginals below the smallest normal float64 are set to 0. Messages reach
 several hundred kernel units, so a confident voxel's losing label can
@@ -80,8 +81,9 @@ class CrfConfig:
             raise ConfigError(
                 f"kernel bandwidths must have normal float64 squares, got {thetas}"
             )
-        if self.iterations < 0:
-            raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
+        n = self.iterations
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ConfigError(f"iterations must be an integer >= 0, got {n!r}")
         if self.backend not in ("brute", "filtered"):
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.update_order not in ("parallel", "sequential"):
@@ -107,10 +109,11 @@ class MeanFieldState:
     backend that made the state; the next parallel sweep updates from it.
     mass is the filtered backend's message of a field of ones, shaped (N,),
     from which label 0's message follows; None under the brute backend.
-    trace_exact is False once any entry came from the filtered backend's
-    approximate kernel sums. cells holds the filtered backend's bilateral
-    records for the volume (see bilateral.cell_records), built once with the
-    first state; None under the brute backend or without an appearance term.
+    trace_exact is False under the filtered backend, whose kernel sums are
+    approximate. kernel holds what the backend built for the volume with the
+    first state: the dense kernel matrix under brute, the bilateral records
+    (see bilateral.cell_records) under filtered, or None there without an
+    appearance term.
     """
 
     q: np.ndarray
@@ -118,7 +121,7 @@ class MeanFieldState:
     free_energy_trace: tuple
     trace_exact: bool = True
     mass: np.ndarray | None = None
-    cells: list | None = None
+    kernel: np.ndarray | list | None = None
 
 
 def unary_from_probmap(p: ProbMap) -> UnaryField:
@@ -185,8 +188,8 @@ def filtered_message_pass(q, vol: Volume, cfg: CrfConfig, cells=None):
     spatial Gaussian blur at theta_gamma; the appearance part is the
     bilateral filter over intensity (in theta_beta units) and space
     (theta_alpha); the self term (w_appearance + w_smoothness) q_i is
-    removed. cells are the filter's records for vol and cfg (a state's
-    cells); None builds them during the pass.
+    removed. cells are the filter's records for vol and cfg (a filtered
+    state's kernel); None builds them during the pass.
     """
     out = np.zeros(q.shape)
     if cfg.w_appearance > 0:
@@ -198,17 +201,17 @@ def filtered_message_pass(q, vol: Volume, cfg: CrfConfig, cells=None):
     return out
 
 
-def _scored(q, uf, vol, cfg, k, trace, exact, mass, cells) -> MeanFieldState:
+def _scored(q, uf, vol, cfg, trace, mass, kernel) -> MeanFieldState:
     """State for marginals q: their message, and their free energy appended
-    to trace. k is the brute kernel matrix, or None for the filtered backend,
-    whose kernel mass is filtered along with labels 1.. when mass is None,
-    through the bilateral records cells."""
+    to trace. kernel is the state's (see MeanFieldState); the filtered
+    backend filters the kernel mass along with labels 1.. when mass is None."""
     qf = q.reshape(uf.shape)
-    if k is not None:
-        m = qf @ k  # k is symmetric
+    exact = cfg.backend == "brute"
+    if exact:
+        m = qf @ kernel  # the kernel matrix is symmetric
     else:
         rest = q[1:] if mass is not None else np.concatenate([np.ones_like(q[:1]), q[1:]])
-        rest = filtered_message_pass(rest, vol, cfg, cells).reshape(len(rest), -1)
+        rest = filtered_message_pass(rest, vol, cfg, kernel).reshape(len(rest), -1)
         if mass is None:
             mass, rest = rest[0], rest[1:]
         m = np.concatenate([(mass - rest.sum(axis=0))[None], rest])
@@ -216,9 +219,9 @@ def _scored(q, uf, vol, cfg, k, trace, exact, mass, cells) -> MeanFieldState:
         q=q,
         message=m,
         free_energy_trace=trace + (_free_energy(qf, uf, m),),
-        trace_exact=exact and k is not None,
+        trace_exact=exact,
         mass=mass,
-        cells=cells,
+        kernel=kernel,
     )
 
 
@@ -232,39 +235,36 @@ def mean_field_step(
     """
     labels = u.neg_log_probs.shape[0]
     uf = u.neg_log_probs.reshape(labels, -1)
-    k = kernel_matrix(vol, cfg) if cfg.backend == "brute" else None
     if cfg.update_order == "parallel":
         q_new = _softmax_labels(-uf + state.message)
     else:
         q_new = state.q.reshape(labels, -1).copy()
         for i in range(q_new.shape[1]):
-            logits = -uf[:, i] + q_new @ k[i]
-            z = np.exp(logits - logits.max())
-            q_new[:, i] = z / z.sum()
-    return _scored(
-        q_new.reshape(state.q.shape), uf, vol, cfg, k,
-        state.free_energy_trace, state.trace_exact, state.mass, state.cells,
-    )
+            q_new[:, i] = _softmax_labels(-uf[:, i] + q_new @ state.kernel[i])
+    q_new = q_new.reshape(state.q.shape)
+    return _scored(q_new, uf, vol, cfg, state.free_energy_trace, state.mass, state.kernel)
 
 
 def _initial_state(u: UnaryField, vol: Volume, cfg: CrfConfig) -> MeanFieldState:
     labels = u.neg_log_probs.shape[0]
     uf = u.neg_log_probs.reshape(labels, -1)
     q0 = _softmax_labels(-uf).reshape(u.neg_log_probs.shape)
-    k = kernel_matrix(vol, cfg) if cfg.backend == "brute" else None
-    cells = None
-    if k is None and cfg.w_appearance > 0 and cfg.iterations > 0:
+    kernel = None
+    if cfg.backend == "brute":
+        kernel = kernel_matrix(vol, cfg)
+    elif cfg.w_appearance > 0:
         # all 1 + iterations passes filter against the same intensities
         inten = _appearance_intensities(vol, cfg)
-        cells = list(cell_records(inten, vol.spacing, cfg.theta_alpha))
-    return _scored(q0, uf, vol, cfg, k, (), True, None, cells)
+        kernel = list(cell_records(inten, vol.spacing, cfg.theta_alpha))
+    return _scored(q0, uf, vol, cfg, (), None, kernel)
 
 
 def refine(p: ProbMap, vol: Volume, cfg: CrfConfig):
     """Mean-field refinement of a probability map against its volume.
 
-    Returns (LabelMask, MeanFieldState). iterations = 0 degenerates to the
-    argmax of the input map.
+    Returns (LabelMask, MeanFieldState). After the grid, affine and label
+    checks, iterations = 0 returns the argmax of the input map and None as
+    the state, without unaries, kernel or message pass.
     """
     if p.data.shape[1:] != vol.data.shape:
         raise GeometryError(
@@ -275,10 +275,10 @@ def refine(p: ProbMap, vol: Volume, cfg: CrfConfig):
         raise GeometryError("probability map and volume affines disagree")
     if p.data.shape[0] != 2:
         raise DomainError("refinement is defined for two-label maps")
+    if cfg.iterations == 0:
+        return LabelMask(np.argmax(p.data, axis=0).astype(np.uint8), vol.affine), None
     u = unary_from_probmap(p)
     state = _initial_state(u, vol, cfg)
     for _ in range(cfg.iterations):
         state = mean_field_step(state, u, vol, cfg)
-    source = p.data if cfg.iterations == 0 else state.q
-    mask = LabelMask(np.argmax(source, axis=0).astype(np.uint8), vol.affine)
-    return mask, state
+    return LabelMask(np.argmax(state.q, axis=0).astype(np.uint8), vol.affine), state

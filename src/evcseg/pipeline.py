@@ -230,7 +230,7 @@ def extract(cfg: PipelineConfig) -> ExtractResult:
     """Run the full extraction chain on one volume and write the mask.
 
     Chain: reorient, resample, normalize, pad, optional halving, network
-    forward pass, CRF refinement (skipped entirely at 0 iterations),
+    forward pass, CRF refinement (the network's argmax at 0 iterations),
     optional component cleanup, nearest-neighbor mapping to the native
     grid, NIfTI write plus JSON transform sidecar. A mask with no foreground
     is still written, and the sidecar flags it ``empty_mask``.
@@ -249,12 +249,7 @@ def extract(cfg: PipelineConfig) -> ExtractResult:
         probs, _ = evnet_forward(x, params, net_cfg)
         prob_map = ProbMap(data=probs[0].astype(np.float64), affine=net_vol.affine)
     with _stage("crf"):
-        if cfg.crf.iterations == 0:
-            # what refine returns at 0 iterations, without its message pass
-            argmax = np.argmax(prob_map.data, axis=0).astype(np.uint8)
-            network_mask = LabelMask(argmax, net_vol.affine)
-        else:
-            network_mask, _ = refine(prob_map, net_vol, cfg.crf)
+        network_mask, _ = refine(prob_map, net_vol, cfg.crf)
     with _stage("cleanup"):
         if cfg.cleanup and network_mask.data.any():
             network_mask = component_cleanup(network_mask)

@@ -469,6 +469,21 @@ class TestRefineCommand:
         assert "affine" in capsys.readouterr().err
         assert not (tmp_path / "m.nii.gz").exists()
 
+    @pytest.mark.parametrize("iterations", ["0", "3"])
+    def test_prints_update_count(self, iterations, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        fg = rng.uniform(0.05, 0.95, size=(6, 6, 6))
+        write_nifti(ProbMap(np.stack([1.0 - fg, fg])), tmp_path / "p.nii.gz")
+        write_nifti(Volume(rng.uniform(size=(6, 6, 6))), tmp_path / "v.nii.gz")
+        out = tmp_path / "m.nii.gz"
+        code = run(
+            ["refine", "--prob", str(tmp_path / "p.nii.gz"),
+             "--image", str(tmp_path / "v.nii.gz"), "--out", str(out),
+             "--crf-iters", iterations]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == f"wrote {out} ({iterations} updates)\n"
+
     def test_refinement_runs_brute(self, tmp_path):
         rng = np.random.default_rng(1)
         fg = rng.uniform(0.05, 0.95, size=(6, 6, 6))

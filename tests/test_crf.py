@@ -617,7 +617,7 @@ class TestRefine:
         cfg = dataclasses.replace(cfg, iterations=0)
         mask, state = refine(p, vol, cfg)
         np.testing.assert_array_equal(mask.data, np.argmax(p.data, axis=0))
-        assert len(state.free_energy_trace) == 1
+        assert state is None
 
     @pytest.mark.parametrize("backend", ["brute", "filtered"])
     def test_zero_pairwise_keeps_argmax(self, backend):
@@ -699,6 +699,69 @@ class TestRefine:
         assert digests[0] == digests[1]
 
 
+class TestZeroIterations:
+    """At 0 iterations refine checks its inputs and returns the argmax of the
+    map, with no state: no unaries, kernel or message pass."""
+
+    @pytest.mark.parametrize("backend", ["brute", "filtered"])
+    def test_argmax_without_kernel_or_message_pass(self, backend, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a 0-iteration refine built a kernel or passed a message")
+
+        monkeypatch.setattr(crf, "filtered_message_pass", forbidden)
+        monkeypatch.setattr(crf, "kernel_matrix", forbidden)
+        p, vol, cfg = random_crf_instance(seed=17)
+        mask, state = refine(p, vol, dataclasses.replace(cfg, backend=backend, iterations=0))
+        assert state is None
+        assert mask.data.dtype == np.uint8
+        np.testing.assert_array_equal(mask.data, np.argmax(p.data, axis=0))
+        np.testing.assert_array_equal(mask.affine, vol.affine)
+
+    @pytest.mark.parametrize(
+        "cfg", [CrfConfig(theta_beta=1e-9, iterations=0), CrfConfig(backend="brute", iterations=0)],
+        ids=["intensity-span-too-wide", "brute-above-cap"],
+    )
+    def test_capacity_limits_wait_for_a_sweep(self, cfg):
+        # with iterations both raise CapacityError: 3e9 filter cells, and
+        # 17^3 voxels above the brute cap
+        rng = np.random.default_rng(4)
+        fg = rng.uniform(0.05, 0.95, size=(17, 17, 17))
+        p, vol = ProbMap(np.stack([1.0 - fg, fg])), Volume(rng.uniform(size=(17, 17, 17)))
+        mask, state = refine(p, vol, cfg)
+        assert state is None
+        np.testing.assert_array_equal(mask.data, np.argmax(p.data, axis=0))
+        with pytest.raises(CapacityError):
+            refine(p, vol, dataclasses.replace(cfg, iterations=1))
+
+    @pytest.mark.parametrize(
+        "probs, affine, error",
+        [
+            (np.full((2, 4, 4, 5), 0.5), np.eye(4), GeometryError),
+            (np.full((2, 4, 4, 4), 0.5), np.diag([3.0, 3.0, 3.0, 1.0]), GeometryError),
+            (np.full((3, 4, 4, 4), 1.0 / 3.0), np.eye(4), DomainError),
+        ],
+        ids=["shape", "affine", "three-labels"],
+    )
+    def test_inputs_still_checked(self, probs, affine, error):
+        with pytest.raises(error):
+            refine(ProbMap(probs, affine), Volume(np.zeros((4, 4, 4))), CrfConfig(iterations=0))
+
+
+class TestKernelBuiltOnce:
+    def test_brute_matrix_built_once_per_refinement(self, monkeypatch):
+        builds = []
+
+        def counting(*args):
+            builds.append(1)
+            return kernel_matrix(*args)
+
+        monkeypatch.setattr(crf, "kernel_matrix", counting)
+        p, vol, cfg = random_crf_instance(seed=19, max_side=7)
+        _, state = refine(p, vol, dataclasses.replace(cfg, backend="brute", iterations=5))
+        assert len(builds) == 1
+        assert len(state.free_energy_trace) == 6 and state.trace_exact
+
+
 class TestBoxedFilterInRefine:
     """refine with the boxed filter against refine with the full-grid loop."""
 
@@ -766,8 +829,8 @@ class TestKeptCellRecords:
         p, vol, cfg = random_crf_instance(seed=201)
         _, state = refine(p, vol, dataclasses.replace(cfg, backend="filtered", iterations=5))
         assert len(builds) == 1 and len(passed) == 6
-        assert isinstance(state.cells, list) and state.cells
-        assert all(cells is state.cells for cells in passed)
+        assert isinstance(state.kernel, list) and state.kernel
+        assert all(cells is state.kernel for cells in passed)
 
     def test_peak_with_every_band_box_whole_grid(self):
         # uniform intensities over 10 bandwidths populate 31 cells, and every
@@ -785,7 +848,7 @@ class TestKeptCellRecords:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(record[-1].nbytes for record in state.cells) == 31 * 32**3 * 8
+        assert sum(record[-1].nbytes for record in state.kernel) == 31 * 32**3 * 8
         assert peak < 16 << 20, peak
 
 
@@ -834,6 +897,15 @@ class TestConfigValidation:
             CrfConfig(backend="exact")
         with pytest.raises(ConfigError):
             CrfConfig(update_order="rowwise")
+
+    @pytest.mark.parametrize("iterations", [True, False, 2.5, 3.0, "3", None])
+    def test_rejects_non_integer_iterations(self, iterations):
+        with pytest.raises(ConfigError, match="iterations must be an integer"):
+            CrfConfig(iterations=iterations)
+
+    @pytest.mark.parametrize("iterations", [0, 3, np.int64(3), np.int32(0), np.uint8(2)])
+    def test_accepts_integer_iterations(self, iterations):
+        assert CrfConfig(iterations=iterations).iterations == iterations
 
     def test_sequential_requires_brute(self):
         with pytest.raises(ConfigError):
