@@ -259,6 +259,11 @@ def _initial_state(u: UnaryField, vol: Volume, cfg: CrfConfig) -> MeanFieldState
     return _scored(q0, uf, vol, cfg, (), None, kernel)
 
 
+def _two_label_argmax(q: np.ndarray) -> np.ndarray:
+    """np.argmax(q, axis=0) as uint8 for a two-label map: ties go to label 0."""
+    return (q[1] > q[0]).astype(np.uint8)
+
+
 def refine(p: ProbMap, vol: Volume, cfg: CrfConfig):
     """Mean-field refinement of a probability map against its volume.
 
@@ -276,9 +281,9 @@ def refine(p: ProbMap, vol: Volume, cfg: CrfConfig):
     if p.data.shape[0] != 2:
         raise DomainError("refinement is defined for two-label maps")
     if cfg.iterations == 0:
-        return LabelMask(np.argmax(p.data, axis=0).astype(np.uint8), vol.affine), None
+        return LabelMask(_two_label_argmax(p.data), vol.affine), None
     u = unary_from_probmap(p)
     state = _initial_state(u, vol, cfg)
     for _ in range(cfg.iterations):
         state = mean_field_step(state, u, vol, cfg)
-    return LabelMask(np.argmax(state.q, axis=0).astype(np.uint8), vol.affine), state
+    return LabelMask(_two_label_argmax(state.q), vol.affine), state

@@ -19,7 +19,12 @@ kernel gradient contracts the output gradient, placed on the same phase
 grid and zero off the strided outputs, with the same contiguous windows,
 and the input gradient is the forward correlation again
 (conv3d_transpose). The stride-2 2x2x2 down convolution is conv3d
-at stride 2, and the up convolution its transpose.
+at stride 2, and the up convolution its transpose. A transpose whose
+stride equals its kernel size and has no padding (the up convolution and
+the down convolution's input gradient) meets each output voxel with one
+tap alone, so it runs as eight per-phase gemms, each summing over the
+same channels in the same order, instead of correlating a spread array
+that is 7/8 zeros.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import numpy as np
 from scipy.linalg import get_blas_funcs
 
 from ..errors import GeometryError
+from ..volume import block_means
 
 # --------------------------------------------------------------------------
 # 3D convolution by kernel offset
@@ -125,11 +131,15 @@ def conv3d_transpose(g, kernel, bias, stride, padding, spatial):
     Takes g (n, o, *out) through kernel (o, c, k, k, k) to (n, c, *spatial).
     This is the forward correlation of g, spread to stride steps at offset
     k - 1, with the flipped, channel-swapped kernel, over the unpadded input.
+    When stride == k and nothing is padded, each output voxel meets exactly
+    one tap, so _phase_transpose computes it without the spread.
     """
     n, o = g.shape[:2]
     if kernel.shape[0] != o:
         raise GeometryError(f"kernel expects {kernel.shape[0]} input channels, tensor has {o}")
     k, p, s = kernel.shape[2], padding, stride
+    if s == k and p == 0:
+        return _phase_transpose(g, kernel, bias, spatial)
     od, oh, ow = g.shape[2:]
     d, h, w = spatial
     spread = np.zeros((n, o, *(m + 2 * p + k - 1 for m in spatial)), dtype=g.dtype)
@@ -139,6 +149,29 @@ def conv3d_transpose(g, kernel, bias, stride, padding, spatial):
         kernel[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4),
         bias,
     )
+    return y
+
+
+def _phase_transpose(g, kernel, bias, spatial):
+    """conv3d_transpose at stride k without padding, one gemm per output phase.
+
+    Output voxel k * v + (a, b, e) is g[:, :, v] through tap (a, b, e) alone,
+    so phase (a, b, e) is one gemm of g with that tap, summed over g's
+    channels in the order the spread correlation sums them; output voxels
+    past k * out get the bias alone.
+    """
+    n, o, od, oh, ow = g.shape
+    c, k = kernel.shape[1:3]
+    dtype = np.result_type(g, kernel, bias)
+    gemm = get_blas_funcs("gemm", dtype=dtype)
+    gmat = np.ascontiguousarray(g.swapaxes(0, 1), dtype=gemm.dtype).reshape(o, -1)
+    y = np.zeros((n, c, *spatial), dtype=dtype)
+    for a, b, e in np.ndindex(k, k, k):
+        acc = np.zeros((gmat.shape[1], c), dtype=gemm.dtype, order="F")
+        acc = gemm(1.0, gmat.T, kernel[:, :, a, b, e], beta=1.0, c=acc, overwrite_c=True)
+        phase = acc.T.reshape(c, n, od, oh, ow).swapaxes(0, 1)
+        y[:, :, a::k, b::k, e::k][:, :, :od, :oh, :ow] = phase
+    y += bias.reshape(1, c, 1, 1, 1)
     return y
 
 
@@ -250,7 +283,7 @@ def softmax_channels_backward(grad_y, y):
 
 
 def halve_spatial(x):
-    """2x2x2 block mean; trilinear factor-2 downsampling lands on block means."""
+    """2x2x2 block mean of each channel (volume.block_means), in x's dtype;
+    trilinear factor-2 downsampling lands on block means."""
     _check_even(x)
-    n, c, d, h, w = x.shape
-    return x.reshape(n, c, d // 2, 2, h // 2, 2, w // 2, 2).mean(axis=(3, 5, 7))
+    return block_means(x)

@@ -229,8 +229,12 @@ def _read_array(path) -> tuple[np.ndarray, np.ndarray]:
         raise FormatError(f"{path}: header affine has non-finite entries")
 
     if hdr.magic == b"ni1":
-        # header/payload pair: voxels live in the sibling .img file
-        img = path.with_suffix(".img")
+        # header/payload pair: voxels live in the sibling image file,
+        # X.img beside X.hdr and X.img.gz beside X.hdr.gz
+        if path.suffix == ".gz":
+            img = path.with_suffix("").with_suffix(".img.gz")
+        else:
+            img = path.with_suffix(".img")
         if not img.exists():
             raise DataError(f"{path}: header pair is missing its image file {img}")
         buf = _read_bytes(img)
@@ -254,10 +258,11 @@ def _read_array(path) -> tuple[np.ndarray, np.ndarray]:
             f"{path}: payload needs {need} bytes for shape {hdr.shape}, file has {len(buf)}"
         )
     flat = np.frombuffer(buf, dtype=dtype, count=count, offset=offset)
-    # a signaling NaN sets numpy's invalid flag in this cast; the finite
+    # cast straight into C order, the layout every later stage reads in.
+    # A signaling NaN sets numpy's invalid flag in this cast; the finite
     # check on the volume reports it, so the flag is not worth a warning
     with np.errstate(invalid="ignore"):
-        data = flat.reshape(hdr.shape, order="F").astype(np.float64)
+        data = np.array(flat.reshape(hdr.shape, order="F"), dtype=np.float64, order="C")
 
     slope, inter = hdr.scl_slope, hdr.scl_inter
     if slope != 0.0 and np.isfinite(slope) and (slope, inter) != (1.0, 0.0):
@@ -339,7 +344,9 @@ def write_nifti(obj, path, dtype=None) -> None:
     """Write a Volume, LabelMask, or ProbMap as single-file NIfTI-1.
 
     Intensities default to float32 and masks to uint8; `dtype` may name any
-    supported datatype instead. Output is gzipped when the path ends in .gz.
+    supported datatype instead. Output is gzipped when the path ends in .gz,
+    at level 6 (zlib's default) with mtime 0 and no embedded filename, so
+    one volume always gives the same bytes.
 
     Args:
         obj: Volume, LabelMask, or ProbMap.
@@ -361,14 +368,16 @@ def write_nifti(obj, path, dtype=None) -> None:
             f"cannot write datatype {dtype}; supported: {sorted(_DTYPE_CODES)}"
         )
     shape4 = list(data.shape[:3]) + [data.shape[3] if data.ndim == 4 else 1]
-    payload = np.asfortranarray(data.astype(dtype.newbyteorder("<"))).tobytes(order="F")
+    payload = data.astype(dtype.newbyteorder("<")).tobytes(order="F")
     blob = _build_header(shape4, obj.affine, dtype) + payload
 
     path = str(path)
     if path.endswith(".gz"):
         # fixed mtime, no embedded filename: identical volumes, identical files
         with open(path, "wb") as raw:
-            with gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as fh:
+            with gzip.GzipFile(
+                filename="", mode="wb", compresslevel=6, fileobj=raw, mtime=0
+            ) as fh:
                 fh.write(blob)
     else:
         with open(path, "wb") as fh:

@@ -158,6 +158,27 @@ def _check_grid_fits(grid: GridConfig, net_cfg: EvNetConfig) -> None:
         )
 
 
+def linear_percentile(data: np.ndarray, pct: float) -> float:
+    """``np.percentile(data, pct)`` (method "linear") from one partition.
+
+    numpy partitions a copy at four ranks; this partitions at the floor of
+    the virtual index ``(n - 1) * pct / 100``, takes the next rank as the
+    minimum above it, and interpolates as numpy's ``_lerp`` does, so the
+    float is numpy's. Only a zero's sign may differ, when the two ranks
+    hold both 0.0 and -0.0.
+    """
+    flat = data.ravel()
+    n = flat.size
+    vi = (n - 1) * (pct / 100)
+    if vi >= n - 1:
+        return float(flat.max())
+    lo = int(vi)
+    part = np.partition(flat, lo)
+    a, b = part[lo], part[lo + 1 :].min()
+    t, d = vi - lo, b - a
+    return float(b - d * (1 - t) if t >= 0.5 else a + d * t)
+
+
 def preprocess_volume(v: Volume, grid: GridConfig) -> tuple[Volume, dict]:
     """Reorient, resample, normalize, pad, and optionally halve one volume.
 
@@ -170,7 +191,7 @@ def preprocess_volume(v: Volume, grid: GridConfig) -> tuple[Volume, dict]:
     with _stage("resample"):
         v2 = resample_isotropic(v1, SPACING_MM)
     with _stage("normalize"):
-        divisor = float(np.percentile(v2.data, NORM_PERCENTILE))
+        divisor = linear_percentile(v2.data, NORM_PERCENTILE)
         divisor = max(divisor, 1e-12)
         v2 = Volume(np.clip(v2.data / divisor, 0.0, NORM_CLAMP), v2.affine)
     with _stage("pad"):

@@ -161,7 +161,9 @@ def reorient_ras(v: Volume) -> Volume:
     Each voxel axis is assigned the world axis of its largest direction
     cosine (ties go to the lower world axis), then flipped if the cosine is
     negative. World coordinates of every voxel are preserved exactly, so
-    applying this twice is a no-op.
+    applying this twice is a no-op. A C-ordered volume already in RAS order
+    comes back with its own data array, uncopied: no stage writes into a
+    volume's data.
     """
     dirs = v.affine[:3, :3]
     cosines = dirs / np.linalg.norm(dirs, axis=0)
@@ -265,12 +267,25 @@ def pad_to(v: Volume, shape: tuple[int, int, int]) -> tuple[Volume, tuple[int, i
     return Volume(data=data, affine=affine), offsets
 
 
+def block_means(x: np.ndarray) -> np.ndarray:
+    """Means of the 2x2x2 blocks of x's last three axes, which must be even.
+
+    Bit for bit the block means numpy's ``reshape(..., 2, ..., 2, ..., 2)
+    .mean`` returns, without its strided reduction: last-axis pairs are
+    summed first, then the four (x, y) pair planes in row order, and the
+    sum is divided by 8.
+    """
+    s = x[..., 0::2] + x[..., 1::2]
+    p = [s[..., a::2, b::2, :] for a in (0, 1) for b in (0, 1)]
+    return (((p[0] + p[1]) + p[2]) + p[3]) / 8
+
+
 def resize_half(v: Volume) -> Volume:
-    """Halve each axis by 2x2x2 block averaging; voxel size doubles."""
+    """Halve each axis by 2x2x2 block averaging (:func:`block_means`); voxel
+    size doubles."""
     if any(s % 2 for s in v.shape):
         raise GeometryError(f"resize_half needs even dimensions, got {v.shape}")
-    nx, ny, nz = (s // 2 for s in v.shape)
-    data = v.data.reshape(nx, 2, ny, 2, nz, 2).mean(axis=(1, 3, 5))
+    data = block_means(v.data)
     affine = v.affine.copy()
     affine[:3, :3] = v.affine[:3, :3] * 2.0
     affine[:3, 3] = v.affine[:3, 3] + v.affine[:3, :3] @ np.full(3, 0.5)

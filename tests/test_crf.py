@@ -747,6 +747,44 @@ class TestZeroIterations:
             refine(ProbMap(probs, affine), Volume(np.zeros((4, 4, 4))), CrfConfig(iterations=0))
 
 
+class TestTwoLabelArgmax:
+    """refine's mask is np.argmax over the two labels, ties going to label 0,
+    at both of its exits."""
+
+    @staticmethod
+    def tied_map(seed):
+        rng = np.random.default_rng(seed)
+        fg = rng.uniform(0.05, 0.95, size=(6, 5, 7))
+        fg[rng.random(fg.shape) < 0.3] = 0.5  # 1 - 0.5 == 0.5: an exact tie
+        return ProbMap(np.stack([1.0 - fg, fg]), np.diag([2.0, 2.0, 2.0, 1.0]))
+
+    def test_matches_argmax_on_small_integer_maps(self):
+        rng = np.random.default_rng(93)
+        for _ in range(20):
+            q = rng.integers(0, 3, size=(2, 5, 4, 6)).astype(np.float64)
+            assert (q[0] == q[1]).any()
+            out = crf._two_label_argmax(q)
+            assert out.dtype == np.uint8
+            np.testing.assert_array_equal(out, np.argmax(q, axis=0))
+
+    def test_zero_iteration_exit(self):
+        p = self.tied_map(94)
+        vol = Volume(np.random.default_rng(95).uniform(size=p.shape), p.affine)
+        mask, _ = refine(p, vol, CrfConfig(iterations=0))
+        assert (p.data[0] == p.data[1]).any()
+        np.testing.assert_array_equal(mask.data, np.argmax(p.data, axis=0))
+
+    @pytest.mark.parametrize("backend", ["brute", "filtered"])
+    def test_final_marginals_exit(self, backend):
+        # without pairwise terms the marginals stay the map's, ties included
+        p = self.tied_map(96)
+        vol = Volume(np.random.default_rng(97).uniform(size=p.shape), p.affine)
+        cfg = CrfConfig(iterations=2, w_appearance=0.0, w_smoothness=0.0, backend=backend)
+        mask, state = refine(p, vol, cfg)
+        assert (state.q[0] == state.q[1]).any()
+        np.testing.assert_array_equal(mask.data, np.argmax(state.q, axis=0))
+
+
 class TestKernelBuiltOnce:
     def test_brute_matrix_built_once_per_refinement(self, monkeypatch):
         builds = []

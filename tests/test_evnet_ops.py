@@ -451,6 +451,49 @@ class TestDownUpConv:
         ) < REL_TOL
 
 
+class TestPhaseTranspose:
+    """Stride-2 2x2x2 transposes, run as per-phase gemms, against the
+    offset-loop correlation of the zero-spread input, bit for bit."""
+
+    @staticmethod
+    def spread_reference(g, kernel, bias, spatial):
+        k = kernel.shape[2]
+        od, oh, ow = g.shape[2:]
+        spread = np.zeros((*g.shape[:2], *(m + k - 1 for m in spatial)), dtype=g.dtype)
+        spread[:, :, k - 1 :: k, k - 1 :: k, k - 1 :: k][:, :, :od, :oh, :ow] = g
+        flipped = kernel[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+        return offset_loop_conv3d(spread, flipped, bias, 1, 0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_upconv_bit_identical(self, dtype, batch):
+        rng = np.random.default_rng((batch, np.dtype(dtype).itemsize, 31))
+        for c_in, c_out in [(2, 2), (3, 5), (4, 3)]:
+            x = rng.standard_normal((batch, c_in, 3, 2, 4)).astype(dtype)
+            kernel = rng.standard_normal((c_in, c_out, 2, 2, 2)).astype(dtype)
+            bias = rng.standard_normal(c_out).astype(dtype)
+            y, _ = ops.upconv_forward(x, kernel, bias)
+            assert y.dtype == dtype and y.flags.c_contiguous
+            expect = self.spread_reference(x, kernel, bias, (6, 4, 8))
+            assert y.tobytes() == np.ascontiguousarray(expect).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("shape", [(6, 4, 8), (7, 5, 4)], ids=["even", "odd"])
+    def test_downconv_input_gradient_bit_identical(self, dtype, batch, shape):
+        # an odd axis leaves its last voxel outside every window: gradient 0
+        rng = np.random.default_rng((batch, np.dtype(dtype).itemsize, sum(shape)))
+        for c, o in [(2, 2), (3, 5), (4, 3)]:
+            x = rng.standard_normal((batch, c, *shape)).astype(dtype)
+            kernel = rng.standard_normal((o, c, 2, 2, 2)).astype(dtype)
+            y, cache = ops.conv3d_forward(x, kernel, np.zeros(o, dtype=dtype), stride=2)
+            g = rng.standard_normal(y.shape).astype(dtype)
+            gx, _, _ = ops.conv3d_backward(g, cache)
+            assert gx.dtype == dtype and gx.shape == x.shape
+            expect = self.spread_reference(g, kernel, np.zeros(c, dtype=dtype), shape)
+            assert gx.tobytes() == np.ascontiguousarray(expect).tobytes()
+
+
 class TestPrelu:
     def test_values(self):
         x = np.array([[-2.0, -1.0, 0.0, 1.0, 3.0]]).reshape(1, 1, 1, 1, 5)

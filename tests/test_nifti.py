@@ -95,6 +95,14 @@ class TestReadCrafted:
         np.testing.assert_array_equal(v.data, data.astype(np.float64))
         np.testing.assert_allclose(v.affine[:3], srow, atol=1e-6)
 
+    def test_read_is_c_ordered_float64(self, tmp_path):
+        data = np.arange(24, dtype=np.int16).reshape(2, 3, 4, order="F")
+        hdr = craft_header(dim=(3, 2, 3, 4, 1, 1, 1, 1), datatype=4, bitpix=16)
+        craft_file(tmp_path / "c.nii", hdr, data, dtype="i2")
+        v = read_nifti(tmp_path / "c.nii")
+        assert v.data.dtype == np.float64 and v.data.flags.c_contiguous
+        np.testing.assert_array_equal(v.data, data.astype(np.float64))
+
     def test_x_fastest_order(self, tmp_path):
         # voxel (i, j, k) stored at flat index i + nx*j + nx*ny*k
         data = np.arange(24, dtype=np.float32).reshape(2, 3, 4, order="F")
@@ -166,6 +174,30 @@ class TestReadCrafted:
         (tmp_path / "p.img").write_bytes(data.tobytes(order="F"))
         v = read_nifti(tmp_path / "p.hdr")
         np.testing.assert_array_equal(v.data, data.astype(np.float64))
+
+    @pytest.mark.parametrize("gz_hdr,gz_img", [(True, True), (True, False), (False, True)])
+    def test_gzipped_header_pair(self, tmp_path, gz_hdr, gz_img):
+        # p.hdr.gz pairs with p.img.gz; gzip itself is found by magic bytes,
+        # so either file of the pair may hold plain bytes under its .gz name
+        data = np.arange(8, dtype=np.float32).reshape(2, 2, 2)
+        hdr = craft_header(
+            dim=(3, 2, 2, 2, 1, 1, 1, 1), datatype=16, bitpix=32,
+            vox_offset=0.0, magic=b"ni1\x00",
+        )
+        img = data.tobytes(order="F")
+        (tmp_path / "p.hdr.gz").write_bytes(gzip.compress(hdr) if gz_hdr else hdr)
+        (tmp_path / "p.img.gz").write_bytes(gzip.compress(img) if gz_img else img)
+        v = read_nifti(tmp_path / "p.hdr.gz")
+        np.testing.assert_array_equal(v.data, data.astype(np.float64))
+
+    def test_gzipped_header_pair_names_missing_image(self, tmp_path):
+        hdr = craft_header(
+            dim=(3, 2, 2, 2, 1, 1, 1, 1), datatype=16, bitpix=32,
+            vox_offset=0.0, magic=b"ni1\x00",
+        )
+        (tmp_path / "p.hdr.gz").write_bytes(gzip.compress(hdr))
+        with pytest.raises(DataError, match=r"p\.img\.gz"):
+            read_nifti(tmp_path / "p.hdr.gz")
 
 
 class TestAffinePrecedence:
@@ -388,6 +420,18 @@ class TestWriteRoundTrip:
         back = read_probmap(tmp_path / "p.nii.gz")
         assert back.num_labels == 2
         np.testing.assert_array_equal(back.data, p.data)
+
+    def test_gzip_level_six(self, tmp_path):
+        # zlib's default level: past the 10-byte member header (whose OS
+        # byte gzip.compress sets otherwise), the deflate stream and trailer
+        # are those of gzip.compress at level 6
+        rng = np.random.default_rng(8)
+        m = LabelMask(data=(rng.random((16, 12, 10)) < 0.3).astype(np.uint8))
+        write_nifti(m, tmp_path / "m.nii.gz")
+        raw = (tmp_path / "m.nii.gz").read_bytes()
+        assert raw[:9] == b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00"  # mtime 0, no name
+        ref = gzip.compress(gzip.decompress(raw), compresslevel=6, mtime=0)
+        assert raw[10:] == ref[10:]
 
     def test_identical_volumes_identical_gz_bytes(self, tmp_path):
         v = Volume(data=np.ones((3, 3, 3)))

@@ -23,6 +23,7 @@ from evcseg.pipeline import (
     _check_grid_fits,
     evaluate,
     extract,
+    linear_percentile,
     preprocess_volume,
     train,
     worker_count,
@@ -95,9 +96,24 @@ class TestPreprocessVolume:
             vol, GridConfig(pad_shape=(32, 32, 32), resize_half=False)
         )
         divisor = meta["normalize"]["divisor"]
-        assert divisor == pytest.approx(np.percentile(vol.data, 99.0), rel=1e-6)
+        assert divisor == np.percentile(vol.data, 99.0)
         # Skull voxels sit near the 99th percentile, so they normalize to ~1.
         assert 0.9 <= out.data.max() <= 1.5
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 10, 99, 100, 101, 4097, 65536, 2**21])
+    def test_percentile_is_numpys(self, n):
+        # == on floats: numpy's linear method, same float. Only a zero's
+        # sign could differ (0.0 and -0.0 tied at the two ranks); none of
+        # these draws holds -0.0, and a divisor is clamped above 0 anyway
+        rng = np.random.default_rng(n)
+        draws = [
+            rng.standard_normal(n),
+            rng.integers(0, 4, n).astype(np.float64),  # ties everywhere
+            np.round(rng.random(n) * 1e3) * 10.0 ** rng.integers(-3, 3, n),
+        ]
+        for x in draws:
+            for pct in (0.0, 1.0, 50.0, 99.0, 99.9, 100.0):
+                assert linear_percentile(x, pct) == np.percentile(x, pct), pct
 
     def test_halving(self):
         vol, _ = make_phantom(32, np.random.default_rng(2))

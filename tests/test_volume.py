@@ -428,6 +428,32 @@ class TestResizeHalf:
             resize_half(v)
 
 
+class TestBlockMeans:
+    """volume.block_means against numpy's strided reduction, bit for bit."""
+
+    def test_3d_float64_over_six_decades(self):
+        rng = np.random.default_rng(91)
+        for _ in range(20):
+            shape = tuple(2 * int(s) for s in rng.integers(1, 12, 3))
+            x = rng.random(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+            nx, ny, nz = (s // 2 for s in shape)
+            expect = x.reshape(nx, 2, ny, 2, nz, 2).mean(axis=(1, 3, 5))
+            out = volume.block_means(x)
+            assert out.dtype == np.float64
+            assert out.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_5d_batch_two(self, dtype):
+        rng = np.random.default_rng(92)
+        for _ in range(5):
+            shape = (2, 3, 8, 6, 4)
+            x = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)).astype(dtype)
+            expect = x.reshape(2, 3, 4, 2, 3, 2, 2, 2).mean(axis=(3, 5, 7))
+            out = volume.block_means(x)
+            assert out.dtype == dtype and out.shape == expect.shape
+            assert out.tobytes() == expect.tobytes()
+
+
 def make_sphere(shape, center, radius, affine) -> LabelMask:
     idx = np.indices(shape).astype(float)
     world = (
