@@ -36,7 +36,7 @@ cfg = CrfConfig(w_appearance=3.0, w_smoothness=1.0, theta_alpha=3.0,
 mask, state = refine(probs, intensity, cfg)
 print("dice after refinement: ", round(dice(truth, mask.data), 4))
 
-# mean field descends a variational free energy; with sequential updates
-# the descent is provably monotone, and in practice the parallel schedule
-# used above settles within a few sweeps too
+# each mean-field sweep updates every voxel at once from the last sweep's
+# marginals; where the sweeps settle, the marginals are a stationary point of
+# the variational free energy recorded per sweep
 print("free energy per sweep:", " ".join(f"{v:.2f}" for v in state.free_energy_trace))

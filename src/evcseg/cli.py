@@ -31,7 +31,6 @@ from .evnet import EvNetConfig
 from .nifti import read_nifti, read_probmap, write_nifti
 from .pipeline import (
     DEFAULT_PAD,
-    FULL_GRID_PAD,
     GridConfig,
     PipelineConfig,
     TrainConfig,
@@ -57,19 +56,13 @@ def _add_config_arg(p: argparse.ArgumentParser) -> None:
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
     grid = p.add_argument_group("target grid")
-    excl = grid.add_mutually_exclusive_group()
-    excl.add_argument(
+    grid.add_argument(
         "--pad",
         nargs=3,
         type=int,
         metavar=("X", "Y", "Z"),
-        default=None,
+        default=DEFAULT_PAD,
         help=f"padded grid shape (default {DEFAULT_PAD[0]}^3)",
-    )
-    excl.add_argument(
-        "--full-grid",
-        action="store_true",
-        help=f"scanner-scale grid: pad {FULL_GRID_PAD[0]}^3, network at half that",
     )
     grid.add_argument(
         "--no-resize-half",
@@ -79,13 +72,7 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
 
 
 def _grid_from_args(args) -> GridConfig:
-    if args.pad is not None:
-        pad = tuple(args.pad)
-    elif args.full_grid:
-        pad = FULL_GRID_PAD
-    else:
-        pad = DEFAULT_PAD
-    return GridConfig(pad_shape=pad, resize_half=not args.no_resize_half)
+    return GridConfig(pad_shape=tuple(args.pad), resize_half=not args.no_resize_half)
 
 
 def _add_crf_args(p: argparse.ArgumentParser) -> None:

@@ -63,7 +63,6 @@ class CrfConfig:
     theta_gamma: float = 3.0
     iterations: int = 5
     backend: str = "filtered"
-    update_order: str = "parallel"
 
     def __post_init__(self):
         kernel = (self.w_appearance, self.w_smoothness, self.theta_alpha, self.theta_beta,
@@ -86,12 +85,6 @@ class CrfConfig:
             raise ConfigError(f"iterations must be an integer >= 0, got {n!r}")
         if self.backend not in ("brute", "filtered"):
             raise ConfigError(f"unknown backend {self.backend!r}")
-        if self.update_order not in ("parallel", "sequential"):
-            raise ConfigError(f"unknown update_order {self.update_order!r}")
-        if self.backend == "filtered" and self.update_order == "sequential":
-            # voxel-at-a-time updates would need per-voxel kernel rows, which
-            # only the brute backend has
-            raise ConfigError("sequential updates require the brute backend")
 
 
 @dataclass(frozen=True)
@@ -228,20 +221,13 @@ def _scored(q, uf, vol, cfg, trace, mass, kernel) -> MeanFieldState:
 def mean_field_step(
     state: MeanFieldState, u: UnaryField, vol: Volume, cfg: CrfConfig
 ) -> MeanFieldState:
-    """One full sweep of marginal updates, renormalized per voxel.
+    """One parallel sweep: every voxel's marginals from the state's message.
 
     Appends the variational free energy of the new marginals to the trace:
     exact under the brute backend, a filtered approximation otherwise.
     """
-    labels = u.neg_log_probs.shape[0]
-    uf = u.neg_log_probs.reshape(labels, -1)
-    if cfg.update_order == "parallel":
-        q_new = _softmax_labels(-uf + state.message)
-    else:
-        q_new = state.q.reshape(labels, -1).copy()
-        for i in range(q_new.shape[1]):
-            q_new[:, i] = _softmax_labels(-uf[:, i] + q_new @ state.kernel[i])
-    q_new = q_new.reshape(state.q.shape)
+    uf = u.neg_log_probs.reshape(u.neg_log_probs.shape[0], -1)
+    q_new = _softmax_labels(-uf + state.message).reshape(state.q.shape)
     return _scored(q_new, uf, vol, cfg, state.free_energy_trace, state.mass, state.kernel)
 
 

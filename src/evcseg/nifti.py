@@ -206,10 +206,8 @@ def _parse_header(buf: bytes, path) -> NiftiHeader:
 
 def _read_bytes(path) -> bytes:
     with open(path, "rb") as fh:
-        head = fh.read(2)
-        rest = fh.read()
-    buf = head + rest
-    if head == GZIP_MAGIC:
+        buf = fh.read()
+    if buf[:2] == GZIP_MAGIC:
         try:
             return gzip.decompress(buf)
         except EOFError as e:

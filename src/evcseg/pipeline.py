@@ -59,7 +59,6 @@ from .volume import (
 )
 
 DEFAULT_PAD = (64, 64, 64)
-FULL_GRID_PAD = (256, 256, 256)
 # Network-input intensity scale: resample to this isotropic spacing, divide
 # by this percentile of the volume, clamp to [0, NORM_CLAMP].
 SPACING_MM = 1.0
@@ -517,6 +516,8 @@ def _score_case(name: str, pred_path: Path, truth_path: Path) -> tuple[str, dict
         raise DataError(
             f"{name}: prediction shape {pred.shape} != truth shape {truth.shape}"
         )
+    if not np.allclose(pred.affine, truth.affine, atol=1e-5):
+        raise DataError(f"{name}: prediction and truth grids disagree")
     flags = []
     if not pred.data.any():
         # Sentinel instead of a warning so threaded runs stay quiet.
@@ -536,6 +537,9 @@ def _score_case(name: str, pred_path: Path, truth_path: Path) -> tuple[str, dict
 
 def evaluate(pred_dir, truth_dir, json_path=None, csv_path=None) -> dict:
     """Score every prediction against the same-named reference mask.
+
+    A prediction must share its reference's shape and affine, or the run
+    fails with a DataError naming the case.
 
     Cases run on a thread pool capped by ``EVCSEG_THREADS`` (results are
     keyed by name, so the worker count cannot change them). The report

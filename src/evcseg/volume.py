@@ -222,7 +222,9 @@ def resample_isotropic(v: Volume, spacing_mm: float) -> Volume:
     """Resample onto an isotropic grid by trilinear interpolation.
 
     The output grid shares the input's direction cosines and cell extent;
-    its shape is ``ceil(shape * spacing / spacing_mm)`` per axis.
+    its shape is ``ceil(shape * spacing / spacing_mm)`` per axis. Axes
+    already on the output grid are not interpolated, so a volume with every
+    axis there comes back with its own data array, uncopied.
 
     Args:
         v: input volume.
@@ -240,8 +242,6 @@ def resample_isotropic(v: Volume, spacing_mm: float) -> Volume:
         ci = (np.arange(out_shape[axis]) + 0.5) * spacing_mm / sp[axis] - 0.5
         if not np.array_equal(ci, np.arange(data.shape[axis])):
             data = _lerp_axis(data, ci, axis)
-    if data is v.data:
-        data = data.copy()
 
     affine = np.eye(4)
     affine[:3, :3] = dirs * spacing_mm

@@ -3,6 +3,7 @@
 import importlib.metadata
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -105,13 +106,21 @@ class TestUsageErrors:
             run(["florb"])
         assert exc.value.code == 2
 
-    def test_pad_and_full_grid_conflict(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run(
-                ["extract", "--in", "x", "--out", "y", "--checkpoint", "z",
-                 "--pad", "32", "32", "32", "--full-grid"]
-            )
-        assert exc.value.code == 2
+    def test_readme_flags_exist(self):
+        """Every --flag the README's command-line section shows is an option
+        of some subcommand (or of the top-level parser)."""
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+        parser, subparsers = cli.build_parser()
+        known = {
+            opt
+            for p in (parser, *subparsers.values())
+            for action in p._actions
+            for opt in action.option_strings
+        }
+        assert "--pad" in flags
+        assert flags <= known, sorted(flags - known)
 
 
 class Intercepted(Exception):
@@ -541,6 +550,20 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert "dice: 1.0000" in out
         assert (tmp_path / "r.json").exists() and (tmp_path / "r.csv").exists()
+
+    def test_shifted_affine_is_data_error(self, tmp_path, capsys):
+        from evcseg.volume import LabelMask
+
+        ball = np.zeros((10, 10, 10), dtype=np.uint8)
+        ball[3:7, 3:7, 3:7] = 1
+        shifted = np.eye(4)
+        shifted[:3, 3] = [0.0, 0.0, 1.0]
+        for sub, affine in (("pred", shifted), ("truth", np.eye(4))):
+            (tmp_path / sub).mkdir()
+            write_nifti(LabelMask(ball, affine), tmp_path / sub / "a.nii.gz")
+        code = run(["eval", "--pred", str(tmp_path / "pred"), "--truth", str(tmp_path / "truth")])
+        assert code == 3
+        assert "a.nii.gz: prediction and truth grids disagree" in capsys.readouterr().err
 
     def test_unmatched_is_data_error(self, tmp_path, capsys):
         (tmp_path / "pred").mkdir()

@@ -334,17 +334,6 @@ class TestFreeEnergy:
             brute_free_energy(qf, uf, k), rel=1e-12
         )
 
-    def test_sequential_sweeps_never_increase_free_energy(self):
-        for seed in range(5):
-            p, vol, cfg = random_crf_instance(seed=100 + seed, max_side=8)
-            cfg = dataclasses.replace(cfg, update_order="sequential")
-            u = unary_from_probmap(p)
-            state = initial_state(u, vol, cfg)
-            for _ in range(10):
-                state = mean_field_step(state, u, vol, cfg)
-            trace = np.array(state.free_energy_trace)
-            assert np.all(np.diff(trace) <= 1e-9), trace
-
 
 class TestFilteredMessagePass:
     def test_constant_field_stays_constant_and_proportional(self):
@@ -933,8 +922,6 @@ class TestConfigValidation:
             CrfConfig(iterations=-1)
         with pytest.raises(ConfigError):
             CrfConfig(backend="exact")
-        with pytest.raises(ConfigError):
-            CrfConfig(update_order="rowwise")
 
     @pytest.mark.parametrize("iterations", [True, False, 2.5, 3.0, "3", None])
     def test_rejects_non_integer_iterations(self, iterations):
@@ -944,8 +931,3 @@ class TestConfigValidation:
     @pytest.mark.parametrize("iterations", [0, 3, np.int64(3), np.int32(0), np.uint8(2)])
     def test_accepts_integer_iterations(self, iterations):
         assert CrfConfig(iterations=iterations).iterations == iterations
-
-    def test_sequential_requires_brute(self):
-        with pytest.raises(ConfigError):
-            CrfConfig(backend="filtered", update_order="sequential")
-        CrfConfig(backend="brute", update_order="sequential")

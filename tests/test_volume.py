@@ -248,11 +248,11 @@ class TestAlignedAxes:
         out = resample_isotropic(v, 1.0)
         assert np.array_equal(out.data, lerp_every_axis(v, 1.0))
 
-    def test_all_aligned_returns_a_fresh_array(self):
+    def test_all_aligned_shares_the_array(self):
         v = Volume(data=np.random.default_rng(12).normal(size=(4, 5, 6)))
         out = resample_isotropic(v, 1.0)
         assert np.array_equal(out.data, v.data)
-        assert not np.shares_memory(out.data, v.data)
+        assert out.data is v.data
 
 
 def oblique_affine(degrees):
