@@ -194,5 +194,5 @@ def bilateral_filter(values, inten, spacing, theta, cells=None):
     for cell, support, band, pos, blur, weights in cells:
         splat = np.maximum(0.0, 1.0 - np.abs(pos - cell))
         blurred = _blur(splat * values[(slice(None), *support)], *blur)
-        out[(slice(None), *band)] += weights * blurred
+        out[(slice(None), *band)] += np.multiply(weights, blurred, out=blurred)
     return out

@@ -13,10 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .crf import CrfConfig, refine
+from .crf import CrfConfig
+from .crf import refine as crf_refine
 from .errors import (
     CapacityError,
     ConfigError,
@@ -44,6 +46,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_COMPUTE = 4
+
+# The refine command writes the mask alone, so its refinement keeps no
+# mean-field state: n sweeps make n message passes and no free energy.
+refine = partial(crf_refine, keep_state=False)
 
 
 def _add_config_arg(p: argparse.ArgumentParser) -> None:

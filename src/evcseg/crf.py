@@ -17,9 +17,13 @@ spacing, and intensities are min-max normalized to [0, 1] before any
 kernel evaluation, so the bandwidths keep their meaning across scanners.
 
 Each state carries the message of its marginals, which gives both its
-free energy and the next parallel update, so a refinement of n sweeps
-makes 1 + n message passes for n >= 1, and none at 0, where it is the
-argmax of the input map. The message pass is linear and the two labels'
+free energy and the next parallel update, so a refinement of n >= 1
+sweeps that keeps its final state makes 1 + n message passes and 1 + n
+free energies. One that only labels (`refine(..., keep_state=False)`,
+as `extract` asks) makes n passes and no free energy: the last sweep's
+marginals need no message, and the trace is a diagnostic. At 0 sweeps a
+refinement makes none and is the argmax of the input map. The message
+pass is linear and the two labels'
 marginals sum to 1, so the filtered backend filters labels 1.. only:
 label 0's message is the kernel mass (the pass over a field of ones)
 minus theirs. The first pass filters the ones field alongside the
@@ -194,10 +198,11 @@ def filtered_message_pass(q, vol: Volume, cfg: CrfConfig, cells=None):
     return out
 
 
-def _scored(q, uf, vol, cfg, trace, mass, kernel) -> MeanFieldState:
+def _scored(q, uf, vol, cfg, trace, mass, kernel, score=True) -> MeanFieldState:
     """State for marginals q: their message, and their free energy appended
-    to trace. kernel is the state's (see MeanFieldState); the filtered
-    backend filters the kernel mass along with labels 1.. when mass is None."""
+    to trace unless score is False. kernel is the state's (see
+    MeanFieldState); the filtered backend filters the kernel mass along with
+    labels 1.. when mass is None."""
     qf = q.reshape(uf.shape)
     exact = cfg.backend == "brute"
     if exact:
@@ -208,41 +213,53 @@ def _scored(q, uf, vol, cfg, trace, mass, kernel) -> MeanFieldState:
         if mass is None:
             mass, rest = rest[0], rest[1:]
         m = np.concatenate([(mass - rest.sum(axis=0))[None], rest])
+    if score:
+        trace += (_free_energy(qf, uf, m),)
     return MeanFieldState(
         q=q,
         message=m,
-        free_energy_trace=trace + (_free_energy(qf, uf, m),),
+        free_energy_trace=trace,
         trace_exact=exact,
         mass=mass,
         kernel=kernel,
     )
 
 
+def _flat(u: UnaryField) -> np.ndarray:
+    return u.neg_log_probs.reshape(u.neg_log_probs.shape[0], -1)
+
+
+def _swept(state: MeanFieldState, uf) -> np.ndarray:
+    """The marginals one parallel sweep takes from the state's message."""
+    return _softmax_labels(-uf + state.message).reshape(state.q.shape)
+
+
 def mean_field_step(
-    state: MeanFieldState, u: UnaryField, vol: Volume, cfg: CrfConfig
+    state: MeanFieldState, u: UnaryField, vol: Volume, cfg: CrfConfig, score=True
 ) -> MeanFieldState:
     """One parallel sweep: every voxel's marginals from the state's message.
 
     Appends the variational free energy of the new marginals to the trace:
     exact under the brute backend, a filtered approximation otherwise.
+    score=False leaves the trace as it was.
     """
-    uf = u.neg_log_probs.reshape(u.neg_log_probs.shape[0], -1)
-    q_new = _softmax_labels(-uf + state.message).reshape(state.q.shape)
-    return _scored(q_new, uf, vol, cfg, state.free_energy_trace, state.mass, state.kernel)
+    uf = _flat(u)
+    return _scored(
+        _swept(state, uf), uf, vol, cfg, state.free_energy_trace, state.mass, state.kernel, score
+    )
 
 
-def _initial_state(u: UnaryField, vol: Volume, cfg: CrfConfig) -> MeanFieldState:
-    labels = u.neg_log_probs.shape[0]
-    uf = u.neg_log_probs.reshape(labels, -1)
+def _initial_state(u: UnaryField, vol: Volume, cfg: CrfConfig, score=True) -> MeanFieldState:
+    uf = _flat(u)
     q0 = _softmax_labels(-uf).reshape(u.neg_log_probs.shape)
     kernel = None
     if cfg.backend == "brute":
         kernel = kernel_matrix(vol, cfg)
     elif cfg.w_appearance > 0:
-        # all 1 + iterations passes filter against the same intensities
+        # every pass of the refinement filters against the same intensities
         inten = _appearance_intensities(vol, cfg)
         kernel = list(cell_records(inten, vol.spacing, cfg.theta_alpha))
-    return _scored(q0, uf, vol, cfg, (), None, kernel)
+    return _scored(q0, uf, vol, cfg, (), None, kernel, score)
 
 
 def _two_label_argmax(q: np.ndarray) -> np.ndarray:
@@ -250,12 +267,18 @@ def _two_label_argmax(q: np.ndarray) -> np.ndarray:
     return (q[1] > q[0]).astype(np.uint8)
 
 
-def refine(p: ProbMap, vol: Volume, cfg: CrfConfig):
+def refine(p: ProbMap, vol: Volume, cfg: CrfConfig, keep_state=True):
     """Mean-field refinement of a probability map against its volume.
 
     Returns (LabelMask, MeanFieldState). After the grid, affine and label
     checks, iterations = 0 returns the argmax of the input map and None as
     the state, without unaries, kernel or message pass.
+
+    keep_state=False returns None as the state at every iteration count, for
+    callers that only want the mask: n sweeps then make n message passes
+    and no free energy, and the mask is the same bytes as the default's. The
+    default keeps the final state, whose message and free-energy trace take
+    one more pass and 1 + n free energies.
     """
     if p.data.shape[1:] != vol.data.shape:
         raise GeometryError(
@@ -269,7 +292,10 @@ def refine(p: ProbMap, vol: Volume, cfg: CrfConfig):
     if cfg.iterations == 0:
         return LabelMask(_two_label_argmax(p.data), vol.affine), None
     u = unary_from_probmap(p)
-    state = _initial_state(u, vol, cfg)
-    for _ in range(cfg.iterations):
-        state = mean_field_step(state, u, vol, cfg)
+    state = _initial_state(u, vol, cfg, keep_state)
+    for _ in range(cfg.iterations - 1):
+        state = mean_field_step(state, u, vol, cfg, keep_state)
+    if not keep_state:
+        return LabelMask(_two_label_argmax(_swept(state, _flat(u))), vol.affine), None
+    state = mean_field_step(state, u, vol, cfg)
     return LabelMask(_two_label_argmax(state.q), vol.affine), state

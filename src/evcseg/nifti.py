@@ -3,8 +3,10 @@
 Only the single-precision slice of NIfTI-1 that this pipeline needs:
 datatypes uint8/int16/int32/float32/float64, gzip detected by magic bytes
 rather than extension, transparent byte-swapped (big-endian) headers, and
-the sform-over-qform affine precedence. Values come back as float64 with
-scl_slope/scl_inter applied whenever slope is nonzero.
+the sform-over-qform affine precedence. Affines come back in mm, scaled
+by the header's spatial unit (metres and microns; unknown reads as mm).
+Values come back as float64 with scl_slope/scl_inter applied whenever
+slope is nonzero.
 """
 
 from __future__ import annotations
@@ -95,6 +97,11 @@ DATATYPES = {
 }
 _DTYPE_CODES = {np.dtype(d.str[1:]): code for code, d in DATATYPES.items()}
 
+# NIfTI-1 spatial unit code (the low bits of xyzt_units) -> mm per unit:
+# unknown, metre, mm, micron. Unknown reads as mm; other codes are refused.
+SPATIAL_UNIT_BITS = 0x07
+MM_PER_SPATIAL_UNIT = {0: 1.0, 1: 1000.0, 2: 1.0, 3: 0.001}
+
 
 @dataclass
 class NiftiHeader:
@@ -109,6 +116,7 @@ class NiftiHeader:
     scl_inter: float
     qform_code: int
     sform_code: int
+    xyzt_units: int
     quatern: tuple[float, float, float]
     qoffset: tuple[float, float, float]
     srow: np.ndarray
@@ -124,16 +132,23 @@ class NiftiHeader:
         return tuple(int(d) for d in self.dim[1 : 1 + self.ndim])
 
     def affine(self) -> np.ndarray:
-        """sform when present, else qform, else pixdim on the diagonal."""
+        """sform when present, else qform, else pixdim on the diagonal, in mm."""
         if self.sform_code > 0:
             aff = np.eye(4)
             aff[:3] = self.srow
-            return aff
-        if self.qform_code > 0:
-            return self._qform_affine()
-        aff = np.eye(4)
-        for a in range(3):
-            aff[a, a] = self.pixdim[1 + a] if self.pixdim[1 + a] != 0 else 1.0
+        elif self.qform_code > 0:
+            aff = self._qform_affine()
+        else:
+            aff = np.eye(4)
+            for a in range(3):
+                aff[a, a] = self.pixdim[1 + a] if self.pixdim[1 + a] != 0 else 1.0
+        mm = MM_PER_SPATIAL_UNIT[self.xyzt_units & SPATIAL_UNIT_BITS]
+        if mm != 1.0:
+            # scaled in the header's float32, so a length stored as the
+            # float32 of a whole number of mm reads as that number; one
+            # past the float32 range turns inf, which the reader refuses
+            with np.errstate(over="ignore"):
+                aff[:3] = aff[:3].astype(np.float32) * np.float32(mm)
         return aff
 
     def _qform_affine(self) -> np.ndarray:
@@ -181,6 +196,9 @@ def _parse_header(buf: bytes, path) -> NiftiHeader:
     vox_offset = float(raw["vox_offset"])
     if not (np.isfinite(vox_offset) and vox_offset >= 0):
         raise FormatError(f"{path}: vox_offset {vox_offset} is not a byte offset")
+    units = int(raw["xyzt_units"])
+    if units & SPATIAL_UNIT_BITS not in MM_PER_SPATIAL_UNIT:
+        raise FormatError(f"{path}: xyzt_units {units} names no spatial unit")
     return NiftiHeader(
         dim=np.array(raw["dim"], dtype=np.int64),
         datatype=int(raw["datatype"]),
@@ -191,6 +209,7 @@ def _parse_header(buf: bytes, path) -> NiftiHeader:
         scl_inter=float(raw["scl_inter"]),
         qform_code=int(raw["qform_code"]),
         sform_code=int(raw["sform_code"]),
+        xyzt_units=units,
         quatern=(float(raw["quatern_b"]), float(raw["quatern_c"]), float(raw["quatern_d"])),
         qoffset=(float(raw["qoffset_x"]), float(raw["qoffset_y"]), float(raw["qoffset_z"])),
         srow=np.stack([raw["srow_x"], raw["srow_y"], raw["srow_z"]]).astype(np.float64),

@@ -269,7 +269,7 @@ def extract(cfg: PipelineConfig) -> ExtractResult:
         probs, _ = evnet_forward(x, params, net_cfg)
         prob_map = ProbMap(data=probs[0].astype(np.float64), affine=net_vol.affine)
     with _stage("crf"):
-        network_mask, _ = refine(prob_map, net_vol, cfg.crf)
+        network_mask, _ = refine(prob_map, net_vol, cfg.crf, keep_state=False)
     with _stage("cleanup"):
         if cfg.cleanup and network_mask.data.any():
             network_mask = component_cleanup(network_mask)

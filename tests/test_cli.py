@@ -15,12 +15,14 @@ import numpy as np
 import pytest
 
 from conftest import TOY_GRID, rewrite_manifest
-from evcseg import cli
+from evcseg import cli, crf
 from evcseg.crf import CrfConfig, refine
 from evcseg.errors import CapacityError, FormatError
 from evcseg.evnet import EvNetConfig, config_hash, load_checkpoint, save_checkpoint
+from evcseg.metrics import dice
 from evcseg.nifti import read_mask, read_nifti, read_probmap, write_nifti
 from evcseg.pipeline import PipelineConfig, TrainConfig
+from evcseg.synth import make_phantom
 from evcseg.volume import ProbMap, Volume
 
 GRID_FLAGS = ["--pad", "16", "16", "16", "--no-resize-half"]
@@ -443,6 +445,30 @@ class TestExtractCommand:
         assert peak < 1 << 20, peak
 
 
+class TestSpatialUnits:
+    """A scan whose header gives its affine in metres extracts as the same
+    scan given in mm does."""
+
+    CHECKPOINT = Path(__file__).resolve().parents[1] / "bench" / "checkpoint.evc"
+
+    def test_metre_scan_extracts_like_mm(self, tmp_path):
+        image, truth = make_phantom(64, np.random.default_rng(1013))
+        write_nifti(image, tmp_path / "mm.nii")
+        write_nifti(Volume(image.data, np.diag([0.001, 0.001, 0.001, 1.0])), tmp_path / "m.nii")
+        header = bytearray((tmp_path / "m.nii").read_bytes())
+        header[123] = 1  # xyzt_units: metres
+        (tmp_path / "m.nii").write_bytes(bytes(header))
+        for name in ("mm", "m"):
+            code = run(["extract", "--in", str(tmp_path / f"{name}.nii"),
+                        "--out", str(tmp_path / f"{name}.mask.nii"),
+                        "--checkpoint", str(self.CHECKPOINT)])
+            assert code == 0
+        mm, m = (read_mask(tmp_path / f"{name}.mask.nii") for name in ("mm", "m"))
+        assert dice(truth.data, m.data) >= 0.9
+        np.testing.assert_array_equal(m.data, mm.data)
+        np.testing.assert_allclose(m.affine, mm.affine, rtol=1e-6)
+
+
 class TestRefineCommand:
     def test_zero_iterations_is_argmax(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -531,6 +557,31 @@ class TestRefineCommand:
         assert code == 3
         assert "normal float64" in capsys.readouterr().err
         assert not (tmp_path / "m.nii.gz").exists()
+
+    def test_default_refine_mask_from_n_passes(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(6)
+        fg = rng.uniform(0.05, 0.95, size=(9, 8, 7))
+        write_nifti(ProbMap(np.stack([1.0 - fg, fg])), tmp_path / "p.nii.gz")
+        write_nifti(Volume(rng.uniform(size=(9, 8, 7))), tmp_path / "v.nii.gz")
+        passes, message_pass = [], crf.filtered_message_pass
+
+        def counting(*args):
+            passes.append(1)
+            return message_pass(*args)
+
+        monkeypatch.setattr(crf, "filtered_message_pass", counting)
+        out = tmp_path / "m.nii.gz"
+        code = run(
+            ["refine", "--prob", str(tmp_path / "p.nii.gz"),
+             "--image", str(tmp_path / "v.nii.gz"), "--out", str(out), "--crf-iters", "3"]
+        )
+        assert code == 0 and len(passes) == 3
+        mask, state = refine(
+            read_probmap(tmp_path / "p.nii.gz"), read_nifti(tmp_path / "v.nii.gz"),
+            CrfConfig(iterations=3),
+        )
+        assert state is not None
+        assert read_mask(out).data.tobytes() == mask.data.tobytes()
 
 
 class TestEvalCommand:

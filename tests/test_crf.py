@@ -931,3 +931,78 @@ class TestConfigValidation:
     @pytest.mark.parametrize("iterations", [0, 3, np.int64(3), np.int32(0), np.uint8(2)])
     def test_accepts_integer_iterations(self, iterations):
         assert CrfConfig(iterations=iterations).iterations == iterations
+
+
+class TestRefineWithoutState:
+    """refine(..., keep_state=False) labels from n message passes and no free
+    energy, and its mask is the default's, byte for byte."""
+
+    @pytest.mark.parametrize("iterations", [0, 1, 2, 5])
+    @pytest.mark.parametrize("backend", ["brute", "filtered"])
+    def test_same_mask_and_no_state(self, backend, iterations):
+        for seed in (210, 211, 212):
+            p, vol, cfg = random_crf_instance(seed=seed)
+            cfg = dataclasses.replace(cfg, backend=backend, iterations=iterations)
+            mask, _ = refine(p, vol, cfg)
+            lean, state = refine(p, vol, cfg, keep_state=False)
+            assert state is None
+            assert lean.data.dtype == mask.data.dtype
+            assert lean.data.tobytes() == mask.data.tobytes()
+            np.testing.assert_array_equal(lean.affine, mask.affine)
+
+    def test_same_mask_on_a_phantom(self):
+        p, vol, cfg = phantom_crf_instance(86)
+        mask, _ = refine(p, vol, cfg)
+        lean, _ = refine(p, vol, cfg, keep_state=False)
+        assert lean.data.tobytes() == mask.data.tobytes()
+
+    @pytest.mark.parametrize("keep_state", [True, False])
+    @pytest.mark.parametrize("iterations", [0, 1, 2, 5])
+    @pytest.mark.parametrize("backend", ["brute", "filtered"])
+    def test_message_passes_and_free_energies(self, backend, iterations, keep_state, monkeypatch):
+        calls = {"pass": 0, "free_energy": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(crf, "filtered_message_pass", counted("pass", filtered_message_pass))
+        monkeypatch.setattr(crf, "_free_energy", counted("free_energy", crf._free_energy))
+        p, vol, cfg = random_crf_instance(seed=213)
+        cfg = dataclasses.replace(cfg, backend=backend, iterations=iterations)
+        refine(p, vol, cfg, keep_state=keep_state)
+        n = iterations
+        if n and keep_state:
+            passes, energies = n + 1, n + 1
+        else:
+            passes, energies = n, 0
+        if backend == "brute":
+            passes = 0  # the kernel matrix product makes the message
+        assert calls == {"pass": passes, "free_energy": energies}
+
+
+class TestKeptRecordsUnchanged:
+    def test_filter_leaves_every_record_bit_identical(self):
+        # the slice writes weights * blurred into the blurred buffer; a
+        # record's weights must never be the buffer written
+        rng = np.random.default_rng(89)
+        shape, spacing, theta = (20, 18, 16), (2.0, 2.0, 2.0), 4.0
+        inten = brain_like(shape, (3, 2, 4), (17, 15, 12), rng)
+        values = rng.uniform(size=(2,) + shape)
+        cells = list(bilateral.cell_records(inten, spacing, theta))
+
+        def arrays(record):
+            _, _, _, pos, blur, weights = record
+            return [pos, *blur, weights]
+
+        before = [[a.copy() for a in arrays(record)] for record in cells]
+        first = bilateral_filter(values, inten, spacing, theta, cells)
+        for record, kept in zip(cells, before):
+            for got, want in zip(arrays(record), kept):
+                assert got.tobytes() == want.tobytes()
+        again = bilateral_filter(values, inten, spacing, theta, cells)
+        assert again.tobytes() == first.tobytes()
+        assert first.tobytes() == bilateral_filter(values, inten, spacing, theta).tobytes()

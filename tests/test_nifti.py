@@ -244,6 +244,62 @@ class TestAffinePrecedence:
         np.testing.assert_allclose(np.diag(v.affine), [0.7, 0.8, 0.9, 1], atol=1e-6)
 
 
+class TestSpatialUnits:
+    """The low bits of xyzt_units scale every affine form to mm; the time
+    bits above them are ignored."""
+
+    @staticmethod
+    def crafted(tmp_path, form, units):
+        forms = {
+            "sform": dict(sform=1, srow=([2, 0, 0, 1], [0, 3, 0, 2], [0, 0, 4, 3])),
+            "qform": dict(qform=1, qoff=(1, 2, 3)),
+            "pixdim": {},
+        }
+        hdr = bytearray(craft_header(
+            dim=(3, 2, 2, 2, 1, 1, 1, 1), datatype=16, bitpix=32,
+            pixdim=(1, 2, 3, 4, 1, 1, 1, 1), **forms[form],
+        ))
+        hdr[123] = units  # xyzt_units
+        path = tmp_path / f"{form}.nii"
+        craft_file(path, bytes(hdr), np.zeros((2, 2, 2), np.float32))
+        return path
+
+    @pytest.mark.parametrize("form", ["sform", "qform", "pixdim"])
+    @pytest.mark.parametrize(
+        "units, mm",
+        [(0, 1.0), (2, 1.0), (1, 1000.0), (3, 0.001), (1 | 8, 1000.0), (3 | 16, 0.001),
+         (2 | 24, 1.0)],
+        ids=["unknown", "mm", "metre", "micron", "metre-sec", "micron-msec", "mm-usec"],
+    )
+    def test_affine_in_mm(self, tmp_path, form, units, mm):
+        expect = np.array([[2, 0, 0, 1], [0, 3, 0, 2], [0, 0, 4, 3]], dtype=float)
+        if form == "pixdim":
+            expect[:, 3] = 0.0
+        v = read_nifti(self.crafted(tmp_path, form, units))
+        np.testing.assert_allclose(v.affine[:3], expect * mm, rtol=1e-6)
+        np.testing.assert_array_equal(v.affine[3], [0, 0, 0, 1])
+        assert read_header(self.crafted(tmp_path, form, units)).xyzt_units == units
+
+    def test_metre_lengths_past_float32_refused(self, tmp_path):
+        hdr = bytearray(craft_header(
+            dim=(3, 2, 2, 2, 1, 1, 1, 1), datatype=16, bitpix=32,
+            sform=1, srow=([1e36, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]),
+        ))
+        hdr[123] = 1  # metres: 1e39 mm is past the float32 range
+        craft_file(tmp_path / "far.nii", bytes(hdr), np.zeros((2, 2, 2), np.float32))
+        with pytest.raises(FormatError, match="non-finite"):
+            read_nifti(tmp_path / "far.nii")
+
+    @pytest.mark.parametrize("units", [4, 7, 4 | 8])
+    def test_undefined_spatial_unit_refused(self, tmp_path, units):
+        with pytest.raises(FormatError, match="xyzt_units"):
+            read_nifti(self.crafted(tmp_path, "sform", units))
+
+    def test_writer_leaves_units_unknown(self, tmp_path):
+        write_nifti(Volume(np.zeros((2, 2, 2)), np.diag([0.5, 0.5, 0.5, 1.0])), tmp_path / "w.nii")
+        assert (tmp_path / "w.nii").read_bytes()[123] == 0
+
+
 class TestFormatErrors:
     def test_bad_magic(self, tmp_path):
         hdr = craft_header(

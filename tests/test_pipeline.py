@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import TOY_EVNET, TOY_GRID
+from evcseg import crf
 from evcseg.crf import CrfConfig
 from evcseg.errors import ConfigError, DataError, GeometryError, TrainingError
 from evcseg.evnet import EvNetConfig, init_params, load_checkpoint, save_checkpoint
@@ -247,6 +248,38 @@ class TestExtract:
         )
         with pytest.raises(GeometryError, match="stage 'pad'"):
             extract(cfg)
+
+
+class TestExtractRefinesWithoutState:
+    """extract asks refine for the mask alone: n message passes at n
+    iterations, and the mask the default refine gives."""
+
+    CHECKPOINT = Path(__file__).resolve().parents[1] / "bench" / "checkpoint.evc"
+
+    def test_five_passes_and_the_default_mask(self, tmp_path, monkeypatch):
+        image, _ = make_phantom(64, np.random.default_rng(1014))
+        write_nifti(image, tmp_path / "head.nii")
+        cfg = PipelineConfig(
+            input_path=tmp_path / "head.nii",
+            output_path=tmp_path / "mask.nii",
+            checkpoint_path=self.CHECKPOINT,
+            crf=CrfConfig(iterations=5),
+            cleanup=False,
+        )
+        passes, message_pass = [], crf.filtered_message_pass
+
+        def counting(*args):
+            passes.append(1)
+            return message_pass(*args)
+
+        monkeypatch.setattr(crf, "filtered_message_pass", counting)
+        res = extract(cfg)
+        assert len(passes) == 5
+        net_vol, _ = preprocess_volume(read_nifti(cfg.input_path), cfg.grid)
+        mask, state = crf.refine(res.probs, net_vol, cfg.crf)
+        assert len(passes) == 11 and len(state.free_energy_trace) == 6
+        assert res.network_mask.data.any()
+        assert res.network_mask.data.tobytes() == mask.data.tobytes()
 
 
 def train_digests(data_dir, out):
