@@ -16,18 +16,18 @@ strided grid read across rows and are cut off at the end. Each offset's
 product is accumulated in place by one BLAS gemm with beta = 1, so no
 per-offset product array is allocated and no second add pass runs. The
 kernel gradient contracts the output gradient, placed on the same phase
-grid and zero off the strided outputs, with the same contiguous windows,
-and the input gradient is the forward correlation again
-(conv3d_transpose). The stride-2 2x2x2 down convolution is conv3d
-at stride 2, and the up convolution its transpose. A transpose whose
-stride equals its kernel size and has no padding (the up convolution and
-the down convolution's input gradient) meets each output voxel with one
-tap alone, so it runs as eight per-phase gemms, each summing over the
-same channels in the same order, instead of correlating a spread array
-that is 7/8 zeros.
+grid and zero off the strided outputs, with the same contiguous windows.
+The input gradient is conv3d_transpose, computed one output stride phase
+at a time: along an axis, output voxel a + s * w meets only the taps
+i = a + p (mod s), each at a fixed shift into g, so a phase is one gemm
+per such tap over a window of one zero-padded copy of g. The stride-2
+2x2x2 down convolution is conv3d at stride 2, and the up convolution its
+transpose.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 from scipy.linalg import get_blas_funcs
@@ -128,49 +128,37 @@ def conv3d_forward(x, kernel, bias, stride=1, padding=0):
 def conv3d_transpose(g, kernel, bias, stride, padding, spatial):
     """Adjoint of conv3d_forward's linear part in x, plus bias (c,).
 
-    Takes g (n, o, *out) through kernel (o, c, k, k, k) to (n, c, *spatial).
-    This is the forward correlation of g, spread to stride steps at offset
-    k - 1, with the flipped, channel-swapped kernel, over the unpadded input.
-    When stride == k and nothing is padded, each output voxel meets exactly
-    one tap, so _phase_transpose computes it without the spread.
+    Takes g (n, o, *out) through kernel (o, c, k, k, k) to (n, c, *spatial),
+    one output stride phase at a time. Along an axis, output voxel
+    v = a + s * w (phase a) meets only the taps i = a + p (mod s), and tap i
+    reads g[w + (a + p - i) / s]. So g is copied once, zero-padded ahead by
+    lead = max(0, (k - 1 - p) // s) and behind as far as the widest phase
+    reads; each phase accumulates one gemm per tap, last tap first (the
+    order a correlation with the flipped kernel sums them), over the copy's
+    window at shift lead + (a + p - i) // s, and keeps its leading
+    ceil((m - a) / s) voxels per axis.
     """
     n, o = g.shape[:2]
     if kernel.shape[0] != o:
         raise GeometryError(f"kernel expects {kernel.shape[0]} input channels, tensor has {o}")
-    k, p, s = kernel.shape[2], padding, stride
-    if s == k and p == 0:
-        return _phase_transpose(g, kernel, bias, spatial)
-    od, oh, ow = g.shape[2:]
-    d, h, w = spatial
-    spread = np.zeros((n, o, *(m + 2 * p + k - 1 for m in spatial)), dtype=g.dtype)
-    spread[:, :, k - 1 :: s, k - 1 :: s, k - 1 :: s][:, :, :od, :oh, :ow] = g
-    y, _ = conv3d_forward(
-        spread[:, :, p : p + d + k - 1, p : p + h + k - 1, p : p + w + k - 1],
-        kernel[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4),
-        bias,
-    )
-    return y
-
-
-def _phase_transpose(g, kernel, bias, spatial):
-    """conv3d_transpose at stride k without padding, one gemm per output phase.
-
-    Output voxel k * v + (a, b, e) is g[:, :, v] through tap (a, b, e) alone,
-    so phase (a, b, e) is one gemm of g with that tap, summed over g's
-    channels in the order the spread correlation sums them; output voxels
-    past k * out get the bias alone.
-    """
-    n, o, od, oh, ow = g.shape
     c, k = kernel.shape[1:3]
+    s, p = stride, padding
+    lead = max(0, (k - 1 - p) // s)
+    span = lead + (s - 1 + p) // s + 1
+    behind = (max(0, -(-m // s) + span - 1 - lead - og) for m, og in zip(spatial, g.shape[2:]))
+    gp = np.pad(g, ((0, 0), (0, 0), *((lead, b) for b in behind)))
     dtype = np.result_type(g, kernel, bias)
     gemm = get_blas_funcs("gemm", dtype=dtype)
-    gmat = np.ascontiguousarray(g.swapaxes(0, 1), dtype=gemm.dtype).reshape(o, -1)
-    y = np.zeros((n, c, *spatial), dtype=dtype)
-    for a, b, e in np.ndindex(k, k, k):
-        acc = np.zeros((gmat.shape[1], c), dtype=gemm.dtype, order="F")
-        acc = gemm(1.0, gmat.T, kernel[:, :, a, b, e], beta=1.0, c=acc, overwrite_c=True)
-        phase = acc.T.reshape(c, n, od, oh, ow).swapaxes(0, 1)
-        y[:, :, a::k, b::k, e::k][:, :, :od, :oh, :ow] = phase
+    q, taps = _phase_windows(gp, (span,) * 3, 1, gemm.dtype)
+    windows = dict(taps)
+    y = np.empty((n, c, *spatial), dtype=dtype)
+    for a, b, e in np.ndindex(s, s, s):
+        acc = np.zeros((n * q[0] * q[1] * q[2], c), dtype=gemm.dtype, order="F")
+        for i, j, l in product(*(range((t + p) % s, k, s)[::-1] for t in (a, b, e))):
+            win = windows[lead + (a + p - i) // s, lead + (b + p - j) // s, lead + (e + p - l) // s]
+            acc = gemm(1.0, win.T, kernel[:, :, i, j, l], beta=1.0, c=acc, overwrite_c=True)
+        cd, ch, cw = (-(-(m - t) // s) for m, t in zip(spatial, (a, b, e)))
+        y[:, :, a::s, b::s, e::s] = acc.T.reshape(c, n, *q)[:, :, :cd, :ch, :cw].swapaxes(0, 1)
     y += bias.reshape(1, c, 1, 1, 1)
     return y
 

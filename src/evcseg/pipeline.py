@@ -183,13 +183,17 @@ def preprocess_volume(v: Volume, grid: GridConfig) -> tuple[Volume, dict]:
 
     Returns the network-grid volume and a metadata dict holding everything
     needed to carry a mask on that grid back to the native one: the pad
-    offsets, the pre-halving shape, and the affines along the way.
+    offsets, the pre-halving shape, and the affines along the way. A volume
+    whose resampled voxels all hold one value has no contrast to segment
+    and raises DataError.
     """
     with _stage("reorient"):
         v1 = reorient_ras(v)
     with _stage("resample"):
         v2 = resample_isotropic(v1, SPACING_MM)
     with _stage("normalize"):
+        if v2.data.max() == v2.data.min():
+            raise DataError(f"no contrast: every resampled voxel is {v2.data.flat[0]}")
         divisor = linear_percentile(v2.data, NORM_PERCENTILE)
         divisor = max(divisor, 1e-12)
         v2 = Volume(np.clip(v2.data / divisor, 0.0, NORM_CLAMP), v2.affine)

@@ -222,7 +222,10 @@ def resample_isotropic(v: Volume, spacing_mm: float) -> Volume:
     """Resample onto an isotropic grid by trilinear interpolation.
 
     The output grid shares the input's direction cosines and cell extent;
-    its shape is ``ceil(shape * spacing / spacing_mm)`` per axis. Axes
+    its shape is ``ceil(shape * spacing / spacing_mm)`` per axis, less a
+    relative 1e-6 before the ceil: a spacing read from a float32 header
+    sits a few float32 steps above its decimal (0.8 mm reads as
+    0.800000012), and its extent must not gain a voxel for that. Axes
     already on the output grid are not interpolated, so a volume with every
     axis there comes back with its own data array, uncopied.
 
@@ -234,7 +237,8 @@ def resample_isotropic(v: Volume, spacing_mm: float) -> Volume:
         raise GeometryError(f"spacing must be positive, got {spacing_mm}")
     sp = v.spacing
     dirs = v.affine[:3, :3] / sp
-    out_shape = np.maximum(np.ceil(np.array(v.shape) * sp / spacing_mm), 1).astype(int)
+    extent = np.array(v.shape) * sp / spacing_mm
+    out_shape = np.maximum(np.ceil(extent * (1 - 1e-6)), 1).astype(int)
 
     data = v.data
     for axis in range(3):

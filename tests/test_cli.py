@@ -469,6 +469,36 @@ class TestSpatialUnits:
         np.testing.assert_allclose(m.affine, mm.affine, rtol=1e-6)
 
 
+class TestGridBoundaries:
+    """Scans whose resampled grid sits at an edge: a float32 spacing just
+    above a whole grid, and volumes with no contrast to segment."""
+
+    CHECKPOINT = TestSpatialUnits.CHECKPOINT
+
+    def extract(self, volume, tmp_path):
+        write_nifti(volume, tmp_path / "scan.nii")
+        return run(["extract", "--in", str(tmp_path / "scan.nii"),
+                    "--out", str(tmp_path / "mask.nii"),
+                    "--checkpoint", str(self.CHECKPOINT)])
+
+    def test_float32_spacing_fits_the_default_pad(self, tmp_path):
+        # 80 slices of 0.8 mm read back at 0.800000012 mm: 64 mm, not 65
+        image, truth = make_phantom(80, np.random.default_rng(1080))
+        assert self.extract(Volume(image.data, np.diag([0.8, 0.8, 0.8, 1.0])), tmp_path) == 0
+        assert read_nifti(tmp_path / "scan.nii").spacing[0] > 0.8
+        assert dice(truth.data, read_mask(tmp_path / "mask.nii").data) >= 0.9
+
+    @pytest.mark.parametrize(
+        "data",
+        [np.full((64, 64, 64), 5.0), np.zeros((64, 64, 64)), np.full((1, 1, 1), 5.0)],
+        ids=["constant", "zeros", "single_voxel"],
+    )
+    def test_no_contrast_is_data_error(self, data, tmp_path, capsys):
+        assert self.extract(Volume(data), tmp_path) == 3
+        assert "contrast" in capsys.readouterr().err
+        assert not (tmp_path / "mask.nii").exists()
+
+
 class TestRefineCommand:
     def test_zero_iterations_is_argmax(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -452,15 +452,17 @@ class TestDownUpConv:
 
 
 class TestPhaseTranspose:
-    """Stride-2 2x2x2 transposes, run as per-phase gemms, against the
-    offset-loop correlation of the zero-spread input, bit for bit."""
+    """Transposes, run as per-phase gemms over one padded copy of g, against
+    the offset-loop correlation of the zero-spread input, bit for bit."""
 
     @staticmethod
-    def spread_reference(g, kernel, bias, spatial):
-        k = kernel.shape[2]
+    def spread_reference(g, kernel, bias, spatial, stride, padding):
+        k, s, p = kernel.shape[2], stride, padding
         od, oh, ow = g.shape[2:]
-        spread = np.zeros((*g.shape[:2], *(m + k - 1 for m in spatial)), dtype=g.dtype)
-        spread[:, :, k - 1 :: k, k - 1 :: k, k - 1 :: k][:, :, :od, :oh, :ow] = g
+        spread = np.zeros((*g.shape[:2], *(m + 2 * p + k - 1 for m in spatial)), dtype=g.dtype)
+        spread[:, :, k - 1 :: s, k - 1 :: s, k - 1 :: s][:, :, :od, :oh, :ow] = g
+        d, h, w = spatial
+        spread = spread[:, :, p : p + d + k - 1, p : p + h + k - 1, p : p + w + k - 1]
         flipped = kernel[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
         return offset_loop_conv3d(spread, flipped, bias, 1, 0)
 
@@ -474,7 +476,7 @@ class TestPhaseTranspose:
             bias = rng.standard_normal(c_out).astype(dtype)
             y, _ = ops.upconv_forward(x, kernel, bias)
             assert y.dtype == dtype and y.flags.c_contiguous
-            expect = self.spread_reference(x, kernel, bias, (6, 4, 8))
+            expect = self.spread_reference(x, kernel, bias, (6, 4, 8), 2, 0)
             assert y.tobytes() == np.ascontiguousarray(expect).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -482,15 +484,37 @@ class TestPhaseTranspose:
     @pytest.mark.parametrize("shape", [(6, 4, 8), (7, 5, 4)], ids=["even", "odd"])
     def test_downconv_input_gradient_bit_identical(self, dtype, batch, shape):
         # an odd axis leaves its last voxel outside every window: gradient 0
-        rng = np.random.default_rng((batch, np.dtype(dtype).itemsize, sum(shape)))
+        self.check_input_gradient(dtype, batch, 2, 2, 0, shape, (sum(shape),))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize(
+        "k,s,p,shape",
+        [
+            (5, 1, 2, (6, 4, 8)),
+            (1, 1, 0, (7, 5, 4)),
+            (3, 2, 1, (7, 5, 9)),
+            (5, 2, 1, (7, 9, 5)),
+            (2, 3, 0, (7, 8, 5)),
+        ],
+        ids=["block", "head", "3cube_stride2_odd", "5cube_stride2_odd", "stride_over_k"],
+    )
+    def test_input_gradient_bit_identical(self, dtype, batch, k, s, p, shape):
+        # the block and head convs' stride-1 transposes, general strides on
+        # odd extents, and stride 3 over a 2-cube, where one phase per axis
+        # meets no tap
+        self.check_input_gradient(dtype, batch, k, s, p, shape, (k, s, p, sum(shape)))
+
+    def check_input_gradient(self, dtype, batch, k, s, p, shape, seed):
+        rng = np.random.default_rng((batch, np.dtype(dtype).itemsize, *seed))
         for c, o in [(2, 2), (3, 5), (4, 3)]:
             x = rng.standard_normal((batch, c, *shape)).astype(dtype)
-            kernel = rng.standard_normal((o, c, 2, 2, 2)).astype(dtype)
-            y, cache = ops.conv3d_forward(x, kernel, np.zeros(o, dtype=dtype), stride=2)
+            kernel = rng.standard_normal((o, c, k, k, k)).astype(dtype)
+            y, cache = ops.conv3d_forward(x, kernel, np.zeros(o, dtype=dtype), s, p)
             g = rng.standard_normal(y.shape).astype(dtype)
             gx, _, _ = ops.conv3d_backward(g, cache)
             assert gx.dtype == dtype and gx.shape == x.shape
-            expect = self.spread_reference(g, kernel, np.zeros(c, dtype=dtype), shape)
+            expect = self.spread_reference(g, kernel, np.zeros(c, dtype=dtype), shape, s, p)
             assert gx.tobytes() == np.ascontiguousarray(expect).tobytes()
 
 

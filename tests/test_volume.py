@@ -194,6 +194,18 @@ class TestResample:
         v2 = Volume(data=np.zeros((4, 4, 4)), affine=np.diag([2.0, 2.0, 2.0, 1.0]))
         assert resample_isotropic(v2, 1.0).shape == (8, 8, 8)
 
+    @pytest.mark.parametrize("slices,spacing", [(80, 0.8), (160, 1.2)])
+    def test_float32_spacing_keeps_the_whole_grid(self, slices, spacing):
+        # a float32 header stores 0.8 mm as 0.800000012 and 1.2 mm as
+        # 1.20000005, an extent just above a whole number of mm
+        sp = float(np.float32(spacing))
+        assert slices * sp > round(slices * spacing)
+        v = Volume(data=np.zeros((slices, 2, 2)), affine=np.diag([sp, 1.0, 1.0, 1.0]))
+        assert resample_isotropic(v, 1.0).shape == (round(slices * spacing), 2, 2)
+        # an extent past the float32 rounding still gains its voxel
+        wider = Volume(data=v.data, affine=np.diag([spacing + 1e-5, 1.0, 1.0, 1.0]))
+        assert resample_isotropic(wider, 1.0).shape == (round(slices * spacing) + 1, 2, 2)
+
     def test_constants_preserved_exactly(self):
         v = Volume(
             data=np.full((6, 5, 4), 3.25), affine=np.diag([1.3, 0.8, 2.1, 1.0])
