@@ -76,10 +76,6 @@ def apply_rigid(
     if angles.shape != (3,) or trans.shape != (3,):
         raise ConfigError("angles_deg and trans_vox must each have 3 components")
 
-    # Degenerate draw: skip interpolation so the identity is exact.
-    if not angles.any() and not trans.any():
-        return Volume(v.data.copy(), v.affine), LabelMask(m.data.copy(), m.affine)
-
     r = _rotation_matrix(angles)
     center = (np.asarray(v.shape, dtype=np.float64) - 1.0) / 2.0
     # Inverse map for affine_transform: in = R^T (out - c - t) + c.

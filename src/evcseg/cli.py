@@ -135,7 +135,6 @@ def _cmd_train(args) -> int:
         levels=args.levels,
         base_channels=args.base_channels,
         multiscale_inputs=not args.no_multiscale,
-        multiscale_mode=args.multiscale_mode,
         seed=args.seed,
     )
     cfg = TrainConfig(
@@ -221,10 +220,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--levels", type=int, default=EvNetConfig.levels,
                    help="resolution levels in the network")
     p.add_argument("--base-channels", type=int, default=EvNetConfig.base_channels)
-    p.add_argument(
-        "--multiscale-mode", choices=("concat", "add"), default=EvNetConfig.multiscale_mode,
-        help="how downscaled raw inputs join the encoder",
-    )
     p.add_argument(
         "--no-multiscale", action="store_true",
         help="drop the downscaled raw inputs (plain V-shaped baseline)",
@@ -336,7 +331,7 @@ def main(argv=None) -> int:
             _apply_config_defaults(subparsers[args.command], args.config)
             args = parser.parse_args(argv)
         return args.func(args)
-    except (FormatError, DataError, ConfigError, DomainError, FileNotFoundError, OSError) as e:
+    except (FormatError, DataError, ConfigError, DomainError, OSError) as e:
         print(f"evcseg: error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (GeometryError, CapacityError, TrainingError, EvcsegError) as e:

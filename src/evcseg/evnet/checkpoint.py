@@ -20,7 +20,7 @@ import os
 
 import numpy as np
 
-from ..errors import BadMagicError, FormatError, TruncatedFileError
+from ..errors import BadMagicError, ConfigError, FormatError, TruncatedFileError
 from .network import EvNetConfig, param_shapes
 
 MAGIC = b"EVCNET01"
@@ -95,7 +95,7 @@ def load_checkpoint(path):
     try:
         cfg = EvNetConfig(**{**cfg_dict, "convs_per_block": tuple(cfg_dict["convs_per_block"])})
         expected = param_shapes(cfg)
-    except (TypeError, ValueError) as e:
+    except (ConfigError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad config value: {e}") from e
     if manifest.get("config_hash") != config_hash(cfg):
         raise FormatError(f"{path}: config_hash does not match the config")

@@ -1,15 +1,15 @@
 """The segmentation network: a V-shaped encoder/decoder over 3D volumes.
 
 Each encoder level halves the grid with a strided 2x2x2 convolution and,
-when multi-scale inputs are on, sees the raw input volume downsampled to
-its own grid, appended to the downconv output before the level's conv
-block; that raw input is halved once per level on the way down. Blocks are
-residual: their input (taken before the raw-input merge, so turning the
-merge off or zeroing its weights recovers the plain single-scale network
-exactly) is added to the block output, the one-channel network input
-broadcasting over level 0's channels. The decoder mirrors the encoder with
-transposed convolutions and skip concatenations, ending in a 1x1x1 conv and
-a softmax over two channels.
+when multi-scale inputs are on, takes the raw input volume downsampled to
+its own grid as one more channel beside the downconv output, before the
+level's conv block; that raw input is halved once per level on the way
+down. Blocks are residual: their input (taken before that channel joins,
+so dropping it or zeroing its weights recovers the plain single-scale
+network exactly) is added to the block output, the one-channel network
+input broadcasting over level 0's channels. The decoder mirrors the
+encoder with transposed convolutions and skip concatenations, ending in a
+1x1x1 conv and a softmax over two channels.
 
 Parameters live in a flat name -> array dict; `evnet_forward` optionally
 returns a cache that `evnet_backward` consumes to produce a gradient dict
@@ -49,9 +49,9 @@ class EvNetConfig:
     """Architecture hyperparameters.
 
     convs_per_block gives the number of 5x5x5 convolutions per level; the
-    decoder mirrors the encoder's counts. multiscale_mode selects how the
-    downsampled raw input joins each level: an extra channel ("concat",
-    the default) or a broadcast addition ("add").
+    decoder mirrors the encoder's counts. The downsampled raw input joins
+    each level as an extra channel; multiscale_mode accepts only "concat",
+    and stays a field because checkpoints record and hash every config key.
     """
 
     levels: int = 2
@@ -78,7 +78,7 @@ class EvNetConfig:
             )
         if any(c < 1 for c in self.convs_per_block):
             raise ConfigError("convs_per_block entries must be >= 1")
-        if self.multiscale_mode not in ("concat", "add"):
+        if self.multiscale_mode != "concat":
             raise ConfigError(f"unknown multiscale_mode {self.multiscale_mode!r}")
 
     def channels_at(self, level: int) -> int:
@@ -87,7 +87,7 @@ class EvNetConfig:
 
 def _block_in_channels(cfg: EvNetConfig, level: int) -> int:
     c = cfg.channels_at(level) if level > 0 else 1
-    if level > 0 and cfg.multiscale_inputs and cfg.multiscale_mode == "concat":
+    if level > 0 and cfg.multiscale_inputs:
         c += 1
     return c
 
@@ -208,10 +208,7 @@ def evnet_forward(x, params, cfg: EvNetConfig, want_cache: bool = False):
         res_src = t
         if i > 0 and cfg.multiscale_inputs:
             raw = halve_spatial(raw)
-            if cfg.multiscale_mode == "concat":
-                t, ec["ms_widths"] = concat_channels_forward([t, raw])
-            else:
-                t = t + raw  # raw has one channel; broadcast over channels
+            t, ec["ms_widths"] = concat_channels_forward([t, raw])
         t, ec["convs"] = _block_forward(t, params, f"enc{i}", cfg.convs_per_block[i])
         t = t + res_src  # level 0's one input channel broadcasts over the block's
         feats.append(t)
@@ -261,7 +258,7 @@ def evnet_backward(grad_probs, cache, cfg: EvNetConfig) -> dict[str, np.ndarray]
         g = _block_backward(g, ec["convs"], f"enc{i}", grads, input_grad=i > 0)
         if i == 0:
             break
-        if cfg.multiscale_inputs and cfg.multiscale_mode == "concat":
+        if cfg.multiscale_inputs:
             g, _ = concat_channels_backward(g, ec["ms_widths"])  # raw branch ends here
         g = g + g_res
         g, grads[f"down{i}.prelu"] = prelu_backward(g, ec["down_prelu"])

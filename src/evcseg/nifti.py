@@ -35,7 +35,6 @@ from .volume import LabelMask, ProbMap, Volume
 
 HEADER_SIZE = 348
 GZIP_MAGIC = b"\x1f\x8b"
-SWAPPED_SIZEOF_HDR = 1543569408  # 348 seen through the wrong byte order
 
 _HEADER_FIELDS = [
     ("sizeof_hdr", "i4"),
@@ -109,7 +108,6 @@ class NiftiHeader:
 
     dim: np.ndarray
     datatype: int
-    bitpix: int
     pixdim: np.ndarray
     vox_offset: int
     scl_slope: float
@@ -202,7 +200,6 @@ def _parse_header(buf: bytes, path) -> NiftiHeader:
     return NiftiHeader(
         dim=np.array(raw["dim"], dtype=np.int64),
         datatype=int(raw["datatype"]),
-        bitpix=int(raw["bitpix"]),
         pixdim=np.array(raw["pixdim"], dtype=np.float64),
         vox_offset=int(vox_offset),
         scl_slope=float(raw["scl_slope"]),

@@ -157,6 +157,17 @@ def _check_grid_fits(grid: GridConfig, net_cfg: EvNetConfig) -> None:
         )
 
 
+def _check_resampled_extent(meta: dict, grid: GridConfig, net_cfg: EvNetConfig) -> None:
+    """Refuse a resampled axis shorter than one voxel of the coarsest level:
+    2^(levels - 1) network voxels, each two resampled ones when halved."""
+    step = 2 ** (net_cfg.levels - 1) * (2 if grid.resize_half else 1)
+    shape = tuple(meta["resample"]["shape"])
+    with _stage("resample"):
+        if min(shape) < step:
+            raise DataError(f"resampled grid {shape} has an axis under {step * SPACING_MM:g} "
+                            "mm, one voxel of the network's coarsest level")
+
+
 def linear_percentile(data: np.ndarray, pct: float) -> float:
     """``np.percentile(data, pct)`` (method "linear") from one partition.
 
@@ -268,6 +279,7 @@ def extract(cfg: PipelineConfig) -> ExtractResult:
     with _stage("read"):
         original = read_nifti(cfg.input_path)
     net_vol, meta = preprocess_volume(original, cfg.grid)
+    _check_resampled_extent(meta, cfg.grid, net_cfg)
     with _stage("network"):
         x = net_vol.data[None, None].astype(np.float32)
         probs, _ = evnet_forward(x, params, net_cfg)
@@ -375,16 +387,16 @@ class TrainResult:
     best_loss: float | None
 
 
-def _load_training_pairs(cfg: TrainConfig) -> list[tuple[str, Volume, LabelMask]]:
+def _load_training_pairs(cfg: TrainConfig) -> list[tuple[Volume, LabelMask]]:
     """Read and preprocess every pair onto the network grid.
 
     Bad files are collected and reported together so one broken scan does
     not hide the rest.
     """
-    out: list[tuple[str, Volume, LabelMask]] = []
+    out: list[tuple[Volume, LabelMask]] = []
     problems: list[str] = []
     root = Path(cfg.data_dir)
-    for name, img_path, msk_path in _paired_files(
+    for _, img_path, msk_path in _paired_files(
         root / "images", root / "masks", "image", "mask"
     ):
         try:
@@ -394,11 +406,12 @@ def _load_training_pairs(cfg: TrainConfig) -> list[tuple[str, Volume, LabelMask]
                 raise DataError(f"mask shape {msk.shape} != image shape {vol.shape}")
             if not np.allclose(msk.affine, vol.affine, atol=1e-5):
                 raise DataError("mask and image grids disagree")
-            net_vol, _ = preprocess_volume(vol, cfg.grid)
+            net_vol, meta = preprocess_volume(vol, cfg.grid)
+            _check_resampled_extent(meta, cfg.grid, cfg.evnet)
             net_msk = resample_nearest_to_grid(
                 msk.data, msk.affine, net_vol.affine, net_vol.shape
             )
-            out.append((name, net_vol, LabelMask(net_msk, net_vol.affine)))
+            out.append((net_vol, LabelMask(net_msk, net_vol.affine)))
         except (EvcsegError, OSError) as e:
             problems.append(f"{img_path}: {e}")
     if problems:
@@ -439,8 +452,7 @@ def train(cfg: TrainConfig) -> TrainResult:
     with _stage("config"):
         _check_grid_fits(cfg.grid, cfg.evnet)
     with _stage("dataset"):
-        pairs = _load_training_pairs(cfg)
-        data = [(vol, msk) for _, vol, msk in pairs]
+        data = _load_training_pairs(cfg)
         if cfg.holdout >= len(data):
             raise ConfigError(
                 f"holdout {cfg.holdout} must leave at least one of "

@@ -23,7 +23,7 @@ from evcseg.metrics import dice
 from evcseg.nifti import read_mask, read_nifti, read_probmap, write_nifti
 from evcseg.pipeline import PipelineConfig, TrainConfig
 from evcseg.synth import make_phantom
-from evcseg.volume import ProbMap, Volume
+from evcseg.volume import LabelMask, ProbMap, Volume
 
 GRID_FLAGS = ["--pad", "16", "16", "16", "--no-resize-half"]
 
@@ -106,6 +106,12 @@ class TestUsageErrors:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             run(["florb"])
+        assert exc.value.code == 2
+
+    def test_multiscale_mode_flag_is_gone(self):
+        # concatenation is the one lower-scale merge; no flag selects it
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--data", "d", "--out", "c.evc", "--multiscale-mode", "concat"])
         assert exc.value.code == 2
 
     def test_readme_flags_exist(self):
@@ -471,7 +477,8 @@ class TestSpatialUnits:
 
 class TestGridBoundaries:
     """Scans whose resampled grid sits at an edge: a float32 spacing just
-    above a whole grid, and volumes with no contrast to segment."""
+    above a whole grid, volumes with no contrast to segment, and grids
+    shorter than one voxel of the network's coarsest level."""
 
     CHECKPOINT = TestSpatialUnits.CHECKPOINT
 
@@ -497,6 +504,33 @@ class TestGridBoundaries:
         assert self.extract(Volume(data), tmp_path) == 3
         assert "contrast" in capsys.readouterr().err
         assert not (tmp_path / "mask.nii").exists()
+
+    # at the default grid (pad 64^3 halved, 2 levels) the coarsest network
+    # voxel is 2 * 2 = 4 resampled voxels of 1 mm
+    DEGENERATE = [(2, 2, 2), (3, 3, 3), (1, 1, 64), (64, 64, 1)]
+    DEGENERATE_IDS = ["2x2x2", "3x3x3", "1x1x64", "64x64x1"]
+
+    @pytest.mark.parametrize("shape", DEGENERATE, ids=DEGENERATE_IDS)
+    def test_degenerate_grid_is_data_error(self, shape, tmp_path, capsys):
+        data = np.random.default_rng(sum(shape)).uniform(size=shape)
+        assert self.extract(Volume(data), tmp_path) == 3
+        err = capsys.readouterr().err
+        assert "stage 'resample'" in err and "coarsest level" in err
+        assert not (tmp_path / "mask.nii").exists()
+
+    @pytest.mark.parametrize("shape", DEGENERATE, ids=DEGENERATE_IDS)
+    def test_degenerate_grid_is_unusable_for_training(self, shape, tmp_path, capsys):
+        for sub in ("images", "masks"):
+            (tmp_path / "d" / sub).mkdir(parents=True)
+        data = np.random.default_rng(sum(shape)).uniform(size=shape)
+        write_nifti(Volume(data), tmp_path / "d" / "images" / "tiny.nii")
+        write_nifti(LabelMask((data > 0.5).astype(np.uint8)), tmp_path / "d" / "masks" / "tiny.nii")
+        code = run(["train", "--data", str(tmp_path / "d"), "--out", str(tmp_path / "c.evc"),
+                    "--epochs", "0"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "unusable training pairs" in err and "tiny.nii: stage 'resample'" in err
+        assert not (tmp_path / "c.evc").exists()
 
 
 class TestRefineCommand:
@@ -679,6 +713,14 @@ class TestConfigFile:
         cfg.write_text("phantoms=3\n")
         assert run(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 3
         assert "phantoms" in capsys.readouterr().err
+
+    def test_multiscale_mode_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("multiscale_mode=add\n")
+        argv = ["train", "--data", str(tmp_path), "--out", str(tmp_path / "c.evc")]
+        assert run([*argv, "--config", str(cfg)]) == 3
+        assert "unknown config keys: multiscale_mode" in capsys.readouterr().err
+        assert not (tmp_path / "c.evc").exists()
 
     @pytest.mark.parametrize(
         "blob", [b'{"n": 2,', b"n=\xff\n"], ids=["broken-json", "not-utf8"]

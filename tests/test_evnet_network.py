@@ -1,6 +1,8 @@
 """Whole-network checks: gradient routing, architecture reduction,
 determinism, the optimizer recursion, and checkpoint round trips."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -119,6 +121,8 @@ class TestForward:
             EvNetConfig(levels=3, convs_per_block=(1, 1))
         with pytest.raises(ConfigError):
             EvNetConfig(multiscale_mode="average")
+        with pytest.raises(ConfigError):
+            EvNetConfig(multiscale_mode="add")
 
 
 class TestBackward:
@@ -127,7 +131,6 @@ class TestBackward:
         [
             (EvNetConfig(levels=2, base_channels=2, convs_per_block=(1, 1), seed=5), (2, 1, 4, 4, 4)),
             (EvNetConfig(levels=3, base_channels=2, convs_per_block=(1, 1, 1), seed=6), (1, 1, 8, 8, 8)),
-            (EvNetConfig(levels=2, base_channels=2, convs_per_block=(1, 2), multiscale_mode="add", seed=7), (1, 1, 4, 4, 4)),
             (EvNetConfig(levels=2, base_channels=2, convs_per_block=(1, 1), multiscale_inputs=False, seed=8), (1, 1, 4, 4, 4)),
         ],
     )
@@ -441,6 +444,18 @@ class TestSgdStep:
             sgd_step(params, grads, None, lr=1e38, momentum=0.0)
 
 
+def rehashed_config(**changes):
+    """A manifest edit that sets config values and hashes the result as
+    config_hash does, so only the values themselves are wrong."""
+
+    def edit(manifest):
+        manifest["config"].update(changes)
+        blob = json.dumps(manifest["config"], sort_keys=True).encode()
+        manifest["config_hash"] = hashlib.sha256(blob).hexdigest()[:16]
+
+    return edit
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         cfg = EvNetConfig(levels=2, base_channels=2, seed=31)
@@ -518,8 +533,12 @@ class TestCheckpoint:
             lambda m: m["config"].update(levels="2"),
             lambda m: m["config"].update(base_channels=2.5),
             lambda m: m.update(config_hash="0" * 16),
+            rehashed_config(levels=7),
+            rehashed_config(base_channels=1),
+            rehashed_config(multiscale_mode="add"),
         ],
-        ids=["missing", "unknown", "scalar_convs", "string_levels", "float_channels", "hash"],
+        ids=["missing", "unknown", "scalar_convs", "string_levels", "float_channels", "hash",
+             "rehashed_levels", "rehashed_channels", "rehashed_add_mode"],
     )
     def test_config_keys_must_match(self, tmp_path, edit):
         cfg = EvNetConfig(levels=2, base_channels=2, seed=35)
