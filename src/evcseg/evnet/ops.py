@@ -45,30 +45,35 @@ def conv3d_output_shape(spatial, kernel, stride, padding):
     return tuple((n + 2 * padding - kernel) // stride + 1 for n in spatial)
 
 
-def _phase_windows(xp, kshape, stride, dtype):
-    """Every tap's window of xp (n, c, *padded) as one contiguous slice.
+def _phase_windows(x, kshape, stride, dtype, pad=((0, 0),) * 3):
+    """Every tap's window of x (n, c, *spatial) as one contiguous slice.
 
-    xp is copied once, as dtype, into a flat buffer split into its stride
-    phases: phase (a, b, e) is xp[:, :, a::s, b::s, e::s], stored
-    channel-major as (c, n, *q) on the phase grid q = ceil(padded size / s),
-    zero past its extent; the phases follow one another, then the kernel's
-    reach of zeros. Returns (q, taps), where taps lists ((i, j, l), win) in
-    kernel order and win, shape (c, n * prod(q)), is the window of tap
-    (i, j, l) at every phase-grid voxel. A voxel off the strided output grid
-    reads across rows; its result is meaningless and must be cut off or
-    weighted by zero.
+    x, zero-padded by pad's (lead, behind) per axis, is copied once, as
+    dtype, into a flat buffer split into its stride phases: phase (a, b, e)
+    is xp[:, :, a::s, b::s, e::s] of the padded xp, stored channel-major as
+    (c, n, *q) on the phase grid q = ceil(padded size / s), zero past its
+    extent; the phases follow one another, then the kernel's reach of
+    zeros. Returns (q, taps), where taps lists ((i, j, l), win) in kernel
+    order and win, shape (c, n * prod(q)), is the window of tap (i, j, l)
+    at every phase-grid voxel. A voxel off the strided output grid reads
+    across rows; its result is meaningless and must be cut off or weighted
+    by zero.
     """
-    n, c = xp.shape[:2]
+    n, c = x.shape[:2]
     kd, kh, kw = kshape
     s = stride
-    qd, qh, qw = (-(-m // s) for m in xp.shape[2:])
+    qd, qh, qw = (-(-(lo + m + hi) // s) for m, (lo, hi) in zip(x.shape[2:], pad))
     m = n * qd * qh * qw
     reach = ((kd - 1) // s * qh + (kh - 1) // s) * qw + (kw - 1) // s
     flat = np.zeros(s**3 * c * m + reach, dtype=dtype)
     phases = flat[: s**3 * c * m].reshape(s, s, s, c, n, qd, qh, qw)
-    for a, b, e in np.ndindex(s, s, s):
-        src = xp[:, :, a::s, b::s, e::s].swapaxes(0, 1)
-        phases[a, b, e, :, :, : src.shape[2], : src.shape[3], : src.shape[4]] = src
+    for t in np.ndindex(s, s, s):
+        # phase voxel w holds padded voxel t + s * w, that is x[t + s * w - lead]
+        first = [-(-(lo - a) // s) for a, (lo, _) in zip(t, pad)]
+        src = tuple(slice(a + s * f - lo, None, s) for a, f, (lo, _) in zip(t, first, pad))
+        src = x[(slice(None), slice(None), *src)].swapaxes(0, 1)
+        dst = tuple(slice(f, f + k) for f, k in zip(first, src.shape[2:]))
+        phases[(*t, slice(None), slice(None), *dst)] = src
     taps = []
     for i, j, l in np.ndindex(kd, kh, kw):
         phase = ((i % s) * s + j % s) * s + l % s
@@ -131,12 +136,12 @@ def conv3d_transpose(g, kernel, bias, stride, padding, spatial):
     Takes g (n, o, *out) through kernel (o, c, k, k, k) to (n, c, *spatial),
     one output stride phase at a time. Along an axis, output voxel
     v = a + s * w (phase a) meets only the taps i = a + p (mod s), and tap i
-    reads g[w + (a + p - i) / s]. So g is copied once, zero-padded ahead by
-    lead = max(0, (k - 1 - p) // s) and behind as far as the widest phase
-    reads; each phase accumulates one gemm per tap, last tap first (the
-    order a correlation with the flipped kernel sums them), over the copy's
-    window at shift lead + (a + p - i) // s, and keeps its leading
-    ceil((m - a) / s) voxels per axis.
+    reads g[w + (a + p - i) / s]. So g is copied once, into the phase
+    buffer, zero-padded ahead by lead = max(0, (k - 1 - p) // s) and behind
+    as far as the widest phase reads; each phase accumulates one gemm per
+    tap, last tap first (the order a correlation with the flipped kernel
+    sums them), over the copy's window at shift lead + (a + p - i) // s, and
+    keeps its leading ceil((m - a) / s) voxels per axis.
     """
     n, o = g.shape[:2]
     if kernel.shape[0] != o:
@@ -146,10 +151,10 @@ def conv3d_transpose(g, kernel, bias, stride, padding, spatial):
     lead = max(0, (k - 1 - p) // s)
     span = lead + (s - 1 + p) // s + 1
     behind = (max(0, -(-m // s) + span - 1 - lead - og) for m, og in zip(spatial, g.shape[2:]))
-    gp = np.pad(g, ((0, 0), (0, 0), *((lead, b) for b in behind)))
+    pad = tuple((lead, b) for b in behind)
     dtype = np.result_type(g, kernel, bias)
     gemm = get_blas_funcs("gemm", dtype=dtype)
-    q, taps = _phase_windows(gp, (span,) * 3, 1, gemm.dtype)
+    q, taps = _phase_windows(g, (span,) * 3, 1, gemm.dtype, pad)
     windows = dict(taps)
     y = np.empty((n, c, *spatial), dtype=dtype)
     for a, b, e in np.ndindex(s, s, s):

@@ -25,12 +25,12 @@ FUZZ = settings(
 )
 
 
-def _nifti_bytes():
+def _nifti_bytes(suffix):
     rng = np.random.default_rng(80)
     affine = np.diag([1.5, 1.0, 0.8, 1.0])
     affine[:3, 3] = (-4.0, 2.0, 7.5)
     with tempfile.TemporaryDirectory() as d:
-        path = Path(d) / "v.nii"
+        path = Path(d) / f"v{suffix}"
         write_nifti(Volume(rng.standard_normal((6, 5, 4)), affine), path)
         return path.read_bytes()
 
@@ -63,7 +63,9 @@ def _reads_or_fails_cleanly(read, data, mutation, suffix):
                 raise  # the original is valid, so the fuzzing starts from a good file
 
 
-NIFTI = _nifti_bytes()
+NIFTI = _nifti_bytes(".nii")
+NIFTI_GZ = _nifti_bytes(".nii.gz")
+NIFTI_GZ_HEAD = 10 + 64  # gzip header, then the deflate block's code tables
 CKPT = CHECKPOINT.read_bytes()
 CKPT_HEAD = 12 + int.from_bytes(CKPT[8:12], "little")  # magic, length, manifest
 
@@ -72,6 +74,12 @@ CKPT_HEAD = 12 + int.from_bytes(CKPT[8:12], "little")  # magic, length, manifest
 @given(_mutations(NIFTI, NIFTI_HEADER))
 def test_mutated_nifti(mutation):
     _reads_or_fails_cleanly(read_nifti, NIFTI, mutation, ".nii")
+
+
+@FUZZ
+@given(_mutations(NIFTI_GZ, NIFTI_GZ_HEAD))
+def test_mutated_nifti_gz(mutation):
+    _reads_or_fails_cleanly(read_nifti, NIFTI_GZ, mutation, ".nii.gz")
 
 
 @FUZZ

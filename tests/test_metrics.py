@@ -151,6 +151,20 @@ class TestBalancedAhd:
         p[1, 1, 2] = True
         assert balanced_ahd(t, p, spacing=(1.0, 1.0, 2.5)) == 2.5
 
+    def test_anisotropic_matches_brute_edt(self):
+        # the distance-transform form: each boundary's brute-force EDT read
+        # on the other boundary, at a spacing that differs per axis
+        rng = np.random.default_rng(11)
+        sp = (0.7, 1.5, 2.25)
+        for _ in range(5):
+            t = rng.random((7, 6, 5)) < 0.3
+            p = rng.random((7, 6, 5)) < 0.3
+            t[3, 3, 2] = p[1, 1, 1] = True
+            bt, bp = brute_boundary(t), brute_boundary(p)
+            total = brute_edt(bp, sp)[bt].sum() + brute_edt(bt, sp)[bp].sum()
+            expect = total / (2.0 * bt.sum())
+            assert balanced_ahd(t, p, spacing=sp) == pytest.approx(expect, rel=1e-12)
+
     def test_empty_truth_raises(self):
         z = np.zeros((3, 3, 3), dtype=bool)
         o = np.ones((3, 3, 3), dtype=bool)

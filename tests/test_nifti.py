@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -477,20 +478,57 @@ class TestWriteRoundTrip:
         assert back.num_labels == 2
         np.testing.assert_array_equal(back.data, p.data)
 
-    def test_gzip_level_six(self, tmp_path):
-        # zlib's default level: past the 10-byte member header (whose OS
-        # byte gzip.compress sets otherwise), the deflate stream and trailer
-        # are those of gzip.compress at level 6
+    def test_gzip_member_framed_by_hand(self, tmp_path):
+        # one gzip member: a fixed 10-byte header (mtime 0, XFL 0, OS 255,
+        # no name), the blob's raw deflate stream under zlib's run-length
+        # strategy, then CRC-32 and ISIZE
         rng = np.random.default_rng(8)
         m = LabelMask(data=(rng.random((16, 12, 10)) < 0.3).astype(np.uint8))
+        write_nifti(m, tmp_path / "m.nii")
         write_nifti(m, tmp_path / "m.nii.gz")
+        blob = (tmp_path / "m.nii").read_bytes()
         raw = (tmp_path / "m.nii.gz").read_bytes()
-        assert raw[:9] == b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00"  # mtime 0, no name
-        ref = gzip.compress(gzip.decompress(raw), compresslevel=6, mtime=0)
-        assert raw[10:] == ref[10:]
+        assert raw[:10] == b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff"
+        rle = zlib.compressobj(6, zlib.DEFLATED, -zlib.MAX_WBITS, 8, zlib.Z_RLE)
+        stream = rle.compress(blob) + rle.flush()
+        assert raw[10:-8] == stream
+        assert raw[-8:] == struct.pack("<II", zlib.crc32(blob), len(blob))
+        assert zlib.decompress(raw, 31) == blob  # one member, nothing left over
+        assert gzip.decompress(raw) == blob
 
     def test_identical_volumes_identical_gz_bytes(self, tmp_path):
         v = Volume(data=np.ones((3, 3, 3)))
         write_nifti(v, tmp_path / "a.nii.gz")
         write_nifti(v, tmp_path / "b.nii.gz")
         assert (tmp_path / "a.nii.gz").read_bytes() == (tmp_path / "b.nii.gz").read_bytes()
+
+
+class TestWriteRefusesValuesTheDtypeCannotHold:
+    """Values outside the on-disk dtype's range are a DataError naming the
+    file and the dtype, and no file is left behind."""
+
+    @pytest.mark.parametrize(
+        "value, dtype",
+        [(40000.0, "int16"), (-3.0, "uint8"), (256.0, "uint8"), (3e9, "int32"), (1e39, None)],
+    )
+    @pytest.mark.parametrize("gz", ["", ".gz"])
+    def test_out_of_range_refused(self, tmp_path, value, dtype, gz):
+        path = tmp_path / f"v.nii{gz}"
+        with pytest.raises(DataError, match=rf"v\.nii.*{dtype or 'float32'}"):
+            write_nifti(Volume(np.full((2, 2, 2), value)), path, dtype=dtype)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "value, dtype",
+        [
+            (-32768.0, "int16"),
+            (32767.0, "int16"),
+            (0.0, "uint8"),
+            (255.0, "uint8"),
+            (float(np.finfo(np.float32).max), "float32"),
+        ],
+    )
+    def test_range_ends_written(self, tmp_path, value, dtype):
+        v = Volume(np.full((2, 2, 2), value))
+        write_nifti(v, tmp_path / "v.nii", dtype=dtype)
+        assert np.array_equal(read_nifti(tmp_path / "v.nii").data, v.data)
