@@ -359,7 +359,7 @@ _GZIP_HEADER = GZIP_MAGIC + b"\x08\x00\x00\x00\x00\x00\x00\xff"
 
 
 def _check_range(data: np.ndarray, dtype: np.dtype, path) -> None:
-    """Refuse values that dtype would wrap, clip or overflow to inf."""
+    """Refuse values that dtype would wrap, clip, truncate or overflow to inf."""
     if np.can_cast(data.dtype, dtype, "safe"):
         return
     info = np.finfo(dtype) if dtype.kind == "f" else np.iinfo(dtype)
@@ -370,18 +370,21 @@ def _check_range(data: np.ndarray, dtype: np.dtype, path) -> None:
             f"{path}: values span [{lo:g}, {hi:g}], outside what {dtype} holds "
             f"([{info.min:g}, {info.max:g}])"
         )
+    if dtype.kind != "f" and (np.trunc(data) != data).any():
+        raise DataError(f"{path}: values with a fraction, which {dtype} cannot hold")
 
 
 def write_nifti(obj, path, dtype=None) -> None:
     """Write a Volume, LabelMask, or ProbMap as single-file NIfTI-1.
 
     Intensities default to float32 and masks to uint8; `dtype` may name any
-    supported datatype instead; values outside its range are a DataError,
-    raised before the file is opened. Output is gzipped when the path ends
-    in .gz, as one member with mtime 0, no embedded filename and OS byte 255
-    around zlib's run-length deflate (Z_RLE), which skips the LZ77 search
-    that finds almost nothing in float noise: about 3x faster than level 6
-    at about the same size. One volume always gives the same bytes.
+    supported datatype instead; values outside its range, or with a fraction
+    when it is an integer type, are a DataError, raised before the file is
+    opened. Output is gzipped when the path ends in .gz, as one member with
+    mtime 0, no embedded filename and OS byte 255 around zlib's run-length
+    deflate (Z_RLE), which skips the LZ77 search that finds almost nothing
+    in float noise: about 3x faster than level 6 at about the same size.
+    One volume always gives the same bytes.
 
     Args:
         obj: Volume, LabelMask, or ProbMap.

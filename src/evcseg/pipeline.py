@@ -46,22 +46,12 @@ from .evnet import (
 from .metrics import balanced_ahd, dice, jaccard
 from .nifti import read_mask, read_nifti, write_nifti
 from .postproc import cleanup as component_cleanup
-from .volume import (
-    LabelMask,
-    ProbMap,
-    Volume,
-    mask_to_native,
-    pad_to,
-    reorient_ras,
-    resample_isotropic,
-    resample_nearest_to_grid,
-    resize_half,
-)
+from .volume import SPACING_MM, LabelMask, ProbMap, Volume, mask_to_native, mask_to_network
+from .volume import _halved, _padded, _reoriented, _resampled
 
 DEFAULT_PAD = (64, 64, 64)
-# Network-input intensity scale: resample to this isotropic spacing, divide
-# by this percentile of the volume, clamp to [0, NORM_CLAMP].
-SPACING_MM = 1.0
+# Network-input intensity scale: resample to SPACING_MM isotropic spacing,
+# divide by this percentile of the volume, clamp to [0, NORM_CLAMP].
 NORM_PERCENTILE = 99.0
 NORM_CLAMP = 1.5
 
@@ -194,27 +184,29 @@ def preprocess_volume(v: Volume, grid: GridConfig) -> tuple[Volume, dict]:
 
     Returns the network-grid volume and a metadata dict holding everything
     needed to carry a mask on that grid back to the native one: the pad
-    offsets, the pre-halving shape, and the affines along the way. A volume
-    whose resampled voxels all hold one value has no contrast to segment
-    and raises DataError.
+    offsets, the pre-halving shape, and the affines along the way. The
+    stages pass plain arrays, and only the network-grid volume is checked.
+    A volume whose resampled voxels all hold one value has no contrast to
+    segment and raises DataError.
     """
     with _stage("reorient"):
-        v1 = reorient_ras(v)
+        data, affine = _reoriented(v.data, v.affine)
     with _stage("resample"):
-        v2 = resample_isotropic(v1, SPACING_MM)
+        data, affine = _resampled(data, affine, SPACING_MM)
+    resampled_shape = data.shape
     with _stage("normalize"):
-        if v2.data.max() == v2.data.min():
-            raise DataError(f"no contrast: every resampled voxel is {v2.data.flat[0]}")
-        divisor = linear_percentile(v2.data, NORM_PERCENTILE)
-        divisor = max(divisor, 1e-12)
-        v2 = Volume(np.clip(v2.data / divisor, 0.0, NORM_CLAMP), v2.affine)
+        if data.max() == data.min():
+            raise DataError(f"no contrast: every resampled voxel is {data.flat[0]}")
+        divisor = max(linear_percentile(data, NORM_PERCENTILE), 1e-12)
+        data = np.clip(data / divisor, 0.0, NORM_CLAMP)
     with _stage("pad"):
-        v3, offsets = pad_to(v2, grid.pad_shape)
+        data, affine, offsets = _padded(data, affine, grid.pad_shape)
+    pre_resize_shape = data.shape
     with _stage("resize"):
-        v4 = resize_half(v3) if grid.resize_half else v3
+        net_vol = Volume(*_halved(data, affine) if grid.resize_half else (data, affine))
     meta = {
         "original": {"shape": list(v.shape), "affine": v.affine.tolist()},
-        "resample": {"spacing_mm": SPACING_MM, "shape": list(v2.shape)},
+        "resample": {"spacing_mm": SPACING_MM, "shape": list(resampled_shape)},
         "normalize": {
             "percentile": NORM_PERCENTILE,
             "divisor": divisor,
@@ -222,10 +214,10 @@ def preprocess_volume(v: Volume, grid: GridConfig) -> tuple[Volume, dict]:
         },
         "pad": {"target": list(grid.pad_shape), "offsets": list(offsets)},
         "resize_half": grid.resize_half,
-        "pre_resize_shape": list(v3.shape),
-        "network_grid": {"shape": list(v4.shape), "affine": v4.affine.tolist()},
+        "pre_resize_shape": list(pre_resize_shape),
+        "network_grid": {"shape": list(net_vol.shape), "affine": net_vol.affine.tolist()},
     }
-    return v4, meta
+    return net_vol, meta
 
 
 @dataclass(frozen=True)
@@ -408,9 +400,8 @@ def _load_training_pairs(cfg: TrainConfig) -> list[tuple[Volume, LabelMask]]:
                 raise DataError("mask and image grids disagree")
             net_vol, meta = preprocess_volume(vol, cfg.grid)
             _check_resampled_extent(meta, cfg.grid, cfg.evnet)
-            net_msk = resample_nearest_to_grid(
-                msk.data, msk.affine, net_vol.affine, net_vol.shape
-            )
+            net_msk = mask_to_network(msk.data, vol.affine, meta["pad"]["offsets"],
+                                      2 if cfg.grid.resize_half else 1, net_vol.shape)
             out.append((net_vol, LabelMask(net_msk, net_vol.affine)))
         except (EvcsegError, OSError) as e:
             problems.append(f"{img_path}: {e}")

@@ -10,22 +10,16 @@ Sampling conventions used throughout:
   (``shape * spacing`` per axis, shared low corner) and clamps sample
   indices to ``[0, n - 1]``. The output grid never leaves the input extent
   by more than half an output cell, so clamping amounts to edge extension
-  and constants survive resampling exactly at every spacing.
-* Cross-grid sampling (``mask_to_native``) and anything that genuinely
-  leaves the source grid fills with 0.
-
-Both resamplers skip work whose result is already known. An axis whose
-output samples fall exactly on its input voxels (``ci == arange(n)``, as
-on a 1 mm scan resampled to 1 mm) is copied rather than interpolated;
-the values are the interpolation's, except that a -0.0 keeps its sign.
-``resample_nearest_to_grid`` gathers per axis when the source-index map
-``inv(src) @ dst`` has exactly one entry != 0 in every row and column of
-its 3x3 block (identity, scaling, permuted or flipped axes): one rounded
-index array per axis, read as a slice where it steps through consecutive
-voxels and by ``np.take`` elsewhere. Its float sums, so its indices, are
-those of the general path. Any other map, down to a 1e-17 off-diagonal
-term, takes that general path: source coordinates rounded one x-slab at
-a time.
+  and constants survive resampling exactly at every spacing. An axis whose
+  output samples fall exactly on its input voxels (``ci == arange(n)``, as
+  on a 1 mm scan resampled to 1 mm) is copied rather than interpolated;
+  the values are the interpolation's, except that a -0.0 keeps its sign.
+* Nearest-neighbour sampling gathers one index array per axis and reads
+  0 off the source grid. Between a scan and the network grid the index
+  map is the chain's own (:func:`network_axes`), taken from the scan's
+  affine, the pad offsets and the halving, so an oblique scan's round-off
+  never enters it. ``resample_nearest_to_grid`` takes its map from two
+  affines and accepts only a scaled signed permutation.
 """
 
 from __future__ import annotations
@@ -35,6 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, GeometryError
+
+# voxel size, in mm on every axis, of the grid the chain resamples a scan to
+SPACING_MM = 1.0
 
 # --------------------------------------------------------------------------
 # types
@@ -62,8 +59,22 @@ def _check_affine(affine: np.ndarray) -> np.ndarray:
     return affine
 
 
+class _Grid:
+    """What every array on a voxel grid shares: its spatial shape (the last
+    three axes) and voxel size."""
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return self.data.shape[-3:]
+
+    @property
+    def spacing(self) -> np.ndarray:
+        """Voxel size in mm per axis (column norms of the direction block)."""
+        return np.linalg.norm(self.affine[:3, :3], axis=0)
+
+
 @dataclass(frozen=True)
-class Volume:
+class Volume(_Grid):
     """A scalar 3D volume on a world-anchored voxel grid.
 
     Args:
@@ -82,18 +93,9 @@ class Volume:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "affine", _check_affine(self.affine))
 
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.data.shape
-
-    @property
-    def spacing(self) -> np.ndarray:
-        """Voxel size in mm per axis (column norms of the direction block)."""
-        return np.linalg.norm(self.affine[:3, :3], axis=0)
-
 
 @dataclass(frozen=True)
-class LabelMask:
+class LabelMask(_Grid):
     """A binary mask on the same kind of grid as :class:`Volume`."""
 
     data: np.ndarray
@@ -110,17 +112,9 @@ class LabelMask:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "affine", _check_affine(self.affine))
 
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.data.shape
-
-    @property
-    def spacing(self) -> np.ndarray:
-        return np.linalg.norm(self.affine[:3, :3], axis=0)
-
 
 @dataclass(frozen=True)
-class ProbMap:
+class ProbMap(_Grid):
     """Per-voxel label probabilities, label axis first: (L, nx, ny, nz)."""
 
     data: np.ndarray
@@ -145,56 +139,49 @@ class ProbMap:
     def num_labels(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.data.shape[1:]
-
 
 # --------------------------------------------------------------------------
 # orientation
 # --------------------------------------------------------------------------
 
 
-def reorient_ras(v: Volume) -> Volume:
-    """Permute and flip axes so they run along world +x, +y, +z.
-
-    Each voxel axis is assigned the world axis of its largest direction
-    cosine (ties go to the lower world axis), then flipped if the cosine is
-    negative. World coordinates of every voxel are preserved exactly, so
-    applying this twice is a no-op. A C-ordered volume already in RAS order
-    comes back with its own data array, uncopied: no stage writes into a
-    volume's data.
-    """
-    dirs = v.affine[:3, :3]
+def _ras_axes(affine: np.ndarray) -> tuple[list[int], list[bool]]:
+    """The voxel axis feeding each world axis: the one whose direction cosine
+    there is largest (ties to the lower world axis), reversed if negative."""
+    dirs = affine[:3, :3]
     cosines = dirs / np.linalg.norm(dirs, axis=0)
-
     src_axis = [-1, -1, -1]  # src_axis[world] = voxel axis feeding it
     taken: set[int] = set()
     for vox in range(3):
-        scores = np.abs(cosines[:, vox]).copy()
+        scores = np.abs(cosines[:, vox])
         scores[list(taken)] = -1.0
         world = int(np.argmax(scores))  # argmax tie-breaks toward lower axis
         src_axis[world] = vox
         taken.add(world)
+    return src_axis, [bool(cosines[world, src_axis[world]] < 0.0) for world in range(3)]
 
-    flip = [cosines[world, src_axis[world]] < 0.0 for world in range(3)]
 
-    data = np.transpose(v.data, axes=src_axis)
-    for world in range(3):
-        if flip[world]:
-            data = np.flip(data, axis=world)
+def reorient_ras(v: Volume) -> Volume:
+    """Permute and flip axes (:func:`_ras_axes`) so they run along world +x,
+    +y, +z.
 
+    World coordinates of every voxel are preserved exactly, so applying
+    this twice is a no-op. A C-ordered volume already in RAS order comes
+    back with its own data array, uncopied: no stage writes into a volume's
+    data.
+    """
+    return Volume(*_reoriented(v.data, v.affine))
+
+
+def _reoriented(data, affine):
+    src_axis, flip = _ras_axes(affine)
+    flipped = tuple(np.flatnonzero(flip))
+    data = np.flip(np.transpose(data, axes=src_axis), axis=flipped)
     # old_index = T3 @ new_index + t, folded into the affine
-    trans = np.zeros((4, 4))
-    trans[3, 3] = 1.0
-    for world in range(3):
-        vox = src_axis[world]
-        if flip[world]:
-            trans[vox, world] = -1.0
-            trans[vox, 3] = v.shape[vox] - 1
-        else:
-            trans[vox, world] = 1.0
-    return Volume(data=np.ascontiguousarray(data), affine=v.affine @ trans)
+    trans = np.eye(4)[:, src_axis + [3]]
+    for world in flipped:
+        trans[src_axis[world], [world, 3]] = -1.0, data.shape[world] - 1
+    return np.ascontiguousarray(data), affine @ trans
 
 
 # --------------------------------------------------------------------------
@@ -233,24 +220,27 @@ def resample_isotropic(v: Volume, spacing_mm: float) -> Volume:
         v: input volume.
         spacing_mm: target voxel size, identical on all axes.
     """
+    return Volume(*_resampled(v.data, v.affine, spacing_mm))
+
+
+def _resampled(data, affine, spacing_mm):
     if not spacing_mm > 0.0:
         raise GeometryError(f"spacing must be positive, got {spacing_mm}")
-    sp = v.spacing
-    dirs = v.affine[:3, :3] / sp
-    extent = np.array(v.shape) * sp / spacing_mm
+    sp = np.linalg.norm(affine[:3, :3], axis=0)
+    dirs = affine[:3, :3] / sp
+    extent = np.array(data.shape) * sp / spacing_mm
     out_shape = np.maximum(np.ceil(extent * (1 - 1e-6)), 1).astype(int)
 
-    data = v.data
     for axis in range(3):
         # centers of output cells, measured in input voxel indices
         ci = (np.arange(out_shape[axis]) + 0.5) * spacing_mm / sp[axis] - 0.5
         if not np.array_equal(ci, np.arange(data.shape[axis])):
             data = _lerp_axis(data, ci, axis)
 
-    affine = np.eye(4)
-    affine[:3, :3] = dirs * spacing_mm
-    affine[:3, 3] = v.affine[:3, 3] + dirs @ ((spacing_mm - sp) / 2.0)
-    return Volume(data=data, affine=affine)
+    out = np.eye(4)
+    out[:3, :3] = dirs * spacing_mm
+    out[:3, 3] = affine[:3, 3] + dirs @ ((spacing_mm - sp) / 2.0)
+    return data, out
 
 
 def pad_to(v: Volume, shape: tuple[int, int, int]) -> tuple[Volume, tuple[int, int, int]]:
@@ -259,16 +249,20 @@ def pad_to(v: Volume, shape: tuple[int, int, int]) -> tuple[Volume, tuple[int, i
     Returns the padded volume and the per-axis offsets of the original
     low corner, ``floor((target - shape) / 2)``.
     """
+    data, affine, offsets = _padded(v.data, v.affine, shape)
+    return Volume(data, affine), offsets
+
+
+def _padded(data, affine, shape):
     target = tuple(int(s) for s in shape)
-    if any(t < s for t, s in zip(target, v.shape)):
-        raise GeometryError(f"cannot pad {v.shape} into smaller target {target}")
-    offsets = tuple((t - s) // 2 for t, s in zip(target, v.shape))
-    data = np.zeros(target, dtype=v.data.dtype)
-    sl = tuple(slice(o, o + s) for o, s in zip(offsets, v.shape))
-    data[sl] = v.data
-    affine = v.affine.copy()
-    affine[:3, 3] = v.affine[:3, 3] - v.affine[:3, :3] @ np.array(offsets, dtype=float)
-    return Volume(data=data, affine=affine), offsets
+    if any(t < s for t, s in zip(target, data.shape)):
+        raise GeometryError(f"cannot pad {data.shape} into smaller target {target}")
+    offsets = tuple((t - s) // 2 for t, s in zip(target, data.shape))
+    out = np.zeros(target, dtype=data.dtype)
+    out[tuple(slice(o, o + s) for o, s in zip(offsets, data.shape))] = data
+    affine = affine.copy()
+    affine[:3, 3] = affine[:3, 3] - affine[:3, :3] @ np.array(offsets, dtype=float)
+    return out, affine, offsets
 
 
 def block_means(x: np.ndarray) -> np.ndarray:
@@ -287,50 +281,52 @@ def block_means(x: np.ndarray) -> np.ndarray:
 def resize_half(v: Volume) -> Volume:
     """Halve each axis by 2x2x2 block averaging (:func:`block_means`); voxel
     size doubles."""
-    if any(s % 2 for s in v.shape):
-        raise GeometryError(f"resize_half needs even dimensions, got {v.shape}")
-    data = block_means(v.data)
-    affine = v.affine.copy()
-    affine[:3, :3] = v.affine[:3, :3] * 2.0
-    affine[:3, 3] = v.affine[:3, 3] + v.affine[:3, :3] @ np.full(3, 0.5)
-    return Volume(data=data, affine=affine)
+    return Volume(*_halved(v.data, v.affine))
 
 
-def resample_nearest_to_grid(
-    data: np.ndarray,
-    src_affine: np.ndarray,
-    dst_affine: np.ndarray,
-    dst_shape: tuple[int, int, int],
-) -> np.ndarray:
-    """Nearest-neighbor resample of `data` onto an arbitrary destination grid.
+def _halved(data, affine):
+    if any(s % 2 for s in data.shape):
+        raise GeometryError(f"resize_half needs even dimensions, got {data.shape}")
+    out = affine.copy()
+    out[:3, :3] = affine[:3, :3] * 2.0
+    out[:3, 3] = affine[:3, 3] + affine[:3, :3] @ np.full(3, 0.5)
+    return block_means(data), out
 
-    Destination voxels whose nearest source voxel falls outside the source
-    grid come out 0. Axis-aligned grids take a per-axis gather, any other
-    one x-slab at a time to bound memory (see the module docstring).
-    """
-    mat = np.linalg.inv(src_affine) @ np.asarray(dst_affine, dtype=np.float64)
-    dst_axis = _aligned_axes(mat[:3, :3])
-    if dst_axis is not None:
-        return _gather_axes(data, mat, dst_axis, dst_shape)
+
+# --------------------------------------------------------------------------
+# nearest-neighbour index maps
+# --------------------------------------------------------------------------
+
+
+def network_axes(affine: np.ndarray, offsets) -> list[tuple[int, int, float, int]]:
+    """The chain's index map for a native grid `affine` padded at `offsets`:
+    per network axis, the native axis feeding it (:func:`reorient_ras`'s
+    choice), its sign (-1 when reversed), its scale (resampled voxels per
+    native voxel) and its pad offset."""
+    src_axis, flip = _ras_axes(affine)
+    scale = np.linalg.norm(affine[:3, :3], axis=0) / SPACING_MM
+    return [(a, -1 if f else 1, scale[a], int(o)) for a, f, o in zip(src_axis, flip, offsets)]
+
+
+def _gather_axes(data, index, dst_axis):
+    """Read data onto a grid whose axis dst_axis[a] reads source axis a
+    alone, at the monotone source indices index[a]; indices off the source
+    grid read 0."""
+    dst_shape = tuple(len(index[a]) for a in np.argsort(dst_axis))
+    block, span = data, [None] * 3
+    for a, d in enumerate(dst_axis):
+        # index[a] is monotone, so its in-grid part is one run
+        inside = np.flatnonzero((index[a] >= 0) & (index[a] < data.shape[a]))
+        if inside.size == 0:
+            return np.zeros(dst_shape, dtype=data.dtype)
+        span[d] = slice(inside[0], inside[-1] + 1)
+        idx = index[a][span[d]]
+        if (np.diff(idx) == 1).all():  # consecutive source voxels: a view, no copy
+            block = block[(slice(None),) * a + (slice(idx[0], idx[-1] + 1),)]
+        else:
+            block = np.take(block, idx, axis=a)
     out = np.zeros(dst_shape, dtype=data.dtype)
-    jj, kk = np.meshgrid(
-        np.arange(dst_shape[1]), np.arange(dst_shape[2]), indexing="ij"
-    )
-    for i in range(dst_shape[0]):
-        coords = (
-            mat[:3, 0][:, None, None] * float(i)
-            + mat[:3, 1][:, None, None] * jj
-            + mat[:3, 2][:, None, None] * kk
-            + mat[:3, 3][:, None, None]
-        )
-        idx = np.rint(coords).astype(np.intp)
-        valid = np.ones(idx.shape[1:], dtype=bool)
-        for a in range(3):
-            valid &= (idx[a] >= 0) & (idx[a] < data.shape[a])
-        idx_c = [np.where(valid, idx[a], 0) for a in range(3)]
-        slab = data[idx_c[0], idx_c[1], idx_c[2]]
-        slab[~valid] = 0
-        out[i] = slab
+    out[tuple(span)] = block.transpose(np.argsort(dst_axis))
     return out
 
 
@@ -344,25 +340,42 @@ def _aligned_axes(lin):
     return None
 
 
-def _gather_axes(data, mat, dst_axis, dst_shape):
-    """resample_nearest_to_grid when source axis a is read along destination
-    axis dst_axis[a] alone: mat[a, d] is its only nonzero index weight."""
-    block, span = data, [None] * 3
-    for a, d in enumerate(dst_axis):
-        idx = np.rint(mat[a, d] * np.arange(dst_shape[d]) + mat[a, 3]).astype(np.intp)
-        # idx is monotone in the destination index, so the in-grid part is one run
-        inside = np.flatnonzero((idx >= 0) & (idx < data.shape[a]))
-        if inside.size == 0:
-            return np.zeros(dst_shape, dtype=data.dtype)
-        span[d] = slice(inside[0], inside[-1] + 1)
-        idx = idx[span[d]]
-        if (np.diff(idx) == 1).all():  # consecutive source voxels: a view, no copy
-            block = block[(slice(None),) * a + (slice(idx[0], idx[-1] + 1),)]
-        else:
-            block = np.take(block, idx, axis=a)
-    out = np.zeros(dst_shape, dtype=data.dtype)
-    out[tuple(span)] = block.transpose(np.argsort(dst_axis))
-    return out
+def resample_nearest_to_grid(
+    data: np.ndarray,
+    src_affine: np.ndarray,
+    dst_affine: np.ndarray,
+    dst_shape: tuple[int, int, int],
+) -> np.ndarray:
+    """Nearest-neighbour resample of `data` onto a grid whose axes run along
+    the source grid's: one gather per axis, and 0 off the source grid.
+
+    Raises GeometryError unless the index map ``inv(src) @ dst`` is a scaled
+    signed permutation, one entry != 0 in every row and column of its 3x3
+    block; a 1e-17 off-diagonal term is refused too.
+    """
+    mat = np.linalg.inv(src_affine) @ np.asarray(dst_affine, dtype=np.float64)
+    dst_axis = _aligned_axes(mat[:3, :3])
+    if dst_axis is None:
+        raise GeometryError(f"grid axes do not align: index map {mat[:3, :3].tolist()} "
+                            "is not a scaled signed permutation")
+    index = [np.rint(mat[a, d] * np.arange(dst_shape[d]) + mat[a, 3]).astype(np.intp)
+             for a, d in enumerate(dst_axis)]
+    return _gather_axes(data, index, dst_axis)
+
+
+def mask_to_network(data, affine, offsets, step, shape) -> np.ndarray:
+    """Carry native-grid `data` onto the network grid of `shape` through the
+    chain's map (:func:`network_axes`), `step` 2 when the chain halved.
+
+    Network voxel k lies ``(step * k + step / 2 - offset) / scale - 1/2``
+    native voxels along its axis in RAS order, rounded half to even before
+    a reversed axis is reversed. Off the native grid reads 0.
+    """
+    index, dst_axis = [None] * 3, [None] * 3
+    for w, (a, sign, scale, off) in enumerate(network_axes(affine, offsets)):
+        r = np.rint((step * np.arange(shape[w]) + step / 2 - off) / scale - 0.5).astype(np.intp)
+        index[a], dst_axis[a] = (r if sign > 0 else data.shape[a] - 1 - r), w
+    return _gather_axes(data, index, dst_axis)
 
 
 def mask_to_native(
@@ -371,34 +384,26 @@ def mask_to_native(
     offsets: tuple[int, int, int],
     pre_resize_shape: tuple[int, int, int],
 ) -> LabelMask:
-    """Undo the preprocessing chain, carrying a mask back to the native grid.
+    """Undo the preprocessing chain, carrying a network-grid mask back to
+    `original`'s grid through the chain's map (:func:`network_axes`).
 
-    The mask is nearest-neighbor upsampled to `pre_resize_shape` (a no-op
-    when the chain skipped the half-resolution step), the centering pad is
-    cropped off using `offsets`, and the result is nearest-neighbor
-    resampled onto `original`'s grid.
+    Native voxel r (in RAS order) reads resampled voxel
+    ``rint((r + 1/2) * scale - 1/2)``, ties to even, which lies `offsets`
+    into the padded grid of `pre_resize_shape`: `m`'s shape, or twice it
+    when the chain halved. Off the padded grid reads 0. `m`'s affine is not
+    read. GeometryError when `pre_resize_shape` is neither `m`'s shape nor
+    its doubling, or an offset falls outside it.
     """
     pre = tuple(int(s) for s in pre_resize_shape)
-    if pre == tuple(m.shape):
-        data = m.data
-        affine = m.affine.copy()
-    elif pre == tuple(2 * s for s in m.shape):
-        data = m.data
-        for axis in range(3):
-            data = np.repeat(data, 2, axis=axis)
-        affine = m.affine.copy()
-        affine[:3, :3] = m.affine[:3, :3] / 2.0
-        affine[:3, 3] = m.affine[:3, 3] - affine[:3, :3] @ np.full(3, 0.5)
-    else:
-        raise GeometryError(
-            f"pre_resize_shape {pre} matches neither the mask shape {m.shape} "
-            "nor its doubling"
-        )
-    if any(o < 0 or o >= s for o, s in zip(offsets, data.shape)):
-        raise GeometryError(f"pad offsets {offsets} fall outside grid {data.shape}")
-
-    data = data[offsets[0]:, offsets[1]:, offsets[2]:]
-    affine[:3, 3] = affine[:3, 3] + affine[:3, :3] @ np.array(offsets, dtype=float)
-
-    native = resample_nearest_to_grid(data, affine, original.affine, original.shape)
-    return LabelMask(data=native, affine=original.affine.copy())
+    steps = [s for s in (1, 2) if pre == tuple(s * n for n in m.shape)]
+    if not steps:
+        raise GeometryError(f"pre_resize_shape {pre} matches neither the mask shape "
+                            f"{m.shape} nor its doubling")
+    if any(o < 0 or o >= s for o, s in zip(offsets, pre)):
+        raise GeometryError(f"pad offsets {offsets} fall outside grid {pre}")
+    index, dst_axis = [None] * 3, [None] * 3
+    for w, (a, sign, scale, off) in enumerate(network_axes(original.affine, offsets)):
+        j = np.rint((np.arange(original.shape[a])[::sign] + 0.5) * scale - 0.5).astype(np.intp)
+        index[w] = np.where((j >= 0) & (j < pre[w] - off), (j + off) // steps[0], -1)
+        dst_axis[w] = a
+    return LabelMask(_gather_axes(m.data, index, dst_axis), original.affine.copy())

@@ -3,8 +3,8 @@ traced run each of train and extract-crf.
 
 They catch a change to the program that breaks what ``bench/`` imports, the
 loading of ``bench/checkpoint.evc``, or what the traced spans read: the
-``evcseg.evnet.network`` conv names, the conv cache layout and the CRF's
-``bilateral_filter`` name.
+``evcseg.evnet.network`` conv names, the conv cache layout, the CRF's
+``bilateral_filter`` name and ``evcseg.pipeline.mask_to_native``.
 """
 
 import json
@@ -56,3 +56,4 @@ def test_traced_extract_times_the_filter():
     assert metrics["crf.message_passes"]["value"] == 5
     assert metrics["bilateral.filter_s"]["value"] > 0
     assert metrics["crf.message_pass_peak_mb"]["value"] < 10
+    assert metrics["volume.mask_to_native_s"]["value"] > 0

@@ -3,8 +3,8 @@ what the chain returns (Chen, Cheung & Yiu 1998).
 
 The same world image stored with its voxel axes in another order, with its
 intensities scaled, or with its origin moved gives the same native mask
-byte for byte, and training pairs stored permuted give the same
-checkpoint.
+byte for byte. Training pairs stored permuted, or with their origin moved,
+reach the network grid with the same bytes and give the same checkpoint.
 """
 
 from __future__ import annotations
@@ -18,7 +18,14 @@ import pytest
 from evcseg.crf import CrfConfig
 from evcseg.evnet import EvNetConfig
 from evcseg.nifti import write_nifti
-from evcseg.pipeline import GridConfig, PipelineConfig, TrainConfig, extract, train
+from evcseg.pipeline import (
+    GridConfig,
+    PipelineConfig,
+    TrainConfig,
+    _load_training_pairs,
+    extract,
+    train,
+)
 from evcseg.synth import make_phantom
 from evcseg.volume import LabelMask, Volume
 
@@ -78,7 +85,8 @@ class TestExtract:
 
 @pytest.mark.parametrize("grid", [
     GridConfig(pad_shape=(16, 16, 16), resize_half=False),
-], ids=["full"])
+    GridConfig(pad_shape=(32, 32, 32)),
+], ids=["full", "halved"])
 def test_train_pairs_stored_permuted(grid, tmp_path):
     rng = np.random.default_rng(901)
     pairs = [make_phantom(16 * (2 if grid.resize_half else 1), rng) for _ in range(3)]
@@ -99,3 +107,27 @@ def test_train_pairs_stored_permuted(grid, tmp_path):
         ))
         digests.append(hashlib.sha256(res.checkpoint_path.read_bytes()).hexdigest())
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("halve", [False, True])
+def test_training_pairs_reach_the_same_network_grid(halve, tmp_path):
+    # 2.5 mm voxels along x: some network voxel centres lie halfway between
+    # two native ones, and must round the same way however the scan is stored
+    image, mask = make_phantom(32, np.random.default_rng(902))
+    affine = np.diag([2.5, 1.0, 1.0, 1.0])
+    moved = affine.copy()
+    moved[:3, 3] = [-91.3, 17.9, 3.7]
+    loaded = []
+    for name, store in (("plain", lambda d: (d, affine)), ("moved", lambda d: (d, moved)),
+                        ("zxy", lambda d: stored(d, affine))):
+        for kind, obj, cls in (("images", image, Volume), ("masks", mask, LabelMask)):
+            (tmp_path / name / kind).mkdir(parents=True)
+            write_nifti(cls(*store(obj.data)), tmp_path / name / kind / "p.nii")
+        (net_vol, net_mask), = _load_training_pairs(TrainConfig(
+            data_dir=tmp_path / name,
+            checkpoint_path=tmp_path / "unused.evc",
+            evnet=EvNetConfig(levels=2, base_channels=2),
+            grid=GridConfig(pad_shape=(80, 32, 32), resize_half=halve),
+        ))
+        loaded.append(net_vol.data.tobytes() + net_mask.data.tobytes())
+    assert loaded[1] == loaded[0] and loaded[2] == loaded[0]

@@ -504,8 +504,9 @@ class TestWriteRoundTrip:
 
 
 class TestWriteRefusesValuesTheDtypeCannotHold:
-    """Values outside the on-disk dtype's range are a DataError naming the
-    file and the dtype, and no file is left behind."""
+    """Values outside the on-disk dtype's range, and fractions bound for an
+    integer dtype, are a DataError naming the file and the dtype, and no
+    file is left behind."""
 
     @pytest.mark.parametrize(
         "value, dtype",
@@ -516,6 +517,18 @@ class TestWriteRefusesValuesTheDtypeCannotHold:
         path = tmp_path / f"v.nii{gz}"
         with pytest.raises(DataError, match=rf"v\.nii.*{dtype or 'float32'}"):
             write_nifti(Volume(np.full((2, 2, 2), value)), path, dtype=dtype)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "value, dtype", [(2.7, "int16"), (-0.6, "int16"), (0.5, "uint8"), (1e-300, "int32")]
+    )
+    @pytest.mark.parametrize("gz", ["", ".gz"])
+    def test_fraction_refused(self, tmp_path, value, dtype, gz):
+        path = tmp_path / f"v.nii{gz}"
+        data = np.arange(8.0).reshape(2, 2, 2)
+        data[1, 0, 1] = value
+        with pytest.raises(DataError, match=rf"v\.nii.*{dtype}"):
+            write_nifti(Volume(data), path, dtype=dtype)
         assert not path.exists()
 
     @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from evcseg.volume import (
     ProbMap,
     Volume,
     mask_to_native,
+    mask_to_network,
     pad_to,
     reorient_ras,
     resample_isotropic,
@@ -276,9 +277,23 @@ def oblique_affine(degrees):
     return aff
 
 
+def float_affine_chain(net_mask, original, offsets, pre_resize_shape):
+    """The (data, src affine) a float-affine inverse of the chain reads a
+    native mask from: the network mask doubled when halved, the pad's low
+    side cropped off, and the affine carried along."""
+    data, affine = net_mask.data, net_mask.affine.copy()
+    if tuple(pre_resize_shape) != net_mask.shape:
+        for axis in range(3):
+            data = np.repeat(data, 2, axis=axis)
+        affine[:3, :3] = net_mask.affine[:3, :3] / 2.0
+        affine[:3, 3] = net_mask.affine[:3, 3] - affine[:3, :3] @ np.full(3, 0.5)
+    affine[:3, 3] += affine[:3, :3] @ np.array(offsets, dtype=float)
+    return data[offsets[0]:, offsets[1]:, offsets[2]:], affine
+
+
 class TestNearestGather:
-    """resample_nearest_to_grid equals the slab loop byte for byte, through
-    the per-axis gather on axis-aligned grids and the loop elsewhere."""
+    """resample_nearest_to_grid, mask_to_native and mask_to_network equal
+    the slab loop byte for byte, through the per-axis gather."""
 
     @pytest.fixture
     def gathers(self, monkeypatch):
@@ -313,33 +328,47 @@ class TestNearestGather:
     def test_harness_train_mask_ties(self, gathers):
         # a 64^3 phantom mask onto the default 32^3 network grid, as train does
         image, truth = make_phantom(64, np.random.default_rng(1011))
-        net_vol, _ = preprocess_volume(image, GridConfig())
+        net_vol, meta = preprocess_volume(image, GridConfig())
         mat = np.linalg.inv(truth.affine) @ net_vol.affine
         # every destination voxel sits on a tie 2i + 0.5 on every axis
         np.testing.assert_array_equal(mat[:3, :3], 2.0 * np.eye(3))
         np.testing.assert_array_equal(mat[:3, 3], [0.5, 0.5, 0.5])
-        self.check(truth.data, truth.affine, net_vol.affine, net_vol.shape)
-        assert len(gathers) == 1
+        ref = self.check(truth.data, truth.affine, net_vol.affine, net_vol.shape)
+        out = mask_to_network(truth.data, image.affine, meta["pad"]["offsets"], 2, net_vol.shape)
+        assert np.array_equal(out, ref) and len(gathers) == 2
 
-    def test_mask_to_native_doubled_grid(self, gathers, monkeypatch):
+    def test_mask_to_native_doubled_grid(self, gathers):
         image, _ = make_phantom(64, np.random.default_rng(1012))
         net_vol, meta = preprocess_volume(image, GridConfig())
         net_mask = LabelMask(net_vol.data > 0.3, net_vol.affine)
-        seen = []
-
-        def recording(*args):
-            seen.append(args)
-            return resample(*args)
-
-        resample = volume.resample_nearest_to_grid
-        monkeypatch.setattr(volume, "resample_nearest_to_grid", recording)
-        back = mask_to_native(
-            net_mask, image, tuple(meta["pad"]["offsets"]), tuple(meta["pre_resize_shape"])
-        )
-        (data, src, dst, shape), = seen
-        assert data.shape[0] > net_mask.shape[0] and back.data.any()
-        assert np.array_equal(back.data, slab_loop_nearest(data, src, dst, shape))
+        offsets, pre = tuple(meta["pad"]["offsets"]), tuple(meta["pre_resize_shape"])
+        back = mask_to_native(net_mask, image, offsets, pre)
+        data, src = float_affine_chain(net_mask, image, offsets, pre)
+        assert back.data.any()
+        assert np.array_equal(back.data, slab_loop_nearest(data, src, image.affine, image.shape))
         assert len(gathers) == 1
+
+    @pytest.mark.parametrize("halve", [True, False])
+    def test_rotated_anisotropic_scan(self, halve, gathers):
+        # a 48^3 phantom stored on a grid rotated 17 degrees about world z,
+        # with voxel sizes drawn from 0.7-1.3 mm
+        rng = np.random.default_rng(1013)
+        image, truth = make_phantom(48, rng)
+        affine = oblique_affine(17.0) @ np.diag(np.append(rng.uniform(0.7, 1.3, 3), 1.0))
+        image, truth = Volume(image.data, affine), LabelMask(truth.data, affine)
+        grid = GridConfig(pad_shape=(64, 64, 64), resize_half=halve)
+        net_vol, meta = preprocess_volume(image, grid)
+        offsets, pre = tuple(meta["pad"]["offsets"]), tuple(meta["pre_resize_shape"])
+        net_mask = LabelMask(net_vol.data > 0.3, net_vol.affine)
+        back = mask_to_native(net_mask, image, offsets, pre)
+        data, src = float_affine_chain(net_mask, image, offsets, pre)
+        assert 0 < np.count_nonzero(back.data) < back.data.size
+        assert np.array_equal(back.data, slab_loop_nearest(data, src, image.affine, image.shape))
+        step = 2 if halve else 1
+        out = mask_to_network(truth.data, image.affine, offsets, step, net_vol.shape)
+        ref = slab_loop_nearest(truth.data, affine, net_vol.affine, net_vol.shape)
+        assert out.any() and np.array_equal(out, ref)
+        assert len(gathers) == 2
 
     @pytest.mark.parametrize("perm", [[1, 0, 2], [2, 0, 1], [0, 2, 1]])
     @pytest.mark.parametrize("flips", [[False, True, False], [True, True, True]])
@@ -368,20 +397,23 @@ class TestNearestGather:
         assert np.signbit(mat[0, 0]) and np.signbit(mat[2, 1])
         dst_axis = volume._aligned_axes(mat[:3, :3])
         assert list(dst_axis) == [1, 0, 2]
-        data = self.labels((8, 8, 8))
-        out = volume._gather_axes(data, mat, dst_axis, (12, 6, 4))
-        assert np.array_equal(out, slab_loop_nearest(data, np.eye(4), mat, (12, 6, 4)))
+        data, dst_shape = self.labels((8, 8, 8)), (12, 6, 4)
+        index = [np.rint(mat[a, d] * np.arange(dst_shape[d]) + mat[a, 3]).astype(np.intp)
+                 for a, d in enumerate(dst_axis)]
+        out = volume._gather_axes(data, index, dst_axis)
+        assert np.array_equal(out, slab_loop_nearest(data, np.eye(4), mat, dst_shape))
 
     @pytest.mark.parametrize("kind", ["oblique-10deg", "diagonal-1e-17"])
-    def test_other_grids_take_the_slab_loop(self, kind, gathers):
+    def test_oblique_maps_refused(self, kind, gathers):
         if kind == "oblique-10deg":
             dst = oblique_affine(10.0)
         else:
             dst = np.diag([2.0, 2.0, 2.0, 1.0])
             dst[:3, 3] = 0.5
             dst[0, 1] = dst[1, 2] = dst[2, 0] = 1e-17
-        out = self.check(self.labels((12, 12, 10)), np.eye(4), dst, (8, 9, 7))
-        assert out.any() and gathers == []
+        with pytest.raises(GeometryError, match="not a scaled signed permutation"):
+            resample_nearest_to_grid(self.labels((12, 12, 10)), np.eye(4), dst, (8, 9, 7))
+        assert gathers == []
 
 
 class TestPad:
