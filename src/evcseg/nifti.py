@@ -378,8 +378,8 @@ def write_nifti(obj, path, dtype=None) -> None:
     """Write a Volume, LabelMask, or ProbMap as single-file NIfTI-1.
 
     Intensities default to float32 and masks to uint8; `dtype` may name any
-    supported datatype instead; values outside its range, or with a fraction
-    when it is an integer type, are a DataError, raised before the file is
+    supported datatype instead; values it cannot hold (out of range, or a
+    fraction for an integer type) are a DataError, raised before the file is
     opened. Output is gzipped when the path ends in .gz, as one member with
     mtime 0, no embedded filename and OS byte 255 around zlib's run-length
     deflate (Z_RLE), which skips the LZ77 search that finds almost nothing

@@ -146,8 +146,8 @@ class ProbMap(_Grid):
 
 
 def _ras_axes(affine: np.ndarray) -> tuple[list[int], list[bool]]:
-    """The voxel axis feeding each world axis: the one whose direction cosine
-    there is largest (ties to the lower world axis), reversed if negative."""
+    """Per world axis, the voxel axis feeding it and whether it runs backwards:
+    voxel axes in turn take the free world axis of their largest |cosine|."""
     dirs = affine[:3, :3]
     cosines = dirs / np.linalg.norm(dirs, axis=0)
     src_axis = [-1, -1, -1]  # src_axis[world] = voxel axis feeding it
@@ -298,14 +298,37 @@ def _halved(data, affine):
 # --------------------------------------------------------------------------
 
 
-def network_axes(affine: np.ndarray, offsets) -> list[tuple[int, int, float, int]]:
-    """The chain's index map for a native grid `affine` padded at `offsets`:
-    per network axis, the native axis feeding it (:func:`reorient_ras`'s
-    choice), its sign (-1 when reversed), its scale (resampled voxels per
-    native voxel) and its pad offset."""
-    src_axis, flip = _ras_axes(affine)
-    scale = np.linalg.norm(affine[:3, :3], axis=0) / SPACING_MM
-    return [(a, -1 if f else 1, scale[a], int(o)) for a, f, o in zip(src_axis, flip, offsets)]
+def resample_nearest_to_grid(
+    data: np.ndarray,
+    src_affine: np.ndarray,
+    dst_affine: np.ndarray,
+    dst_shape: tuple[int, int, int],
+) -> np.ndarray:
+    """Nearest-neighbour resample of `data` onto a grid whose axes run along
+    the source grid's: one gather per axis, and 0 off the source grid.
+
+    Raises GeometryError unless the index map ``inv(src) @ dst`` is a scaled
+    signed permutation, one entry != 0 in every row and column of its 3x3
+    block; a 1e-17 off-diagonal term is refused too.
+    """
+    mat = np.linalg.inv(src_affine) @ np.asarray(dst_affine, dtype=np.float64)
+    dst_axis = _aligned_axes(mat[:3, :3])
+    if dst_axis is None:
+        raise GeometryError(f"grid axes do not align: index map {mat[:3, :3].tolist()} "
+                            "is not a scaled signed permutation")
+    index = [np.rint(mat[a, d] * np.arange(dst_shape[d]) + mat[a, 3]).astype(np.intp)
+             for a, d in enumerate(dst_axis)]
+    return _gather_axes(data, index, dst_axis)
+
+
+def _aligned_axes(lin):
+    """The destination axis each source axis is read along, when every row and
+    column of the 3x3 index map lin has exactly one entry != 0 (-0.0 is 0);
+    else None."""
+    nonzero = lin != 0
+    if (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all():
+        return nonzero.argmax(axis=1)
+    return None
 
 
 def _gather_axes(data, index, dst_axis):
@@ -330,37 +353,14 @@ def _gather_axes(data, index, dst_axis):
     return out
 
 
-def _aligned_axes(lin):
-    """The destination axis each source axis is read along, when every row and
-    column of the 3x3 index map lin has exactly one entry != 0 (-0.0 is 0);
-    else None."""
-    nonzero = lin != 0
-    if (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all():
-        return nonzero.argmax(axis=1)
-    return None
-
-
-def resample_nearest_to_grid(
-    data: np.ndarray,
-    src_affine: np.ndarray,
-    dst_affine: np.ndarray,
-    dst_shape: tuple[int, int, int],
-) -> np.ndarray:
-    """Nearest-neighbour resample of `data` onto a grid whose axes run along
-    the source grid's: one gather per axis, and 0 off the source grid.
-
-    Raises GeometryError unless the index map ``inv(src) @ dst`` is a scaled
-    signed permutation, one entry != 0 in every row and column of its 3x3
-    block; a 1e-17 off-diagonal term is refused too.
-    """
-    mat = np.linalg.inv(src_affine) @ np.asarray(dst_affine, dtype=np.float64)
-    dst_axis = _aligned_axes(mat[:3, :3])
-    if dst_axis is None:
-        raise GeometryError(f"grid axes do not align: index map {mat[:3, :3].tolist()} "
-                            "is not a scaled signed permutation")
-    index = [np.rint(mat[a, d] * np.arange(dst_shape[d]) + mat[a, 3]).astype(np.intp)
-             for a, d in enumerate(dst_axis)]
-    return _gather_axes(data, index, dst_axis)
+def network_axes(affine: np.ndarray, offsets) -> list[tuple[int, int, float, int]]:
+    """The chain's index map for a native grid `affine` padded at `offsets`:
+    per network axis, the native axis feeding it (:func:`reorient_ras`'s
+    choice), its sign (-1 when reversed), its scale (resampled voxels per
+    native voxel) and its pad offset."""
+    src_axis, flip = _ras_axes(affine)
+    scale = np.linalg.norm(affine[:3, :3], axis=0) / SPACING_MM
+    return [(a, -1 if f else 1, scale[a], int(o)) for a, f, o in zip(src_axis, flip, offsets)]
 
 
 def mask_to_network(data, affine, offsets, step, shape) -> np.ndarray:

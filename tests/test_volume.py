@@ -277,7 +277,7 @@ def oblique_affine(degrees):
     return aff
 
 
-def float_affine_chain(net_mask, original, offsets, pre_resize_shape):
+def float_affine_chain(net_mask, offsets, pre_resize_shape):
     """The (data, src affine) a float-affine inverse of the chain reads a
     native mask from: the network mask doubled when halved, the pad's low
     side cropped off, and the affine carried along."""
@@ -343,7 +343,7 @@ class TestNearestGather:
         net_mask = LabelMask(net_vol.data > 0.3, net_vol.affine)
         offsets, pre = tuple(meta["pad"]["offsets"]), tuple(meta["pre_resize_shape"])
         back = mask_to_native(net_mask, image, offsets, pre)
-        data, src = float_affine_chain(net_mask, image, offsets, pre)
+        data, src = float_affine_chain(net_mask, offsets, pre)
         assert back.data.any()
         assert np.array_equal(back.data, slab_loop_nearest(data, src, image.affine, image.shape))
         assert len(gathers) == 1
@@ -361,7 +361,7 @@ class TestNearestGather:
         offsets, pre = tuple(meta["pad"]["offsets"]), tuple(meta["pre_resize_shape"])
         net_mask = LabelMask(net_vol.data > 0.3, net_vol.affine)
         back = mask_to_native(net_mask, image, offsets, pre)
-        data, src = float_affine_chain(net_mask, image, offsets, pre)
+        data, src = float_affine_chain(net_mask, offsets, pre)
         assert 0 < np.count_nonzero(back.data) < back.data.size
         assert np.array_equal(back.data, slab_loop_nearest(data, src, image.affine, image.shape))
         step = 2 if halve else 1
