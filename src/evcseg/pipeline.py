@@ -47,7 +47,7 @@ from .metrics import balanced_ahd, dice, jaccard
 from .nifti import read_mask, read_nifti, write_nifti
 from .postproc import cleanup as component_cleanup
 from .volume import SPACING_MM, LabelMask, ProbMap, Volume, mask_to_native, mask_to_network
-from .volume import _halved, _padded, _reoriented, _resampled
+from .volume import pad_to, reorient_ras, resample_isotropic, resize_half
 
 DEFAULT_PAD = (64, 64, 64)
 # Network-input intensity scale: resample to SPACING_MM isotropic spacing,
@@ -190,9 +190,9 @@ def preprocess_volume(v: Volume, grid: GridConfig) -> tuple[Volume, dict]:
     segment and raises DataError.
     """
     with _stage("reorient"):
-        data, affine = _reoriented(v.data, v.affine)
+        data, affine = reorient_ras(v.data, v.affine)
     with _stage("resample"):
-        data, affine = _resampled(data, affine, SPACING_MM)
+        data, affine = resample_isotropic(data, affine, SPACING_MM)
     resampled_shape = data.shape
     with _stage("normalize"):
         if data.max() == data.min():
@@ -200,10 +200,10 @@ def preprocess_volume(v: Volume, grid: GridConfig) -> tuple[Volume, dict]:
         divisor = max(linear_percentile(data, NORM_PERCENTILE), 1e-12)
         data = np.clip(data / divisor, 0.0, NORM_CLAMP)
     with _stage("pad"):
-        data, affine, offsets = _padded(data, affine, grid.pad_shape)
+        data, affine, offsets = pad_to(data, affine, grid.pad_shape)
     pre_resize_shape = data.shape
     with _stage("resize"):
-        net_vol = Volume(*_halved(data, affine) if grid.resize_half else (data, affine))
+        net_vol = Volume(*resize_half(data, affine) if grid.resize_half else (data, affine))
     meta = {
         "original": {"shape": list(v.shape), "affine": v.affine.tolist()},
         "resample": {"spacing_mm": SPACING_MM, "shape": list(resampled_shape)},

@@ -2,7 +2,11 @@
 
 A volume couples a dense 3D array with a 4x4 affine mapping voxel indices
 to world millimeters (index maps to the voxel center, the usual NIfTI
-convention). All geometry ops return new objects; nothing mutates in place.
+convention). The preprocessing transforms, ``reorient_ras``,
+``resample_isotropic``, ``pad_to`` and ``resize_half``, take and return a
+plain ``(data, affine)`` pair, the form the chain runs them in; the chain
+checks only its network-grid result, as a :class:`Volume`. No op writes
+into its input.
 
 Sampling conventions used throughout:
 
@@ -135,10 +139,6 @@ class ProbMap(_Grid):
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "affine", _check_affine(self.affine))
 
-    @property
-    def num_labels(self) -> int:
-        return self.data.shape[0]
-
 
 # --------------------------------------------------------------------------
 # orientation
@@ -161,19 +161,14 @@ def _ras_axes(affine: np.ndarray) -> tuple[list[int], list[bool]]:
     return src_axis, [bool(cosines[world, src_axis[world]] < 0.0) for world in range(3)]
 
 
-def reorient_ras(v: Volume) -> Volume:
+def reorient_ras(data: np.ndarray, affine: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Permute and flip axes (:func:`_ras_axes`) so they run along world +x,
-    +y, +z.
+    +y, +z; returns the data and its affine.
 
     World coordinates of every voxel are preserved exactly, so applying
-    this twice is a no-op. A C-ordered volume already in RAS order comes
-    back with its own data array, uncopied: no stage writes into a volume's
-    data.
+    this twice is a no-op. A C-ordered array already in RAS order comes
+    back uncopied: no stage writes into a volume's data.
     """
-    return Volume(*_reoriented(v.data, v.affine))
-
-
-def _reoriented(data, affine):
     src_axis, flip = _ras_axes(affine)
     flipped = tuple(np.flatnonzero(flip))
     data = np.flip(np.transpose(data, axes=src_axis), axis=flipped)
@@ -205,25 +200,25 @@ def _lerp_axis(data: np.ndarray, ci: np.ndarray, axis: int) -> np.ndarray:
     ) * frac
 
 
-def resample_isotropic(v: Volume, spacing_mm: float) -> Volume:
-    """Resample onto an isotropic grid by trilinear interpolation.
+def resample_isotropic(
+    data: np.ndarray, affine: np.ndarray, spacing_mm: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Resample onto an isotropic grid by trilinear interpolation; returns
+    the data and its affine.
 
     The output grid shares the input's direction cosines and cell extent;
     its shape is ``ceil(shape * spacing / spacing_mm)`` per axis, less a
     relative 1e-6 before the ceil: a spacing read from a float32 header
     sits a few float32 steps above its decimal (0.8 mm reads as
     0.800000012), and its extent must not gain a voxel for that. Axes
-    already on the output grid are not interpolated, so a volume with every
-    axis there comes back with its own data array, uncopied.
+    already on the output grid are not interpolated, so an array with every
+    axis there comes back uncopied.
 
     Args:
-        v: input volume.
+        data: the scan's voxels, 3D.
+        affine: its 4x4 voxel-index-to-world-mm transform.
         spacing_mm: target voxel size, identical on all axes.
     """
-    return Volume(*_resampled(v.data, v.affine, spacing_mm))
-
-
-def _resampled(data, affine, spacing_mm):
     if not spacing_mm > 0.0:
         raise GeometryError(f"spacing must be positive, got {spacing_mm}")
     sp = np.linalg.norm(affine[:3, :3], axis=0)
@@ -243,17 +238,14 @@ def _resampled(data, affine, spacing_mm):
     return data, out
 
 
-def pad_to(v: Volume, shape: tuple[int, int, int]) -> tuple[Volume, tuple[int, int, int]]:
+def pad_to(
+    data: np.ndarray, affine: np.ndarray, shape: tuple[int, int, int]
+) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
     """Zero-pad to `shape`, centering the input.
 
-    Returns the padded volume and the per-axis offsets of the original
-    low corner, ``floor((target - shape) / 2)``.
+    Returns the padded data, its affine and the per-axis offsets of the
+    original low corner, ``floor((target - shape) / 2)``.
     """
-    data, affine, offsets = _padded(v.data, v.affine, shape)
-    return Volume(data, affine), offsets
-
-
-def _padded(data, affine, shape):
     target = tuple(int(s) for s in shape)
     if any(t < s for t, s in zip(target, data.shape)):
         raise GeometryError(f"cannot pad {data.shape} into smaller target {target}")
@@ -278,13 +270,9 @@ def block_means(x: np.ndarray) -> np.ndarray:
     return (((p[0] + p[1]) + p[2]) + p[3]) / 8
 
 
-def resize_half(v: Volume) -> Volume:
+def resize_half(data: np.ndarray, affine: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Halve each axis by 2x2x2 block averaging (:func:`block_means`); voxel
-    size doubles."""
-    return Volume(*_halved(v.data, v.affine))
-
-
-def _halved(data, affine):
+    size doubles. Returns the data and its affine."""
     if any(s % 2 for s in data.shape):
         raise GeometryError(f"resize_half needs even dimensions, got {data.shape}")
     out = affine.copy()

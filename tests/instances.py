@@ -184,8 +184,8 @@ def slab_loop_nearest(data, src_affine, dst_affine, dst_shape):
 
 
 def lerp_every_axis(v: Volume, spacing_mm: float) -> np.ndarray:
-    """Reference for resample_isotropic's data: one _lerp_axis pass per axis,
-    aligned or not."""
+    """Reference for the data ``resample_isotropic(v.data, v.affine,
+    spacing_mm)`` returns: one _lerp_axis pass per axis, aligned or not."""
     sp = v.spacing
     out_shape = np.maximum(np.ceil(np.array(v.shape) * sp / spacing_mm), 1).astype(int)
     data = v.data

@@ -475,7 +475,7 @@ class TestWriteRoundTrip:
         hdr = read_header(tmp_path / "p.nii.gz")
         assert hdr.ndim == 4 and hdr.shape == (4, 4, 4, 2)
         back = read_probmap(tmp_path / "p.nii.gz")
-        assert back.num_labels == 2
+        assert back.data.shape[0] == 2
         np.testing.assert_array_equal(back.data, p.data)
 
     def test_gzip_member_framed_by_hand(self, tmp_path):

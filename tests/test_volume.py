@@ -141,7 +141,7 @@ class TestReorient:
     def test_identity_is_unchanged(self):
         rng = np.random.default_rng(42)
         v = Volume(data=rng.random((4, 5, 6)))
-        out = reorient_ras(v)
+        out = Volume(*reorient_ras(v.data, v.affine))
         assert np.array_equal(out.data, v.data)
         np.testing.assert_array_equal(out.affine, v.affine)
 
@@ -151,7 +151,7 @@ class TestReorient:
             for flips in ([False] * 3, [True, False, True], [True] * 3):
                 aff = axis_swap_affine(perm, flips, (3, 4, 5), spacing=(1.1, 0.9, 1.4))
                 v = Volume(data=rng.random((3, 4, 5)), affine=aff)
-                out = reorient_ras(v)
+                out = Volume(*reorient_ras(v.data, v.affine))
                 # same multiset of (world point, value) pairs
                 pv = {
                     (*np.round(w, 9), val)
@@ -166,7 +166,7 @@ class TestReorient:
     def test_result_is_ras_aligned(self):
         aff = axis_swap_affine([2, 0, 1], [True, False, True], (3, 4, 5))
         v = Volume(data=np.zeros((3, 4, 5)), affine=aff)
-        out = reorient_ras(v)
+        out = Volume(*reorient_ras(v.data, v.affine))
         d = out.affine[:3, :3]
         assert np.all(np.diag(d) > 0)
         assert np.allclose(d - np.diag(np.diag(d)), 0.0)
@@ -175,8 +175,8 @@ class TestReorient:
         rng = np.random.default_rng(3)
         aff = axis_swap_affine([1, 0, 2], [False, True, False], (4, 4, 4))
         v = Volume(data=rng.random((4, 4, 4)), affine=aff)
-        once = reorient_ras(v)
-        twice = reorient_ras(once)
+        once = Volume(*reorient_ras(v.data, v.affine))
+        twice = Volume(*reorient_ras(once.data, once.affine))
         assert np.array_equal(once.data, twice.data)
         np.testing.assert_array_equal(once.affine, twice.affine)
 
@@ -185,15 +185,15 @@ class TestResample:
     def test_identity_spacing(self):
         rng = np.random.default_rng(42)
         v = Volume(data=rng.random((5, 6, 7)))
-        out = resample_isotropic(v, 1.0)
+        out = Volume(*resample_isotropic(v.data, v.affine, 1.0))
         assert out.shape == v.shape
         np.testing.assert_allclose(out.data, v.data, atol=1e-6)
 
     def test_output_shape_is_ceil_extent_over_spacing(self):
         v = Volume(data=np.zeros((5, 4, 3)))
-        assert resample_isotropic(v, 2.0).shape == (3, 2, 2)
+        assert resample_isotropic(v.data, v.affine, 2.0)[0].shape == (3, 2, 2)
         v2 = Volume(data=np.zeros((4, 4, 4)), affine=np.diag([2.0, 2.0, 2.0, 1.0]))
-        assert resample_isotropic(v2, 1.0).shape == (8, 8, 8)
+        assert resample_isotropic(v2.data, v2.affine, 1.0)[0].shape == (8, 8, 8)
 
     @pytest.mark.parametrize("slices,spacing", [(80, 0.8), (160, 1.2)])
     def test_float32_spacing_keeps_the_whole_grid(self, slices, spacing):
@@ -202,17 +202,17 @@ class TestResample:
         sp = float(np.float32(spacing))
         assert slices * sp > round(slices * spacing)
         v = Volume(data=np.zeros((slices, 2, 2)), affine=np.diag([sp, 1.0, 1.0, 1.0]))
-        assert resample_isotropic(v, 1.0).shape == (round(slices * spacing), 2, 2)
+        assert resample_isotropic(v.data, v.affine, 1.0)[0].shape == (round(slices * spacing), 2, 2)
         # an extent past the float32 rounding still gains its voxel
         wider = Volume(data=v.data, affine=np.diag([spacing + 1e-5, 1.0, 1.0, 1.0]))
-        assert resample_isotropic(wider, 1.0).shape == (round(slices * spacing) + 1, 2, 2)
+        assert resample_isotropic(wider.data, wider.affine, 1.0)[0].shape == (round(slices * spacing) + 1, 2, 2)
 
     def test_constants_preserved_exactly(self):
         v = Volume(
             data=np.full((6, 5, 4), 3.25), affine=np.diag([1.3, 0.8, 2.1, 1.0])
         )
         for spacing in (0.4, 1.0, 1.7, 3.0):
-            out = resample_isotropic(v, spacing)
+            out = Volume(*resample_isotropic(v.data, v.affine, spacing))
             assert np.all(out.data == 3.25), f"spacing {spacing}"
 
     def test_linear_ramp_reproduced_at_interior_samples(self):
@@ -223,7 +223,7 @@ class TestResample:
         f = 2 * world[0] + 3 * world[1] - world[2] + 5
         v = Volume(data=f, affine=aff)
 
-        out = resample_isotropic(v, 1.0)
+        out = Volume(*resample_isotropic(v.data, v.affine, 1.0))
         idx_o = np.indices(out.shape).astype(float)
         world_o = (
             np.einsum("ab,bxyz->axyz", out.affine[:3, :3], idx_o)
@@ -237,7 +237,7 @@ class TestResample:
         aff = np.diag([0.7, 0.7, 0.7, 1.0])
         aff[:3, 3] = [1.0, 2.0, 3.0]
         v = Volume(data=np.zeros((10, 10, 10)), affine=aff)
-        out = resample_isotropic(v, 1.0)
+        out = Volume(*resample_isotropic(v.data, v.affine, 1.0))
         np.testing.assert_allclose(out.spacing, [1.0, 1.0, 1.0])
         # shared low cell corner: corner = center0 - spacing/2 per axis
         corner_in = aff[:3, 3] - 0.35
@@ -247,7 +247,7 @@ class TestResample:
     def test_rejects_nonpositive_spacing(self):
         v = Volume(data=np.zeros((2, 2, 2)))
         with pytest.raises(GeometryError):
-            resample_isotropic(v, 0.0)
+            resample_isotropic(v.data, v.affine, 0.0)
 
 
 class TestAlignedAxes:
@@ -258,12 +258,12 @@ class TestAlignedAxes:
     def test_matches_interpolating_every_axis(self, diag):
         rng = np.random.default_rng(11)
         v = Volume(data=rng.normal(size=(6, 7, 5)), affine=np.diag([*diag, 1.0]))
-        out = resample_isotropic(v, 1.0)
+        out = Volume(*resample_isotropic(v.data, v.affine, 1.0))
         assert np.array_equal(out.data, lerp_every_axis(v, 1.0))
 
     def test_all_aligned_shares_the_array(self):
         v = Volume(data=np.random.default_rng(12).normal(size=(4, 5, 6)))
-        out = resample_isotropic(v, 1.0)
+        out = Volume(*resample_isotropic(v.data, v.affine, 1.0))
         assert np.array_equal(out.data, v.data)
         assert out.data is v.data
 
@@ -419,7 +419,8 @@ class TestNearestGather:
 class TestPad:
     def test_reference_offsets(self):
         v = Volume(data=np.ones((181, 217, 181)))
-        padded, offsets = pad_to(v, (256, 256, 256))
+        data, affine, offsets = pad_to(v.data, v.affine, (256, 256, 256))
+        padded = Volume(data, affine)
         assert offsets == (37, 19, 37)
         assert padded.shape == (256, 256, 256)
         assert padded.data.sum() == v.data.sum()
@@ -429,7 +430,8 @@ class TestPad:
         aff = np.diag([1.2, 1.0, 0.9, 1.0])
         aff[:3, 3] = [-4.0, 2.0, 0.5]
         v = Volume(data=rng.random((3, 4, 5)), affine=aff)
-        padded, offsets = pad_to(v, (8, 8, 9))
+        data, affine, offsets = pad_to(v.data, v.affine, (8, 8, 9))
+        padded = Volume(data, affine)
         # voxel (offsets + i) of the padded grid sits where voxel i used to
         probe = np.array([1, 2, 3])
         w_old = v.affine @ np.append(probe, 1.0)
@@ -440,13 +442,13 @@ class TestPad:
     def test_rejects_smaller_target(self):
         v = Volume(data=np.ones((10, 10, 10)))
         with pytest.raises(GeometryError):
-            pad_to(v, (8, 12, 12))
+            pad_to(v.data, v.affine, (8, 12, 12))
 
 
 class TestResizeHalf:
     def test_block_mean_reference(self):
         v = Volume(data=np.arange(8, dtype=float).reshape(2, 2, 2))
-        out = resize_half(v)
+        out = Volume(*resize_half(v.data, v.affine))
         assert out.shape == (1, 1, 1)
         assert out.data[0, 0, 0] == 3.5
 
@@ -454,14 +456,14 @@ class TestResizeHalf:
         rng = np.random.default_rng(42)
         x = rng.random((6, 4, 8))
         v = Volume(data=x)
-        out = resize_half(v)
+        out = Volume(*resize_half(v.data, v.affine))
         expect = x.reshape(3, 2, 2, 2, 4, 2).mean(axis=(1, 3, 5))
         np.testing.assert_array_equal(out.data, expect)
 
     def test_spacing_doubles_and_centers_align(self):
         aff = np.diag([1.0, 1.0, 1.0, 1.0])
         v = Volume(data=np.zeros((4, 4, 4)), affine=aff)
-        out = resize_half(v)
+        out = Volume(*resize_half(v.data, v.affine))
         np.testing.assert_allclose(out.spacing, [2.0, 2.0, 2.0])
         # coarse voxel 0 center = mean of fine centers 0 and 1 = 0.5
         np.testing.assert_allclose(out.affine[:3, 3], [0.5, 0.5, 0.5])
@@ -469,7 +471,7 @@ class TestResizeHalf:
     def test_rejects_odd_dims(self):
         v = Volume(data=np.zeros((3, 4, 4)))
         with pytest.raises(GeometryError):
-            resize_half(v)
+            resize_half(v.data, v.affine)
 
 
 class TestBlockMeans:
@@ -517,10 +519,11 @@ class TestMaskToNative:
         sphere = make_sphere((44, 44, 44), center[:3], 17.0, native_aff)
         original = Volume(data=sphere.data.astype(float), affine=native_aff)
 
-        v = reorient_ras(original)
-        r = resample_isotropic(v, 1.0)
-        padded, offsets = pad_to(r, (64, 64, 64))
-        half = resize_half(padded)
+        v = Volume(*reorient_ras(original.data, original.affine))
+        r = Volume(*resample_isotropic(v.data, v.affine, 1.0))
+        data, affine, offsets = pad_to(r.data, r.affine, (64, 64, 64))
+        padded = Volume(data, affine)
+        half = Volume(*resize_half(padded.data, padded.affine))
         net_mask = LabelMask(data=(half.data > 0.5).astype(np.uint8), affine=half.affine)
 
         back = mask_to_native(net_mask, original, offsets, padded.shape)
@@ -531,7 +534,8 @@ class TestMaskToNative:
         aff = np.eye(4)
         sphere = make_sphere((32, 32, 32), (16, 16, 16), 10.0, aff)
         original = Volume(data=sphere.data.astype(float), affine=aff)
-        padded, offsets = pad_to(Volume(data=sphere.data.astype(float), affine=aff), (40, 40, 40))
+        data, affine, offsets = pad_to(sphere.data.astype(float), aff, (40, 40, 40))
+        padded = Volume(data, affine)
         net_mask = LabelMask(data=(padded.data > 0.5).astype(np.uint8), affine=padded.affine)
         back = mask_to_native(net_mask, original, offsets, padded.shape)
         assert dice(back.data, sphere.data) == 1.0
