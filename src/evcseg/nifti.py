@@ -14,6 +14,7 @@ from __future__ import annotations
 import gzip
 import math
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -220,16 +221,23 @@ def _parse_header(buf: bytes, path) -> NiftiHeader:
 # --------------------------------------------------------------------------
 
 
+@contextmanager
+def _gzip_errors(path):
+    """Name the file in what the gzip decompressor raises."""
+    try:
+        yield
+    except EOFError as e:
+        raise TruncatedFileError(f"{path}: gzip stream ends early") from e
+    except (zlib.error, gzip.BadGzipFile) as e:
+        raise FormatError(f"{path}: corrupt gzip stream ({e})") from e
+
+
 def _read_bytes(path) -> bytes:
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:2] == GZIP_MAGIC:
-        try:
+        with _gzip_errors(path):
             return gzip.decompress(buf)
-        except EOFError as e:
-            raise TruncatedFileError(f"{path}: gzip stream ends early") from e
-        except (zlib.error, gzip.BadGzipFile) as e:
-            raise FormatError(f"{path}: corrupt gzip stream ({e})") from e
     return buf
 
 
@@ -319,9 +327,18 @@ def read_probmap(path) -> ProbMap:
 
 
 def read_header(path) -> NiftiHeader:
-    """Parse just the header, without touching the payload."""
+    """Parse just the header: only its first HEADER_SIZE bytes are read,
+    inflated when the magic says gzip, so a payload cut short goes unseen."""
     path = Path(path)
-    return _parse_header(_read_bytes(path), path)
+    with open(path, "rb") as fh:
+        gzipped = fh.read(2) == GZIP_MAGIC
+        fh.seek(0)
+        if gzipped:
+            with _gzip_errors(path), gzip.GzipFile(fileobj=fh) as gz:
+                buf = gz.read(HEADER_SIZE)
+        else:
+            buf = fh.read(HEADER_SIZE)
+    return _parse_header(buf, path)
 
 
 # --------------------------------------------------------------------------

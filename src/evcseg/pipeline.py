@@ -96,6 +96,15 @@ def _paired_files(
     return [(n, a[n], b[n]) for n in sorted(a)]
 
 
+def _refuse_same_file(first, second, what: str) -> None:
+    """ConfigError when two output paths resolve to one file, where the later
+    write would replace the earlier one; a path that is None is unset."""
+    if first is not None and second is not None:
+        resolved = os.path.realpath(first)
+        if resolved == os.path.realpath(second):
+            raise ConfigError(f"{what} both resolve to {resolved}; one would overwrite the other")
+
+
 def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -124,9 +133,12 @@ class GridConfig:
     resize_half: bool = True
 
     def __post_init__(self):
-        pad = tuple(int(s) for s in self.pad_shape)
-        if len(pad) != 3 or any(s < 1 for s in pad):
-            raise ConfigError(f"pad_shape must be 3 positive ints, got {self.pad_shape}")
+        pad = tuple(self.pad_shape)
+        if len(pad) != 3 or any(
+            isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 1 for s in pad
+        ):
+            raise ConfigError(f"pad_shape must be 3 positive ints, got {self.pad_shape!r}")
+        pad = tuple(int(s) for s in pad)
         if self.resize_half and any(s % 2 for s in pad):
             raise ConfigError(f"pad_shape must be even to halve, got {pad}")
         object.__setattr__(self, "pad_shape", pad)
@@ -268,6 +280,7 @@ def extract(cfg: PipelineConfig) -> ExtractResult:
         params, net_cfg, manifest = load_checkpoint(cfg.checkpoint_path)
     with _stage("config"):
         _check_grid_fits(cfg.grid, net_cfg)
+        _refuse_same_file(cfg.output_path, cfg.resolved_sidecar(), "output and sidecar")
     with _stage("read"):
         original = read_nifti(cfg.input_path)
     net_vol, meta = preprocess_volume(original, cfg.grid)
@@ -442,6 +455,7 @@ def train(cfg: TrainConfig) -> TrainResult:
     """
     with _stage("config"):
         _check_grid_fits(cfg.grid, cfg.evnet)
+        _refuse_same_file(cfg.checkpoint_path, cfg.resolved_log(), "checkpoint and log")
     with _stage("dataset"):
         data = _load_training_pairs(cfg)
         if cfg.holdout >= len(data):
@@ -555,6 +569,7 @@ def evaluate(pred_dir, truth_dir, json_path=None, csv_path=None) -> dict:
     balanced_ahd = inf and is flagged. Optionally written as JSON
     (per-case) and CSV (summary).
     """
+    _refuse_same_file(json_path, csv_path, "JSON and CSV reports")
     pairs = _paired_files(Path(pred_dir), Path(truth_dir), "prediction", "truth")
     names = [name for name, _, _ in pairs]
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:

@@ -687,6 +687,66 @@ class TestEvalCommand:
         assert code == 3
 
 
+class TestOutputCollisions:
+    """Two outputs of one command that resolve to one file exit 3 before
+    anything is written, where the later write used to replace the earlier
+    with exit 0. The mask may still replace the scan it was read from."""
+
+    @staticmethod
+    def aliased(tmp_path, name, default_suffix, how):
+        """The first output's path and the second's flag values: the same
+        file spelled through a subdirectory, or (how="default") no flag and
+        the default name a symlink to the first."""
+        out = tmp_path / name
+        if how == "spelled":
+            (tmp_path / "sub").mkdir()
+            return out, [str(tmp_path / "sub" / ".." / name)]
+        (tmp_path / (name + default_suffix)).symlink_to(out)
+        return out, []
+
+    @pytest.mark.parametrize("how", ["spelled", "default"])
+    def test_train_log_onto_checkpoint(self, how, phantom_dataset, tmp_path, capsys):
+        out, log = self.aliased(tmp_path, "m.evc", ".log.json", how)
+        code = run(["train", "--data", str(phantom_dataset), "--out", str(out),
+                    *(["--log", *log] if log else []), "--epochs", "0",
+                    "--base-channels", "2", *GRID_FLAGS])
+        assert code == 3
+        assert "overwrite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("how", ["spelled", "default"])
+    def test_extract_sidecar_onto_mask(self, how, phantom_dataset, init_checkpoint, tmp_path,
+                                       capsys):
+        out, sidecar = self.aliased(tmp_path, "o.nii.gz", ".transforms.json", how)
+        code = run(["extract", "--in", str(phantom_dataset / "images" / "phantom_000.nii.gz"),
+                    "--out", str(out), *(["--sidecar", *sidecar] if sidecar else []),
+                    "--checkpoint", str(init_checkpoint), "--crf-iters", "0", *GRID_FLAGS])
+        assert code == 3
+        assert "overwrite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_reports_onto_each_other(self, tmp_path, capsys):
+        ball = np.zeros((10, 10, 10), dtype=np.uint8)
+        ball[3:7, 3:7, 3:7] = 1
+        for sub in ("pred", "truth"):
+            (tmp_path / sub).mkdir()
+            write_nifti(LabelMask(ball), tmp_path / sub / "a.nii.gz")
+        out, csv = self.aliased(tmp_path, "r.x", "", "spelled")
+        code = run(["eval", "--pred", str(tmp_path / "pred"), "--truth", str(tmp_path / "truth"),
+                    "--out-json", str(out), "--out-csv", *csv])
+        assert code == 3
+        assert "overwrite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_extract_may_replace_its_input(self, phantom_dataset, init_checkpoint, tmp_path):
+        scan = tmp_path / "s.nii.gz"
+        shutil.copy(phantom_dataset / "images" / "phantom_000.nii.gz", scan)
+        code = run(["extract", "--in", str(scan), "--out", str(scan),
+                    "--checkpoint", str(init_checkpoint), "--crf-iters", "0", *GRID_FLAGS])
+        assert code == 0
+        assert read_mask(scan).shape == (16, 16, 16)
+
+
 class TestConfigFile:
     def test_key_value_defaults(self, tmp_path):
         cfg = tmp_path / "synth.cfg"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from evcseg.errors import EvcsegError
 from evcseg.evnet import load_checkpoint
-from evcseg.nifti import read_nifti, write_nifti
+from evcseg.nifti import read_header, read_nifti, write_nifti
 from evcseg.volume import Volume
 
 CHECKPOINT = Path(__file__).resolve().parents[1] / "bench" / "checkpoint.evc"
@@ -87,3 +87,15 @@ def test_mutated_nifti_gz(mutation):
 def test_mutated_checkpoint(mutation):
     _reads_or_fails_cleanly(load_checkpoint, CKPT, mutation, ".evc")
 
+
+
+@FUZZ
+@given(_mutations(NIFTI, NIFTI_HEADER))
+def test_mutated_nifti_header(mutation):
+    _reads_or_fails_cleanly(read_header, NIFTI, mutation, ".nii")
+
+
+@FUZZ
+@given(_mutations(NIFTI_GZ, NIFTI_GZ_HEAD))
+def test_mutated_nifti_gz_header(mutation):
+    _reads_or_fails_cleanly(read_header, NIFTI_GZ, mutation, ".nii.gz")

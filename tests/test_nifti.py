@@ -403,6 +403,9 @@ class TestCorruptGzip:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(TruncatedFileError, match="v.nii.gz"):
             read_nifti(path)
+        # the header is whole, and read_header inflates no further
+        assert read_header(path).shape == (8, 8, 8)
+        path.write_bytes(blob[:40])  # cut inside the header's deflate data
         with pytest.raises(TruncatedFileError, match="v.nii.gz"):
             read_header(path)
 

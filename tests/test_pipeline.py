@@ -63,11 +63,19 @@ class TestGridConfig:
         [
             dict(pad_shape=(33, 32, 32)),  # odd but halving requested
             dict(pad_shape=(0, 32, 32)),
+            dict(pad_shape=(16, 16, 16.7)),  # used to become 16
+            dict(pad_shape=(16, 16, 16.0)),
+            dict(pad_shape=("16", 16, True), resize_half=False),  # was (16, 16, 1)
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             GridConfig(**kwargs)
+
+    def test_numpy_ints_become_python_ints(self):
+        g = GridConfig(pad_shape=np.array([16, 16, 16]), resize_half=False)
+        assert g.pad_shape == (16, 16, 16)
+        assert all(type(s) is int for s in g.pad_shape)
 
     def test_grid_fit_check(self):
         _check_grid_fits(TOY_GRID, EvNetConfig(levels=2, base_channels=2))
