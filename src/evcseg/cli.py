@@ -1,11 +1,11 @@
 """Command line front end: extract, train, refine, eval, synth.
 
-Exit codes: 0 on success, 2 for usage errors, 3 for data problems (bad
-files, bad config values, missing paths), 4 for compute problems
-(geometry, capacity, training divergence). Each subcommand accepts
-``--config FILE`` with defaults in JSON or flat ``key=value`` form, keyed
-by option dest names (e.g. ``crf_iters=0``); each value must pass its
-option's type, count and choices, and explicit flags win.
+Exit codes: 0 on success, 2 for usage errors, else the code the raised
+error's class carries (the table is in :mod:`evcseg.errors`). Each
+subcommand accepts ``--config FILE`` with defaults in JSON or flat
+``key=value`` form, keyed by option dest names (e.g. ``crf_iters=0``);
+each value must pass its option's type, count and choices, and explicit
+flags win.
 """
 
 from __future__ import annotations
@@ -19,16 +19,7 @@ from pathlib import Path
 from . import __version__
 from .crf import CrfConfig
 from .crf import refine as crf_refine
-from .errors import (
-    CapacityError,
-    ConfigError,
-    DataError,
-    DomainError,
-    EvcsegError,
-    FormatError,
-    GeometryError,
-    TrainingError,
-)
+from .errors import ConfigError, EvcsegError
 from .evnet import EvNetConfig
 from .nifti import read_nifti, read_probmap, write_nifti
 from .pipeline import (
@@ -41,11 +32,6 @@ from .pipeline import (
     train,
 )
 from .synth import synth_dataset
-
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_COMPUTE = 4
 
 # The refine command writes the mask alone, so its refinement keeps no
 # mean-field state: n sweeps make n message passes and no free energy.
@@ -115,7 +101,7 @@ def _crf_from_args(args) -> CrfConfig:
     )
 
 
-def _cmd_extract(args) -> int:
+def _cmd_extract(args) -> None:
     cfg = PipelineConfig(
         input_path=args.input_path,
         output_path=args.output_path,
@@ -127,10 +113,9 @@ def _cmd_extract(args) -> int:
     )
     res = extract(cfg)
     print(f"wrote {res.output_path} (transforms in {res.sidecar_path})")
-    return EXIT_OK
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> None:
     evnet = EvNetConfig(
         levels=args.levels,
         base_channels=args.base_channels,
@@ -159,30 +144,26 @@ def _cmd_train(args) -> int:
             f"wrote {res.checkpoint_path} (best epoch {res.best_epoch}, "
             f"loss {res.best_loss:.4f}; log in {res.log_path})"
         )
-    return EXIT_OK
 
 
-def _cmd_refine(args) -> int:
+def _cmd_refine(args) -> None:
     probs = read_probmap(args.prob)
     image = read_nifti(args.image)
     cfg = _crf_from_args(args)
     mask, _ = refine(probs, image, cfg)
     write_nifti(mask, args.out)
     print(f"wrote {args.out} ({cfg.iterations} updates)")
-    return EXIT_OK
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> None:
     report = evaluate(args.pred, args.truth, json_path=args.out_json, csv_path=args.out_csv)
     for metric, s in report["summary"].items():
         print(f"{metric}: {s['mean']:.4f} +/- {s['std']:.4f} (n={s['n']})")
-    return EXIT_OK
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> None:
     pairs = synth_dataset(args.n, args.size, args.seed, args.out)
     print(f"wrote {len(pairs)} phantom pairs under {args.out}")
-    return EXIT_OK
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -192,7 +173,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     parser.add_argument("--version", action="version", version=f"evcseg {__version__}")
     subs = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    subparsers: dict[str, argparse.ArgumentParser] = {}
 
     p = subs.add_parser("extract", help="segment one volume end to end")
     p.add_argument("--in", dest="input_path", required=True, metavar="NIFTI", help="input volume")
@@ -204,7 +184,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_crf_args(p)
     _add_config_arg(p)
     p.set_defaults(func=_cmd_extract)
-    subparsers["extract"] = p
 
     p = subs.add_parser("train", help="fit the network on image/mask pairs")
     p.add_argument("--data", required=True, help="directory with images/ and masks/ subdirs")
@@ -228,7 +207,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_grid_args(p)
     _add_config_arg(p)
     p.set_defaults(func=_cmd_train)
-    subparsers["train"] = p
 
     p = subs.add_parser("refine", help="CRF-refine an existing probability map")
     p.add_argument("--prob", required=True, help="4D NIfTI probability map, labels last")
@@ -237,7 +215,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_crf_args(p)
     _add_config_arg(p)
     p.set_defaults(func=_cmd_refine)
-    subparsers["refine"] = p
 
     p = subs.add_parser("eval", help="score predicted masks against references")
     p.add_argument("--pred", required=True, help="directory of predicted masks")
@@ -246,7 +223,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out-csv", default=None, help="summary table path")
     _add_config_arg(p)
     p.set_defaults(func=_cmd_eval)
-    subparsers["eval"] = p
 
     p = subs.add_parser("synth", help="generate a synthetic phantom dataset")
     p.add_argument("--out", required=True, help="dataset directory to create")
@@ -255,9 +231,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--seed", type=int, default=0)
     _add_config_arg(p)
     p.set_defaults(func=_cmd_synth)
-    subparsers["synth"] = p
 
-    return parser, subparsers
+    return parser, subs.choices
 
 
 def _load_config_file(path) -> dict:
@@ -330,13 +305,11 @@ def main(argv=None) -> int:
             # Config supplies defaults only; reparse so explicit flags win.
             _apply_config_defaults(subparsers[args.command], args.config)
             args = parser.parse_args(argv)
-        return args.func(args)
-    except (FormatError, DataError, ConfigError, DomainError, OSError) as e:
+        args.func(args)
+    except (EvcsegError, OSError) as e:
         print(f"evcseg: error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except (GeometryError, CapacityError, TrainingError, EvcsegError) as e:
-        print(f"evcseg: error: {e}", file=sys.stderr)
-        return EXIT_COMPUTE
+        return getattr(e, "exit_code", 3)  # an OSError is a data error
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,15 +1,20 @@
 """Exception family shared across the package.
 
-The CLI maps these onto exit codes: file/format/checkpoint problems are
-data errors (exit 3), geometry/capacity/training problems are compute
-errors (exit 4). Usage errors never reach this module.
+Each class carries the exit code the CLI returns for it, and a subclass
+inherits its parent's. Exit 3, data: FormatError (with BadMagicError,
+UnsupportedDatatypeError and TruncatedFileError), DataError, ConfigError,
+DomainError, and an OSError from the file system. Exit 4, compute:
+GeometryError, CapacityError, TrainingError and a bare EvcsegError. Usage
+errors never reach this module: argparse exits 2 for them.
 """
 
 from __future__ import annotations
 
 
 class EvcsegError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package: a compute failure."""
+
+    exit_code = 4
 
 
 class GeometryError(EvcsegError):
@@ -18,6 +23,8 @@ class GeometryError(EvcsegError):
 
 class FormatError(EvcsegError):
     """A file does not conform to its on-disk format."""
+
+    exit_code = 3
 
 
 class BadMagicError(FormatError):
@@ -35,9 +42,13 @@ class TruncatedFileError(FormatError):
 class DataError(EvcsegError):
     """Missing or unusable input data."""
 
+    exit_code = 3
+
 
 class ConfigError(EvcsegError):
     """Invalid configuration, or a checkpoint whose config does not match."""
+
+    exit_code = 3
 
 
 class CapacityError(EvcsegError):
@@ -46,6 +57,8 @@ class CapacityError(EvcsegError):
 
 class DomainError(EvcsegError):
     """A metric was evaluated outside its mathematical domain."""
+
+    exit_code = 3
 
 
 class TrainingError(EvcsegError):
