@@ -49,7 +49,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .bilateral import bilateral_filter, cell_records, gaussian_blur
-from .errors import CapacityError, ConfigError, DomainError, GeometryError
+from .errors import CapacityError, ConfigError, DomainError, GeometryError, whole_number
 from .volume import LabelMask, ProbMap, Volume
 
 BRUTE_MAX_VOXELS = 4096
@@ -84,9 +84,7 @@ class CrfConfig:
             raise ConfigError(
                 f"kernel bandwidths must have normal float64 squares, got {thetas}"
             )
-        n = self.iterations
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-            raise ConfigError(f"iterations must be an integer >= 0, got {n!r}")
+        object.__setattr__(self, "iterations", whole_number("iterations", self.iterations, 0))
         if self.backend not in ("brute", "filtered"):
             raise ConfigError(f"unknown backend {self.backend!r}")
 

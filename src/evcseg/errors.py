@@ -10,6 +10,8 @@ errors never reach this module: argparse exits 2 for them.
 
 from __future__ import annotations
 
+import numbers
+
 
 class EvcsegError(Exception):
     """Base class for every error raised by this package: a compute failure."""
@@ -63,3 +65,12 @@ class DomainError(EvcsegError):
 
 class TrainingError(EvcsegError):
     """Training produced non-finite values and cannot continue."""
+
+
+def whole_number(name: str, value, minimum: int) -> int:
+    """``value`` as a Python int, or a ConfigError unless it is a whole
+    number at or above ``minimum``: bools, floats and strings are refused,
+    numpy ints accepted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, GeometryError
+from ..errors import ConfigError, GeometryError, whole_number
 from .ops import (
     concat_channels_backward,
     concat_channels_forward,
@@ -63,21 +63,17 @@ class EvNetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 2 <= self.levels <= 5:
+        for name, minimum in (("levels", 2), ("base_channels", 2), ("seed", 0)):
+            object.__setattr__(self, name, whole_number(name, getattr(self, name), minimum))
+        if self.levels > 5:
             raise ConfigError(f"levels must be in 2..5, got {self.levels}")
-        if self.base_channels < 2:
-            raise ConfigError(f"base_channels must be >= 2, got {self.base_channels}")
-        if not self.convs_per_block:
-            object.__setattr__(
-                self, "convs_per_block", (1, 2, 3, 3, 3)[: self.levels]
-            )
-        if len(self.convs_per_block) != self.levels:
-            raise ConfigError(
-                f"convs_per_block has {len(self.convs_per_block)} entries "
-                f"for {self.levels} levels"
-            )
-        if any(c < 1 for c in self.convs_per_block):
-            raise ConfigError("convs_per_block entries must be >= 1")
+        convs = tuple(
+            whole_number("each convs_per_block entry", c, 1)
+            for c in self.convs_per_block or (1, 2, 3, 3, 3)[: self.levels]
+        )
+        if len(convs) != self.levels:
+            raise ConfigError(f"convs_per_block has {len(convs)} entries for {self.levels} levels")
+        object.__setattr__(self, "convs_per_block", convs)
         if self.multiscale_mode != "concat":
             raise ConfigError(f"unknown multiscale_mode {self.multiscale_mode!r}")
 

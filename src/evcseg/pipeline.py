@@ -32,7 +32,7 @@ import numpy as np
 
 from .augment import intensity_augment, rigid_augment
 from .crf import CrfConfig, refine
-from .errors import ConfigError, DataError, EvcsegError, TrainingError
+from .errors import ConfigError, DataError, EvcsegError, TrainingError, whole_number
 from .evnet import (
     EvNetConfig,
     evnet_backward,
@@ -96,13 +96,22 @@ def _paired_files(
     return [(n, a[n], b[n]) for n in sorted(a)]
 
 
-def _refuse_same_file(first, second, what: str) -> None:
-    """ConfigError when two output paths resolve to one file, where the later
-    write would replace the earlier one; a path that is None is unset."""
-    if first is not None and second is not None:
-        resolved = os.path.realpath(first)
-        if resolved == os.path.realpath(second):
-            raise ConfigError(f"{what} both resolve to {resolved}; one would overwrite the other")
+def _prepare_outputs(outputs: dict, inputs) -> None:
+    """Refuse with a ConfigError an output that resolves to another output or
+    to one of the input paths, then make each output's directory, so that
+    neither fault shows only after the work. outputs maps names to paths,
+    where None is unset."""
+    claimed = {os.path.realpath(p): "input" for p in inputs}
+    for name, path in outputs.items():
+        if path is not None:
+            resolved = os.path.realpath(path)
+            if resolved in claimed:
+                raise ConfigError(f"{claimed[resolved]} and {name} both resolve to {resolved}; "
+                                  "one would overwrite the other")
+            claimed[resolved] = name
+    for path in outputs.values():
+        if path is not None:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
 
 
 def _write_json(path, obj) -> None:
@@ -133,12 +142,13 @@ class GridConfig:
     resize_half: bool = True
 
     def __post_init__(self):
-        pad = tuple(self.pad_shape)
-        if len(pad) != 3 or any(
-            isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 1 for s in pad
-        ):
+        try:
+            pad = tuple(self.pad_shape)
+        except TypeError:
+            pad = ()
+        if len(pad) != 3:
             raise ConfigError(f"pad_shape must be 3 positive ints, got {self.pad_shape!r}")
-        pad = tuple(int(s) for s in pad)
+        pad = tuple(whole_number("each pad_shape entry", s, 1) for s in pad)
         if self.resize_half and any(s % 2 for s in pad):
             raise ConfigError(f"pad_shape must be even to halve, got {pad}")
         object.__setattr__(self, "pad_shape", pad)
@@ -280,7 +290,10 @@ def extract(cfg: PipelineConfig) -> ExtractResult:
         params, net_cfg, manifest = load_checkpoint(cfg.checkpoint_path)
     with _stage("config"):
         _check_grid_fits(cfg.grid, net_cfg)
-        _refuse_same_file(cfg.output_path, cfg.resolved_sidecar(), "output and sidecar")
+        inputs = [cfg.checkpoint_path]
+        if os.path.realpath(cfg.input_path) != os.path.realpath(cfg.output_path):
+            inputs.append(cfg.input_path)  # the mask may replace its scan, read whole first
+        _prepare_outputs({"output": cfg.output_path, "sidecar": cfg.resolved_sidecar()}, inputs)
     with _stage("read"):
         original = read_nifti(cfg.input_path)
     net_vol, meta = preprocess_volume(original, cfg.grid)
@@ -319,8 +332,6 @@ def extract(cfg: PipelineConfig) -> ExtractResult:
         sidecar["flags"] = ["empty_mask"]
     with _stage("write"):
         out_path = Path(cfg.output_path)
-        if out_path.parent != Path(""):
-            out_path.parent.mkdir(parents=True, exist_ok=True)
         write_nifti(native, out_path)
         sidecar_path = cfg.resolved_sidecar()
         _write_json(sidecar_path, sidecar)
@@ -364,14 +375,8 @@ class TrainConfig:
     grid: GridConfig = field(default_factory=GridConfig)
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.holdout < 0:
-            raise ConfigError(f"holdout must be >= 0, got {self.holdout}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name, minimum in (("epochs", 0), ("batch_size", 1), ("holdout", 0), ("seed", 0)):
+            object.__setattr__(self, name, whole_number(name, getattr(self, name), minimum))
         if not (np.isfinite(self.lr) and self.lr >= 0):
             raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if not 0 <= self.momentum < 1:
@@ -392,6 +397,11 @@ class TrainResult:
     best_loss: float | None
 
 
+def _training_files(cfg: TrainConfig) -> list[tuple[str, Path, Path]]:
+    root = Path(cfg.data_dir)
+    return _paired_files(root / "images", root / "masks", "image", "mask")
+
+
 def _load_training_pairs(cfg: TrainConfig) -> list[tuple[Volume, LabelMask]]:
     """Read and preprocess every pair onto the network grid.
 
@@ -400,10 +410,7 @@ def _load_training_pairs(cfg: TrainConfig) -> list[tuple[Volume, LabelMask]]:
     """
     out: list[tuple[Volume, LabelMask]] = []
     problems: list[str] = []
-    root = Path(cfg.data_dir)
-    for _, img_path, msk_path in _paired_files(
-        root / "images", root / "masks", "image", "mask"
-    ):
+    for _, img_path, msk_path in _training_files(cfg):
         try:
             vol = read_nifti(img_path)
             msk = read_mask(msk_path)
@@ -455,7 +462,8 @@ def train(cfg: TrainConfig) -> TrainResult:
     """
     with _stage("config"):
         _check_grid_fits(cfg.grid, cfg.evnet)
-        _refuse_same_file(cfg.checkpoint_path, cfg.resolved_log(), "checkpoint and log")
+        _prepare_outputs({"checkpoint": cfg.checkpoint_path, "log": cfg.resolved_log()},
+                         [p for _, img, msk in _training_files(cfg) for p in (img, msk)])
     with _stage("dataset"):
         data = _load_training_pairs(cfg)
         if cfg.holdout >= len(data):
@@ -472,8 +480,6 @@ def train(cfg: TrainConfig) -> TrainResult:
     params = init_params(cfg.evnet, dtype=np.float32)
     velocity = None
     ckpt_path = Path(cfg.checkpoint_path)
-    if ckpt_path.parent != Path(""):
-        ckpt_path.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt_path, params, cfg.evnet, extra={"epoch": None})
 
     history: list[dict] = []
@@ -569,8 +575,9 @@ def evaluate(pred_dir, truth_dir, json_path=None, csv_path=None) -> dict:
     balanced_ahd = inf and is flagged. Optionally written as JSON
     (per-case) and CSV (summary).
     """
-    _refuse_same_file(json_path, csv_path, "JSON and CSV reports")
     pairs = _paired_files(Path(pred_dir), Path(truth_dir), "prediction", "truth")
+    _prepare_outputs({"JSON report": json_path, "CSV report": csv_path},
+                     [p for _, pred, truth in pairs for p in (pred, truth)])
     names = [name for name, _, _ in pairs]
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         cases = dict(pool.map(lambda pair: _score_case(*pair), pairs))

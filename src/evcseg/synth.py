@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import whole_number
 from .nifti import write_nifti
 from .volume import LabelMask, Volume
 
@@ -34,8 +34,7 @@ def make_phantom(size: int, rng: np.random.Generator) -> tuple[Volume, LabelMask
     the radii are uniform in [0.22, 0.32] of the grid size per axis, which
     keeps the whole skull shell inside the volume.
     """
-    if size < MIN_SIZE:
-        raise ConfigError(f"phantom size must be >= {MIN_SIZE}, got {size}")
+    size = whole_number("phantom size", size, MIN_SIZE)
     center = size / 2.0 + rng.uniform(-0.05 * size, 0.05 * size, size=3)
     radii = rng.uniform(0.22, 0.32, size=3) * size
 
@@ -62,12 +61,9 @@ def synth_dataset(n: int, size: int, seed: int, out_dir) -> list[tuple[Path, Pat
     Returns:
         List of (image_path, mask_path) pairs in index order.
     """
-    if n < 1:
-        raise ConfigError(f"need at least one phantom, got n={n}")
-    if size < MIN_SIZE:
-        raise ConfigError(f"phantom size must be >= {MIN_SIZE}, got {size}")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    n = whole_number("n", n, 1)
+    size = whole_number("phantom size", size, MIN_SIZE)
+    seed = whole_number("seed", seed, 0)
     out_dir = Path(out_dir)
     img_dir = out_dir / "images"
     msk_dir = out_dir / "masks"

@@ -17,7 +17,7 @@ import pytest
 from conftest import TOY_GRID, rewrite_manifest
 from evcseg import cli, crf
 from evcseg.crf import CrfConfig, refine
-from evcseg.errors import CapacityError, FormatError
+from evcseg.errors import CapacityError, EvcsegError, FormatError
 from evcseg.evnet import EvNetConfig, config_hash, load_checkpoint, save_checkpoint
 from evcseg.metrics import dice
 from evcseg.nifti import read_mask, read_nifti, read_probmap, write_nifti
@@ -738,6 +738,54 @@ class TestOutputCollisions:
         assert "overwrite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag,onto", [("--out", "checkpoint"), ("--sidecar", "checkpoint"), ("--sidecar", "scan")]
+    )
+    def test_extract_output_onto_an_input(self, flag, onto, phantom_dataset, init_checkpoint,
+                                          tmp_path, capsys):
+        ckpt = tmp_path / "m.evc"
+        scan = tmp_path / "s.nii.gz"
+        shutil.copy(init_checkpoint, ckpt)
+        shutil.copy(phantom_dataset / "images" / "phantom_000.nii.gz", scan)
+        target = {"checkpoint": ckpt, "scan": scan}[onto]
+        before = target.read_bytes()
+        outputs = {"--out": str(tmp_path / "o.nii.gz"), flag: str(target)}
+        code = run(["extract", "--in", str(scan), "--checkpoint", str(ckpt),
+                    *(x for kv in outputs.items() for x in kv), "--crf-iters", "0", *GRID_FLAGS])
+        assert code == 3
+        assert "overwrite" in capsys.readouterr().err
+        assert target.read_bytes() == before
+        assert not (tmp_path / "o.nii.gz").exists()
+
+    @pytest.mark.parametrize("flag,sub", [("--out", "images"), ("--log", "masks")])
+    def test_train_output_onto_a_training_file(self, flag, sub, tmp_path, capsys):
+        data = tmp_path / "d"
+        shutil.copytree(self.dataset(tmp_path), data)
+        target = data / sub / "phantom_000.nii.gz"
+        before = target.read_bytes()
+        outputs = {"--out": str(tmp_path / "m.evc"), flag: str(target)}
+        code = run(["train", "--data", str(data), *(x for kv in outputs.items() for x in kv),
+                    "--epochs", "0", "--base-channels", "2", *GRID_FLAGS])
+        assert code == 3
+        assert "overwrite" in capsys.readouterr().err
+        assert target.read_bytes() == before
+        assert not (tmp_path / "m.evc").exists()
+
+    @pytest.mark.parametrize("flag", ["--out-json", "--out-csv"])
+    def test_eval_report_onto_a_mask(self, flag, tmp_path, capsys):
+        masks = self.dataset(tmp_path) / "masks"
+        target = masks / "phantom_001.nii.gz"
+        before = target.read_bytes()
+        code = run(["eval", "--pred", str(masks), "--truth", str(masks), flag, str(target)])
+        assert code == 3
+        assert "overwrite" in capsys.readouterr().err
+        assert target.read_bytes() == before
+
+    @staticmethod
+    def dataset(tmp_path):
+        run(["synth", "--out", str(tmp_path / "synth"), "--n", "2", "--size", "16"])
+        return tmp_path / "synth"
+
     def test_extract_may_replace_its_input(self, phantom_dataset, init_checkpoint, tmp_path):
         scan = tmp_path / "s.nii.gz"
         shutil.copy(phantom_dataset / "images" / "phantom_000.nii.gz", scan)
@@ -745,6 +793,62 @@ class TestOutputCollisions:
                     "--checkpoint", str(init_checkpoint), "--crf-iters", "0", *GRID_FLAGS])
         assert code == 0
         assert read_mask(scan).shape == (16, 16, 16)
+
+
+class TestOutputDirectories:
+    """Every output's directory is made before the work starts, where a
+    missing one used to fail only after the work was done."""
+
+    def test_extract(self, phantom_dataset, init_checkpoint, tmp_path):
+        out, sidecar = tmp_path / "out" / "m.nii.gz", tmp_path / "side" / "s.json"
+        code = run(["extract", "--in", str(phantom_dataset / "images" / "phantom_000.nii.gz"),
+                    "--out", str(out), "--sidecar", str(sidecar),
+                    "--checkpoint", str(init_checkpoint), "--crf-iters", "0", *GRID_FLAGS])
+        assert code == 0
+        assert out.is_file() and sidecar.is_file()
+
+    def test_train(self, phantom_dataset, tmp_path):
+        ckpt, log = tmp_path / "ck" / "m.evc", tmp_path / "logs" / "l.json"
+        code = run(["train", "--data", str(phantom_dataset), "--out", str(ckpt), "--log", str(log),
+                    "--epochs", "1", "--base-channels", "2", "--no-augment", *GRID_FLAGS])
+        assert code == 0
+        assert ckpt.is_file() and json.loads(log.read_text())["epochs"]
+
+    def test_eval(self, phantom_dataset, tmp_path):
+        report, table = tmp_path / "rep" / "r.json", tmp_path / "tab" / "r.csv"
+        masks = str(phantom_dataset / "masks")
+        code = run(["eval", "--pred", masks, "--truth", masks,
+                    "--out-json", str(report), "--out-csv", str(table)])
+        assert code == 0
+        assert report.is_file() and table.is_file()
+
+
+def _error_classes(cls=EvcsegError):
+    return [cls, *(c for sub in cls.__subclasses__() for c in _error_classes(sub))]
+
+
+# The exit codes README documents: 3 for bad input data or configuration,
+# 4 for geometry, capacity and training failures.
+DOCUMENTED_EXIT = {
+    "EvcsegError": 4, "GeometryError": 4, "CapacityError": 4, "TrainingError": 4,
+    "FormatError": 3, "BadMagicError": 3, "UnsupportedDatatypeError": 3,
+    "TruncatedFileError": 3, "DataError": 3, "ConfigError": 3, "DomainError": 3, "OSError": 3,
+}
+
+
+class TestExitCodes:
+    def test_every_error_class_has_a_documented_code(self):
+        names = sorted(c.__name__ for c in _error_classes())
+        assert names == sorted(set(DOCUMENTED_EXIT) - {"OSError"})
+
+    @pytest.mark.parametrize("cls", [*_error_classes(), OSError], ids=lambda c: c.__name__)
+    def test_main_returns_the_documented_code(self, cls, monkeypatch, tmp_path, capsys):
+        def fail(*args):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "synth_dataset", fail)
+        assert run(["synth", "--out", str(tmp_path / "d")]) == DOCUMENTED_EXIT[cls.__name__]
+        assert capsys.readouterr().err == "evcseg: error: boom\n"
 
 
 class TestConfigFile:

@@ -14,7 +14,13 @@ from conftest import TOY_EVNET, TOY_GRID
 from evcseg import crf
 from evcseg.crf import CrfConfig
 from evcseg.errors import ConfigError, DataError, GeometryError, TrainingError
-from evcseg.evnet import EvNetConfig, init_params, load_checkpoint, save_checkpoint
+from evcseg.evnet import (
+    EvNetConfig,
+    config_hash,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from evcseg.nifti import read_mask, read_nifti, write_nifti
 from evcseg.pipeline import (
     NORM_CLAMP,
@@ -77,6 +83,12 @@ class TestGridConfig:
         assert g.pad_shape == (16, 16, 16)
         assert all(type(s) is int for s in g.pad_shape)
 
+    @pytest.mark.parametrize("pad", [64, None])
+    def test_rejects_a_non_sequence(self, pad):
+        # used to raise a bare TypeError from tuple(pad)
+        with pytest.raises(ConfigError, match="pad_shape"):
+            GridConfig(pad_shape=pad)
+
     def test_grid_fit_check(self):
         _check_grid_fits(TOY_GRID, EvNetConfig(levels=2, base_channels=2))
         with pytest.raises(ConfigError):
@@ -84,6 +96,60 @@ class TestGridConfig:
                 GridConfig(pad_shape=(60, 60, 60)),  # network 30^3, needs % 4 = 0
                 EvNetConfig(levels=3, base_channels=2),
             )
+
+
+class TestWholeNumberFields:
+    """Every integer config field takes a whole number at or above its
+    minimum, and keeps it as a Python int; anything else is a ConfigError
+    raised before any file is written."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TrainConfig("d", "c.evc", epochs=1.5),  # used to fail after a write
+            lambda: TrainConfig("d", "c.evc", batch_size=True),
+            lambda: TrainConfig("d", "c.evc", holdout="1"),
+            lambda: TrainConfig("d", "c.evc", seed=0.0),
+            lambda: EvNetConfig(levels=2.0),  # used to fail in a slice
+            lambda: EvNetConfig(base_channels=4.5),  # used to be accepted
+            lambda: EvNetConfig(seed=-1),
+            lambda: EvNetConfig(convs_per_block=(1, 1.5)),  # used to be accepted
+            lambda: CrfConfig(iterations=2.0),
+            lambda: GridConfig(pad_shape=(16, 16, 16.0)),
+        ],
+        ids=["epochs", "batch_size", "holdout", "train_seed", "levels", "base_channels",
+             "evnet_seed", "convs_per_block", "iterations", "pad_shape"],
+    )
+    def test_config_refuses(self, make):
+        with pytest.raises(ConfigError, match="must be an integer >= "):
+            make()
+
+    @pytest.mark.parametrize(
+        "args", [(1.5, 16, 0), (1, 16.0, 0), (1, 16, "0"), (0, 16, 0), (1, 8, 0), (1, 16, -1)],
+        ids=["n_float", "size_float", "seed_str", "n_zero", "size_small", "seed_negative"],
+    )
+    def test_synth_dataset_refuses_before_writing(self, args, tmp_path):
+        with pytest.raises(ConfigError, match="must be an integer >= "):
+            synth_dataset(*args, tmp_path / "d")
+        assert not (tmp_path / "d").exists()
+
+    def test_numpy_ints_become_python_ints(self):
+        i = np.int64
+        train_cfg = TrainConfig("d", "c.evc", epochs=i(2), batch_size=i(1), holdout=i(0),
+                                seed=i(3))
+        net_cfg = EvNetConfig(levels=i(2), base_channels=i(2), convs_per_block=(i(1), i(2)),
+                              seed=i(0))
+        fields = [train_cfg.epochs, train_cfg.batch_size, train_cfg.holdout, train_cfg.seed,
+                  net_cfg.levels, net_cfg.base_channels, net_cfg.seed, *net_cfg.convs_per_block,
+                  CrfConfig(iterations=i(4)).iterations]
+        assert all(type(v) is int for v in fields)
+        # json refuses numpy ints, so the hash proves the conversion too
+        assert config_hash(net_cfg) == config_hash(EvNetConfig(levels=2, base_channels=2))
+
+    def test_bench_checkpoint_keeps_its_hash(self):
+        path = Path(__file__).resolve().parents[1] / "bench" / "checkpoint.evc"
+        _, cfg, manifest = load_checkpoint(path)
+        assert config_hash(cfg) == manifest["config_hash"] == "c635fbc39439d5cd"
 
 
 class TestPreprocessVolume:
