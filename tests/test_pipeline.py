@@ -72,6 +72,8 @@ class TestGridConfig:
             dict(pad_shape=(16, 16, 16.7)),  # used to become 16
             dict(pad_shape=(16, 16, 16.0)),
             dict(pad_shape=("16", 16, True), resize_half=False),  # was (16, 16, 1)
+            dict(pad_shape=64),  # this and None raised a bare TypeError
+            dict(pad_shape=None),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -82,12 +84,6 @@ class TestGridConfig:
         g = GridConfig(pad_shape=np.array([16, 16, 16]), resize_half=False)
         assert g.pad_shape == (16, 16, 16)
         assert all(type(s) is int for s in g.pad_shape)
-
-    @pytest.mark.parametrize("pad", [64, None])
-    def test_rejects_a_non_sequence(self, pad):
-        # used to raise a bare TypeError from tuple(pad)
-        with pytest.raises(ConfigError, match="pad_shape"):
-            GridConfig(pad_shape=pad)
 
     def test_grid_fit_check(self):
         _check_grid_fits(TOY_GRID, EvNetConfig(levels=2, base_channels=2))
@@ -114,11 +110,9 @@ class TestWholeNumberFields:
             lambda: EvNetConfig(base_channels=4.5),  # used to be accepted
             lambda: EvNetConfig(seed=-1),
             lambda: EvNetConfig(convs_per_block=(1, 1.5)),  # used to be accepted
-            lambda: CrfConfig(iterations=2.0),
-            lambda: GridConfig(pad_shape=(16, 16, 16.0)),
         ],
         ids=["epochs", "batch_size", "holdout", "train_seed", "levels", "base_channels",
-             "evnet_seed", "convs_per_block", "iterations", "pad_shape"],
+             "evnet_seed", "convs_per_block"],
     )
     def test_config_refuses(self, make):
         with pytest.raises(ConfigError, match="must be an integer >= "):
