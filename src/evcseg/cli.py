@@ -13,15 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .crf import CrfConfig
-from .crf import refine as crf_refine
 from .errors import ConfigError, EvcsegError
 from .evnet import EvNetConfig
-from .nifti import read_nifti, read_probmap, write_nifti
 from .pipeline import (
     DEFAULT_PAD,
     GridConfig,
@@ -29,13 +26,10 @@ from .pipeline import (
     TrainConfig,
     evaluate,
     extract,
+    refine_file,
     train,
 )
 from .synth import synth_dataset
-
-# The refine command writes the mask alone, so its refinement keeps no
-# mean-field state: n sweeps make n message passes and no free energy.
-refine = partial(crf_refine, keep_state=False)
 
 
 def _add_config_arg(p: argparse.ArgumentParser) -> None:
@@ -147,11 +141,8 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_refine(args) -> None:
-    probs = read_probmap(args.prob)
-    image = read_nifti(args.image)
     cfg = _crf_from_args(args)
-    mask, _ = refine(probs, image, cfg)
-    write_nifti(mask, args.out)
+    refine_file(args.prob, args.image, args.out, cfg)
     print(f"wrote {args.out} ({cfg.iterations} updates)")
 
 

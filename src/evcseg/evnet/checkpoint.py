@@ -56,13 +56,17 @@ def save_checkpoint(path, params, cfg: EvNetConfig, extra: dict | None = None):
     }
     blob = json.dumps(manifest, sort_keys=True).encode()
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as f:
-        f.write(MAGIC)
-        f.write(np.uint32(len(blob)).tobytes())
-        f.write(blob)
-        for p in payloads:
-            f.write(p)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(np.uint32(len(blob)).tobytes())
+            f.write(blob)
+            for p in payloads:
+                f.write(p)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # a failed write or replace leaves no temporary file
+            os.remove(tmp)
 
 
 def load_checkpoint(path):

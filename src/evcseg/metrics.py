@@ -44,19 +44,6 @@ def jaccard(truth, pred) -> float:
     return int(np.logical_and(t, p).sum()) / union
 
 
-def edt(mask, spacing=None) -> np.ndarray:
-    """Euclidean distance from every voxel to the nearest foreground voxel.
-
-    Args:
-        mask: binary mask; must contain at least one foreground voxel.
-        spacing: optional per-axis voxel size; default is voxel units.
-    """
-    m = _as_bool(mask)
-    if not m.any():
-        raise DomainError("distance transform of an empty mask is undefined")
-    return ndimage.distance_transform_edt(~m, sampling=spacing)
-
-
 def boundary(mask) -> np.ndarray:
     """Foreground voxels with a six-connected background neighbor.
 

@@ -1,6 +1,6 @@
 """End-to-end orchestration: preprocessing, network, CRF, and reporting.
 
-Three entry points, mirrored by the CLI:
+Four entry points, mirrored by the CLI:
 
 * :func:`extract` runs the full chain on one volume: reorient, resample to
   isotropic spacing, normalize, pad, optionally halve the grid, network
@@ -13,6 +13,8 @@ Three entry points, mirrored by the CLI:
   config produce identical loss logs.
 * :func:`evaluate` scores predicted masks against reference masks case by
   case and writes a per-case JSON report plus a mean/std summary CSV.
+* :func:`refine_file` CRF-refines a saved probability map against its
+  image and writes the mask, with no network.
 
 Every run is deterministic given its config; evaluation parallelism only
 fans out over independent cases, keyed by name, so worker count never
@@ -44,7 +46,7 @@ from .evnet import (
     soft_dice_loss,
 )
 from .metrics import balanced_ahd, dice, jaccard
-from .nifti import read_mask, read_nifti, write_nifti
+from .nifti import read_mask, read_nifti, read_probmap, write_nifti
 from .postproc import cleanup as component_cleanup
 from .volume import SPACING_MM, LabelMask, ProbMap, Volume, mask_to_native, mask_to_network
 from .volume import pad_to, reorient_ras, resample_isotropic, resize_half
@@ -97,10 +99,10 @@ def _paired_files(
 
 
 def _prepare_outputs(outputs: dict, inputs) -> None:
-    """Refuse with a ConfigError an output that resolves to another output or
-    to one of the input paths, then make each output's directory, so that
-    neither fault shows only after the work. outputs maps names to paths,
-    where None is unset."""
+    """Refuse with a ConfigError an output that resolves to another output,
+    to one of the input paths or to a directory, then make each output's
+    directory, so that no such fault shows only after the work. outputs maps
+    names to paths, where None is unset."""
     claimed = {os.path.realpath(p): "input" for p in inputs}
     for name, path in outputs.items():
         if path is not None:
@@ -108,6 +110,8 @@ def _prepare_outputs(outputs: dict, inputs) -> None:
             if resolved in claimed:
                 raise ConfigError(f"{claimed[resolved]} and {name} both resolve to {resolved}; "
                                   "one would overwrite the other")
+            if os.path.isdir(resolved):
+                raise ConfigError(f"cannot overwrite the directory {resolved} with the {name}")
             claimed[resolved] = name
     for path in outputs.values():
         if path is not None:
@@ -343,6 +347,19 @@ def extract(cfg: PipelineConfig) -> ExtractResult:
         probs=prob_map,
         sidecar=sidecar,
     )
+
+
+def refine_file(prob_path, image_path, output_path, crf: CrfConfig) -> LabelMask:
+    """Refine a saved two-label map against its image on the same grid; write the mask."""
+    with _stage("config"):
+        _prepare_outputs({"output": output_path}, [prob_path, image_path])
+    with _stage("read"):
+        probs, image = read_probmap(prob_path), read_nifti(image_path)
+    with _stage("crf"):
+        mask, _ = refine(probs, image, crf, keep_state=False)
+    with _stage("write"):
+        write_nifti(mask, output_path)
+    return mask
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from instances import (
     sphere_mask,
 )
 from test_evnet_ops import fd_grad, rel_err
-from test_metrics import brute_edt
 
 from evcseg import cli
 from evcseg.crf import CrfConfig, _free_energy, refine, unary_from_probmap
@@ -27,7 +26,7 @@ from evcseg.evnet import ops
 from evcseg.evnet.checkpoint import load_checkpoint
 from evcseg.evnet.loss import soft_dice_loss
 from evcseg.evnet.network import EvNetConfig, evnet_forward, init_params
-from evcseg.metrics import balanced_ahd, dice, edt, jaccard
+from evcseg.metrics import balanced_ahd, dice, jaccard
 from evcseg.nifti import DATATYPES, read_header, read_mask, read_nifti, write_nifti
 from evcseg.pipeline import GridConfig, TrainConfig, preprocess_volume, train
 from evcseg.postproc import cleanup, label_components
@@ -234,19 +233,6 @@ class TestMetricIdentities:
     def test_self_distance_is_zero(self):
         m = sphere_mask((9, 9, 9), (4, 4, 4), 3)
         assert balanced_ahd(m, m) == 0.0
-
-    def test_distance_transform_matches_brute_force(self):
-        rng = np.random.default_rng(701)
-        for spacing in (None, (1.0, 1.5, 2.25)):
-            for _ in range(5):
-                shape = tuple(rng.integers(4, 11, size=3))
-                m = rng.uniform(size=shape) > 0.8
-                if not m.any():
-                    m[tuple(rng.integers(0, s) for s in shape)] = True
-                sp = spacing or (1.0, 1.0, 1.0)
-                np.testing.assert_allclose(
-                    edt(m, spacing=spacing), brute_edt(m, sp), atol=1e-12
-                )
 
     def test_hand_counted_overlap(self):
         a = np.zeros((4, 4, 4), dtype=bool)

@@ -143,7 +143,7 @@ class TestDefaults:
         def capture(*args):
             raise Intercepted(*args)
 
-        for name in ("extract", "train", "refine"):
+        for name in ("extract", "train", "refine_file"):
             monkeypatch.setattr(cli, name, capture)
 
     def test_extract(self, captured):
@@ -160,14 +160,10 @@ class TestDefaults:
         (cfg,) = exc.value.args
         assert cfg == TrainConfig(data_dir="d", checkpoint_path="c.evc")
 
-    def test_refine(self, captured, tmp_path):
-        write_nifti(ProbMap(np.full((2, 4, 4, 4), 0.5)), tmp_path / "p.nii.gz")
-        write_nifti(Volume(np.zeros((4, 4, 4))), tmp_path / "v.nii.gz")
+    def test_refine(self, captured):
         with pytest.raises(Intercepted) as exc:
-            run(["refine", "--prob", str(tmp_path / "p.nii.gz"),
-                 "--image", str(tmp_path / "v.nii.gz"), "--out", str(tmp_path / "m.nii.gz")])
-        _, _, crf = exc.value.args
-        assert crf == CrfConfig()
+            run(["refine", "--prob", "p.nii.gz", "--image", "v.nii.gz", "--out", "m.nii.gz"])
+        assert exc.value.args == ("p.nii.gz", "v.nii.gz", "m.nii.gz", CrfConfig())
 
 
 class TestTrainCommand:
@@ -565,7 +561,7 @@ class TestRefineCommand:
              "--image", str(tmp_path / "v.nii.gz"), "--out", str(tmp_path / "m.nii.gz")]
         )
         assert code == 4
-        assert "affine" in capsys.readouterr().err
+        assert "stage 'crf': probability map and volume affines disagree" in capsys.readouterr().err
         assert not (tmp_path / "m.nii.gz").exists()
 
     @pytest.mark.parametrize("iterations", ["0", "3"])
@@ -687,10 +683,22 @@ class TestEvalCommand:
         assert code == 3
 
 
+def refine_inputs(tmp_path):
+    """A 6^3 two-label map and its image under tmp_path, keyed by flag."""
+    rng = np.random.default_rng(7)
+    fg = rng.uniform(0.05, 0.95, size=(6, 6, 6))
+    paths = {"--prob": tmp_path / "p.nii.gz", "--image": tmp_path / "v.nii.gz"}
+    write_nifti(ProbMap(np.stack([1.0 - fg, fg])), paths["--prob"])
+    write_nifti(Volume(rng.uniform(size=(6, 6, 6))), paths["--image"])
+    return paths
+
+
 class TestOutputCollisions:
-    """Two outputs of one command that resolve to one file exit 3 before
-    anything is written, where the later write used to replace the earlier
-    with exit 0. The mask may still replace the scan it was read from."""
+    """An output that resolves to another output of its command, to one of
+    its inputs or to an existing directory exits 3 before anything is
+    written, where the write used to replace the file with exit 0 or fail
+    only after the work. The mask may still replace the scan it was read
+    from."""
 
     @staticmethod
     def aliased(tmp_path, name, default_suffix, how):
@@ -738,8 +746,14 @@ class TestOutputCollisions:
         assert "overwrite" in capsys.readouterr().err
         assert not out.exists()
 
+    @staticmethod
+    def contents(path):
+        """A file's bytes, or a directory's entry names."""
+        return sorted(os.listdir(path)) if path.is_dir() else path.read_bytes()
+
     @pytest.mark.parametrize(
-        "flag,onto", [("--out", "checkpoint"), ("--sidecar", "checkpoint"), ("--sidecar", "scan")]
+        "flag,onto", [("--out", "checkpoint"), ("--sidecar", "checkpoint"), ("--sidecar", "scan"),
+                      ("--out", "directory"), ("--sidecar", "directory")]
     )
     def test_extract_output_onto_an_input(self, flag, onto, phantom_dataset, init_checkpoint,
                                           tmp_path, capsys):
@@ -747,39 +761,64 @@ class TestOutputCollisions:
         scan = tmp_path / "s.nii.gz"
         shutil.copy(init_checkpoint, ckpt)
         shutil.copy(phantom_dataset / "images" / "phantom_000.nii.gz", scan)
-        target = {"checkpoint": ckpt, "scan": scan}[onto]
-        before = target.read_bytes()
+        (tmp_path / "adir").mkdir()
+        target = {"checkpoint": ckpt, "scan": scan, "directory": tmp_path / "adir"}[onto]
+        before = self.contents(target)
         outputs = {"--out": str(tmp_path / "o.nii.gz"), flag: str(target)}
         code = run(["extract", "--in", str(scan), "--checkpoint", str(ckpt),
                     *(x for kv in outputs.items() for x in kv), "--crf-iters", "0", *GRID_FLAGS])
         assert code == 3
         assert "overwrite" in capsys.readouterr().err
-        assert target.read_bytes() == before
+        assert self.contents(target) == before
         assert not (tmp_path / "o.nii.gz").exists()
 
-    @pytest.mark.parametrize("flag,sub", [("--out", "images"), ("--log", "masks")])
-    def test_train_output_onto_a_training_file(self, flag, sub, tmp_path, capsys):
+    @pytest.mark.parametrize("flag,rel", [
+        pytest.param("--out", "images/phantom_000.nii.gz", id="--out-images"),
+        pytest.param("--log", "masks/phantom_000.nii.gz", id="--log-masks"),
+        pytest.param("--out", "images", id="--out-directory"),
+        pytest.param("--log", "masks", id="--log-directory"),
+    ])
+    def test_train_output_onto_a_training_file(self, flag, rel, tmp_path, capsys):
         data = tmp_path / "d"
         shutil.copytree(self.dataset(tmp_path), data)
-        target = data / sub / "phantom_000.nii.gz"
-        before = target.read_bytes()
+        target = data / rel
+        before = self.contents(target)
         outputs = {"--out": str(tmp_path / "m.evc"), flag: str(target)}
         code = run(["train", "--data", str(data), *(x for kv in outputs.items() for x in kv),
                     "--epochs", "0", "--base-channels", "2", *GRID_FLAGS])
         assert code == 3
         assert "overwrite" in capsys.readouterr().err
-        assert target.read_bytes() == before
+        assert self.contents(target) == before
+        assert sorted(os.listdir(data)) == ["images", "masks"]
         assert not (tmp_path / "m.evc").exists()
 
-    @pytest.mark.parametrize("flag", ["--out-json", "--out-csv"])
-    def test_eval_report_onto_a_mask(self, flag, tmp_path, capsys):
+    @pytest.mark.parametrize("flag,rel", [
+        pytest.param("--out-json", "phantom_001.nii.gz", id="--out-json"),
+        pytest.param("--out-csv", "phantom_001.nii.gz", id="--out-csv"),
+        pytest.param("--out-json", "", id="--out-json-directory"),
+        pytest.param("--out-csv", "", id="--out-csv-directory"),
+    ])
+    def test_eval_report_onto_a_mask(self, flag, rel, tmp_path, capsys):
         masks = self.dataset(tmp_path) / "masks"
-        target = masks / "phantom_001.nii.gz"
-        before = target.read_bytes()
+        target = masks / rel
+        before = self.contents(target)
         code = run(["eval", "--pred", str(masks), "--truth", str(masks), flag, str(target)])
         assert code == 3
         assert "overwrite" in capsys.readouterr().err
-        assert target.read_bytes() == before
+        assert self.contents(target) == before
+
+    @pytest.mark.parametrize("onto", ["--prob", "--image", "directory"])
+    def test_refine_output_onto_an_input(self, onto, tmp_path, capsys):
+        inputs = refine_inputs(tmp_path)
+        (tmp_path / "adir").mkdir()
+        target = inputs.get(onto, tmp_path / "adir")
+        before = self.contents(target)
+        code = run(["refine", *(str(x) for kv in inputs.items() for x in kv),
+                    "--out", str(target)])
+        assert code == 3
+        assert "overwrite" in capsys.readouterr().err
+        assert self.contents(target) == before
+        assert sorted(os.listdir(tmp_path)) == ["adir", "p.nii.gz", "v.nii.gz"]
 
     @staticmethod
     def dataset(tmp_path):
@@ -821,6 +860,13 @@ class TestOutputDirectories:
                     "--out-json", str(report), "--out-csv", str(table)])
         assert code == 0
         assert report.is_file() and table.is_file()
+
+    def test_refine(self, tmp_path):
+        out = tmp_path / "sub" / "m.nii.gz"
+        code = run(["refine", *(str(x) for kv in refine_inputs(tmp_path).items() for x in kv),
+                    "--out", str(out)])
+        assert code == 0
+        assert read_mask(out).shape == (6, 6, 6)
 
 
 def _error_classes(cls=EvcsegError):

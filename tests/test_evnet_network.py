@@ -479,6 +479,15 @@ class TestCheckpoint:
         save_checkpoint(b, params, cfg)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
+        # the temporary file is written, then cannot replace a directory
+        cfg = EvNetConfig(levels=2, base_channels=2, seed=34)
+        (tmp_path / "adir").mkdir()
+        with pytest.raises(OSError):
+            save_checkpoint(tmp_path / "adir", init_params(cfg), cfg)
+        assert os.listdir(tmp_path) == ["adir"]
+        assert os.listdir(tmp_path / "adir") == []
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from evcseg.errors import DomainError
-from evcseg.metrics import balanced_ahd, boundary, dice, edt, jaccard
+from evcseg.metrics import balanced_ahd, boundary, dice, jaccard
 
 
 def brute_edt(mask: np.ndarray, spacing=(1.0, 1.0, 1.0)) -> np.ndarray:
@@ -68,34 +68,6 @@ class TestOverlap:
             d = dice(t, p)
             j = jaccard(t, p)
             assert abs(j - d / (2.0 - d)) < 1e-12
-
-
-class TestEdt:
-    def test_matches_brute_force_exactly(self):
-        rng = np.random.default_rng(42)
-        for trial in range(20):
-            m = rng.random((6, 7, 5)) < 0.08
-            if not m.any():
-                m[2, 3, 1] = True
-            assert np.array_equal(edt(m), brute_edt(m)), f"trial {trial}"
-
-    def test_anisotropic_spacing(self):
-        rng = np.random.default_rng(1)
-        m = rng.random((6, 6, 6)) < 0.1
-        m[0, 0, 0] = True
-        sp = (1.0, 0.7, 2.5)
-        np.testing.assert_allclose(edt(m, spacing=sp), brute_edt(m, sp), atol=1e-9)
-
-    def test_zero_on_foreground(self):
-        m = np.zeros((4, 4, 4), dtype=bool)
-        m[1, 2, 3] = True
-        d = edt(m)
-        assert d[1, 2, 3] == 0.0
-        assert d[1, 2, 2] == 1.0
-
-    def test_empty_mask_raises(self):
-        with pytest.raises(DomainError):
-            edt(np.zeros((3, 3, 3), dtype=np.uint8))
 
 
 class TestBoundary:
