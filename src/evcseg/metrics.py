@@ -8,8 +8,6 @@ per-axis spacing is given.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 from scipy import ndimage
 
@@ -64,16 +62,15 @@ def balanced_ahd(truth, pred, spacing=None) -> float:
     under-segmentation move the score symmetrically but the normalization
     stays anchored to the reference mask.
 
-    Returns +inf (with a warning) when the prediction is empty; an empty
-    truth mask is a domain error.
+    Returns +inf when the prediction is empty, whatever the truth; an
+    empty truth under a non-empty prediction is a domain error.
     """
+    bp = boundary(pred)
+    if not bp.any():
+        return float("inf")
     bt = boundary(truth)
     if not bt.any():
         raise DomainError("balanced AHD needs a non-empty truth mask")
-    bp = boundary(pred)
-    if not bp.any():
-        warnings.warn("prediction mask is empty; balanced AHD is +inf", stacklevel=2)
-        return float("inf")
     # scipy.spatial adds about 5 MB to a process's RSS; only scoring needs it
     from scipy.spatial import cKDTree
 

@@ -309,7 +309,7 @@ def extract(cfg: PipelineConfig) -> ExtractResult:
     with _stage("crf"):
         network_mask, _ = refine(prob_map, net_vol, cfg.crf, keep_state=False)
     with _stage("cleanup"):
-        if cfg.cleanup and network_mask.data.any():
+        if cfg.cleanup:
             network_mask = component_cleanup(network_mask)
     with _stage("native"):
         native = mask_to_native(
@@ -562,20 +562,13 @@ def _score_case(name: str, pred_path: Path, truth_path: Path) -> tuple[str, dict
         )
     if not np.allclose(pred.affine, truth.affine, atol=1e-5):
         raise DataError(f"{name}: prediction and truth grids disagree")
-    flags = []
-    if not pred.data.any():
-        # Sentinel instead of a warning so threaded runs stay quiet.
-        bahd = float("inf")
-        flags.append("empty_prediction")
-    else:
-        bahd = balanced_ahd(truth.data, pred.data, spacing=truth.spacing)
     case = {
         "dice": dice(truth.data, pred.data),
         "jaccard": jaccard(truth.data, pred.data),
-        "balanced_ahd": bahd,
+        "balanced_ahd": balanced_ahd(truth.data, pred.data, spacing=truth.spacing),
     }
-    if flags:
-        case["flags"] = flags
+    if not pred.data.any():
+        case["flags"] = ["empty_prediction"]
     return name, case
 
 

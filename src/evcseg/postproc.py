@@ -7,8 +7,6 @@ split the background it passes through.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 from scipy import ndimage
 
@@ -70,13 +68,11 @@ def fill_background_holes(m: LabelMask) -> LabelMask:
 def largest_foreground(m: LabelMask) -> LabelMask:
     """Keep only the largest 26-connected foreground component.
 
-    An empty mask comes back empty with a warning; ties keep the lowest id.
+    A mask with at most one component, an empty one included, comes back
+    unchanged; ties keep the lowest id.
     """
     labels, count = label_components(m.data, connectivity=26)
-    if count == 0:
-        warnings.warn("mask is empty; nothing to keep", stacklevel=2)
-        return m
-    if count == 1:
+    if count <= 1:
         return m
     sizes = component_sizes(labels, count)
     keep = int(np.argmax(sizes[1:])) + 1

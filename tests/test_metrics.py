@@ -143,8 +143,10 @@ class TestBalancedAhd:
         with pytest.raises(DomainError):
             balanced_ahd(z, o)
 
-    def test_empty_pred_is_inf_with_warning(self):
+    @pytest.mark.filterwarnings("error")
+    def test_empty_pred_is_inf(self):
+        # whatever the truth, and without a warning
         z = np.zeros((3, 3, 3), dtype=bool)
         o = np.ones((3, 3, 3), dtype=bool)
-        with pytest.warns(UserWarning):
-            assert balanced_ahd(o, z) == float("inf")
+        assert balanced_ahd(o, z) == float("inf")
+        assert balanced_ahd(z, z) == float("inf")

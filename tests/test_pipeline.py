@@ -543,17 +543,21 @@ class TestEvaluate:
         assert case["dice"] == pytest.approx(0.6, abs=1e-12)
         assert case["jaccard"] == pytest.approx(3 / 7, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error")
     def test_empty_prediction_flagged(self, tmp_path):
+        # e: a ball missed; z: an empty truth, and an empty prediction agreeing
         ball = ball_mask(10, 3)
         empty = np.zeros((10, 10, 10), dtype=np.uint8)
-        pred, truth = self.build_dirs(tmp_path, {"e.nii.gz": (empty, ball)})
+        pred, truth = self.build_dirs(tmp_path, {"e.nii.gz": (empty, ball),
+                                                 "z.nii.gz": (empty, empty)})
         report = evaluate(pred, truth, json_path=tmp_path / "r.json")
-        case = report["cases"]["e.nii.gz"]
-        assert case["balanced_ahd"] == float("inf")
-        assert case["flags"] == ["empty_prediction"]
-        assert case["dice"] == 0.0
         loaded = json.loads((tmp_path / "r.json").read_text())
-        assert loaded["cases"]["e.nii.gz"]["balanced_ahd"] == float("inf")
+        for name, overlap in (("e.nii.gz", 0.0), ("z.nii.gz", 1.0)):
+            case = report["cases"][name]
+            assert case["balanced_ahd"] == float("inf")
+            assert case["flags"] == ["empty_prediction"]
+            assert case["dice"] == case["jaccard"] == overlap
+            assert loaded["cases"][name]["balanced_ahd"] == float("inf")
 
     def test_unmatched_files_listed(self, tmp_path):
         ball = ball_mask(10, 3)

@@ -111,11 +111,10 @@ class TestLargestForeground:
         out = largest_foreground(mask(m))
         assert out.data.sum() == 2
 
-    def test_empty_mask_warns(self):
-        m = np.zeros((3, 3, 3), dtype=np.uint8)
-        with pytest.warns(UserWarning):
-            out = largest_foreground(mask(m))
-        assert out.data.sum() == 0
+    @pytest.mark.filterwarnings("error")
+    def test_empty_mask_comes_back_unchanged(self):
+        m = mask(np.zeros((3, 3, 3), dtype=np.uint8))
+        assert largest_foreground(m) is m
 
 
 class TestCleanup:
