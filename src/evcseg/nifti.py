@@ -189,19 +189,24 @@ def _parse_header(buf: bytes, path) -> NiftiHeader:
         raise BadMagicError(f"{path}: magic {magic!r} is not 'n+1' or 'ni1'")
     ndim = int(raw["dim"][0])
     if not 1 <= ndim <= 7:
-        raise GeometryError(f"{path}: dim[0] must be 1..7, got {ndim}")
+        raise FormatError(f"{path}: dim[0] must be 1..7, got {ndim}")
     if any(int(d) < 1 for d in raw["dim"][1 : 1 + ndim]):
-        raise GeometryError(f"{path}: non-positive axis length in dim")
+        raise FormatError(f"{path}: non-positive axis length in dim")
     vox_offset = float(raw["vox_offset"])
     if not (np.isfinite(vox_offset) and vox_offset >= 0):
         raise FormatError(f"{path}: vox_offset {vox_offset} is not a byte offset")
     units = int(raw["xyzt_units"])
     if units & SPATIAL_UNIT_BITS not in MM_PER_SPATIAL_UNIT:
         raise FormatError(f"{path}: xyzt_units {units} names no spatial unit")
+    # a signaling NaN sets numpy's invalid flag in these casts; the finite
+    # check on the affine reports it, so the flag is not worth a warning
+    with np.errstate(invalid="ignore"):
+        pixdim = np.array(raw["pixdim"], dtype=np.float64)
+        srow = np.stack([raw["srow_x"], raw["srow_y"], raw["srow_z"]]).astype(np.float64)
     return NiftiHeader(
         dim=np.array(raw["dim"], dtype=np.int64),
         datatype=int(raw["datatype"]),
-        pixdim=np.array(raw["pixdim"], dtype=np.float64),
+        pixdim=pixdim,
         vox_offset=int(vox_offset),
         scl_slope=float(raw["scl_slope"]),
         scl_inter=float(raw["scl_inter"]),
@@ -210,7 +215,7 @@ def _parse_header(buf: bytes, path) -> NiftiHeader:
         xyzt_units=units,
         quatern=(float(raw["quatern_b"]), float(raw["quatern_c"]), float(raw["quatern_d"])),
         qoffset=(float(raw["qoffset_x"]), float(raw["qoffset_y"]), float(raw["qoffset_z"])),
-        srow=np.stack([raw["srow_x"], raw["srow_y"], raw["srow_z"]]).astype(np.float64),
+        srow=srow,
         magic=magic,
         byteswapped=swapped,
     )

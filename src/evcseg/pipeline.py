@@ -585,9 +585,10 @@ def evaluate(pred_dir, truth_dir, json_path=None, csv_path=None) -> dict:
     balanced_ahd = inf and is flagged. Optionally written as JSON
     (per-case) and CSV (summary).
     """
-    pairs = _paired_files(Path(pred_dir), Path(truth_dir), "prediction", "truth")
-    _prepare_outputs({"JSON report": json_path, "CSV report": csv_path},
-                     [p for _, pred, truth in pairs for p in (pred, truth)])
+    with _stage("config"):
+        pairs = _paired_files(Path(pred_dir), Path(truth_dir), "prediction", "truth")
+        _prepare_outputs({"JSON report": json_path, "CSV report": csv_path},
+                         [p for _, pred, truth in pairs for p in (pred, truth)])
     names = [name for name, _, _ in pairs]
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         cases = dict(pool.map(lambda pair: _score_case(*pair), pairs))

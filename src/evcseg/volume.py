@@ -109,10 +109,14 @@ class LabelMask(_Grid):
         data = np.asarray(self.data)
         if data.ndim != 3:
             raise GeometryError(f"mask data must be 3D, got ndim={data.ndim}")
+        if data.dtype in (np.uint8, np.bool_):
+            binary = data.size == 0 or data.max() <= 1
+        else:
+            binary = ((data == 0) | (data == 1)).all()
+        if not binary:
+            raise DataError("mask voxels must be 0 or 1")
         if data.dtype != np.uint8:
             data = data.astype(np.uint8)
-        if data.size and data.max() > 1:
-            raise GeometryError("mask voxels must be 0 or 1")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "affine", _check_affine(self.affine))
 
@@ -132,10 +136,10 @@ class ProbMap(_Grid):
             )
         _check_finite(data, "probabilities")
         if data.min() < 0.0:
-            raise GeometryError("probabilities must be nonnegative")
+            raise DataError("probabilities must be nonnegative")
         sums = data.sum(axis=0)
         if np.max(np.abs(sums - 1.0)) > 1e-6:
-            raise GeometryError("per-voxel probabilities must sum to 1 within 1e-6")
+            raise DataError("per-voxel probabilities must sum to 1 within 1e-6")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "affine", _check_affine(self.affine))
 

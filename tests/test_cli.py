@@ -548,6 +548,25 @@ class TestRefineCommand:
         expected = np.argmax(stored.data, axis=0).astype(np.uint8)
         assert np.array_equal(read_mask(out).data, expected)
 
+    @pytest.mark.parametrize("voxel,fault", [
+        pytest.param((0.45, 0.45), "per-voxel probabilities must sum to 1", id="sum"),
+        pytest.param((-0.5, 1.5), "probabilities must be nonnegative", id="negative"),
+    ])
+    def test_invalid_probabilities_are_data_error(self, voxel, fault, tmp_path, capsys):
+        # a 4^3 two-label map holding 0.5 per label but at one voxel,
+        # written by hand: a ProbMap would refuse it
+        probs = np.full((4, 4, 4, 2), 0.5, dtype="<f4")
+        probs[1, 2, 3] = voxel
+        prob_path, image_path = tmp_path / "p.nii", tmp_path / "v.nii"
+        write_nifti(ProbMap(np.full((2, 4, 4, 4), 0.5)), prob_path)
+        prob_path.write_bytes(prob_path.read_bytes()[:352] + probs.tobytes(order="F"))
+        write_nifti(Volume(np.random.default_rng(3).uniform(size=(4, 4, 4))), image_path)
+        code = run(["refine", "--prob", str(prob_path), "--image", str(image_path),
+                    "--out", str(tmp_path / "m.nii")])
+        assert code == 3
+        assert f"stage 'read': {fault}" in capsys.readouterr().err
+        assert not (tmp_path / "m.nii").exists()
+
     def test_affine_mismatch_is_compute_error(self, tmp_path, capsys):
         # the image must sit on the map's grid, not merely share its shape
         rng = np.random.default_rng(2)
@@ -682,6 +701,17 @@ class TestEvalCommand:
         code = run(["eval", "--pred", str(tmp_path / "pred"), "--truth", str(tmp_path / "truth")])
         assert code == 3
 
+    @pytest.mark.parametrize("kind", ["prediction", "truth"])
+    def test_missing_directory_is_data_error(self, kind, tmp_path, capsys):
+        dirs = {"prediction": tmp_path / "pred", "truth": tmp_path / "truth"}
+        for other, d in dirs.items():
+            if other != kind:
+                d.mkdir()
+        code = run(["eval", "--pred", str(dirs["prediction"]), "--truth", str(dirs["truth"])])
+        assert code == 3
+        assert (f"stage 'config': {kind} directory not found: {dirs[kind]}"
+                in capsys.readouterr().err)
+
 
 def refine_inputs(tmp_path):
     """A 6^3 two-label map and its image under tmp_path, keyed by flag."""
@@ -699,6 +729,12 @@ class TestOutputCollisions:
     written, where the write used to replace the file with exit 0 or fail
     only after the work. The mask may still replace the scan it was read
     from."""
+
+    @staticmethod
+    def refused(capsys):
+        """The error line of an output refused in the config stage."""
+        err = capsys.readouterr().err
+        assert err.startswith("evcseg: error: stage 'config': ") and "overwrite" in err, err
 
     @staticmethod
     def aliased(tmp_path, name, default_suffix, how):
@@ -719,7 +755,7 @@ class TestOutputCollisions:
                     *(["--log", *log] if log else []), "--epochs", "0",
                     "--base-channels", "2", *GRID_FLAGS])
         assert code == 3
-        assert "overwrite" in capsys.readouterr().err
+        self.refused(capsys)
         assert not out.exists()
 
     @pytest.mark.parametrize("how", ["spelled", "default"])
@@ -730,7 +766,7 @@ class TestOutputCollisions:
                     "--out", str(out), *(["--sidecar", *sidecar] if sidecar else []),
                     "--checkpoint", str(init_checkpoint), "--crf-iters", "0", *GRID_FLAGS])
         assert code == 3
-        assert "overwrite" in capsys.readouterr().err
+        self.refused(capsys)
         assert not out.exists()
 
     def test_eval_reports_onto_each_other(self, tmp_path, capsys):
@@ -743,7 +779,7 @@ class TestOutputCollisions:
         code = run(["eval", "--pred", str(tmp_path / "pred"), "--truth", str(tmp_path / "truth"),
                     "--out-json", str(out), "--out-csv", *csv])
         assert code == 3
-        assert "overwrite" in capsys.readouterr().err
+        self.refused(capsys)
         assert not out.exists()
 
     @staticmethod
@@ -768,7 +804,7 @@ class TestOutputCollisions:
         code = run(["extract", "--in", str(scan), "--checkpoint", str(ckpt),
                     *(x for kv in outputs.items() for x in kv), "--crf-iters", "0", *GRID_FLAGS])
         assert code == 3
-        assert "overwrite" in capsys.readouterr().err
+        self.refused(capsys)
         assert self.contents(target) == before
         assert not (tmp_path / "o.nii.gz").exists()
 
@@ -787,7 +823,7 @@ class TestOutputCollisions:
         code = run(["train", "--data", str(data), *(x for kv in outputs.items() for x in kv),
                     "--epochs", "0", "--base-channels", "2", *GRID_FLAGS])
         assert code == 3
-        assert "overwrite" in capsys.readouterr().err
+        self.refused(capsys)
         assert self.contents(target) == before
         assert sorted(os.listdir(data)) == ["images", "masks"]
         assert not (tmp_path / "m.evc").exists()
@@ -804,7 +840,7 @@ class TestOutputCollisions:
         before = self.contents(target)
         code = run(["eval", "--pred", str(masks), "--truth", str(masks), flag, str(target)])
         assert code == 3
-        assert "overwrite" in capsys.readouterr().err
+        self.refused(capsys)
         assert self.contents(target) == before
 
     @pytest.mark.parametrize("onto", ["--prob", "--image", "directory"])
@@ -816,7 +852,7 @@ class TestOutputCollisions:
         code = run(["refine", *(str(x) for kv in inputs.items() for x in kv),
                     "--out", str(target)])
         assert code == 3
-        assert "overwrite" in capsys.readouterr().err
+        self.refused(capsys)
         assert self.contents(target) == before
         assert sorted(os.listdir(tmp_path)) == ["adir", "p.nii.gz", "v.nii.gz"]
 

@@ -51,16 +51,19 @@ def _mutate(data, mutation):
     return bytes(buf[:cut])
 
 
-def _reads_or_fails_cleanly(read, data, mutation, suffix):
+def _reads_or_fails_cleanly(read, data, mutation, suffix, exit_code=None):
+    """Read the mutated file; a failure must be an EvcsegError, and one
+    with `exit_code` when that is given."""
     mutated = _mutate(data, mutation)
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / f"f{suffix}"
         path.write_bytes(mutated)
         try:
             read(path)
-        except EvcsegError:
+        except EvcsegError as exc:
             if mutated == data:
                 raise  # the original is valid, so the fuzzing starts from a good file
+            assert exit_code is None or exc.exit_code == exit_code, exc
 
 
 NIFTI = _nifti_bytes(".nii")
@@ -88,14 +91,14 @@ def test_mutated_checkpoint(mutation):
     _reads_or_fails_cleanly(load_checkpoint, CKPT, mutation, ".evc")
 
 
-
 @FUZZ
 @given(_mutations(NIFTI, NIFTI_HEADER))
 def test_mutated_nifti_header(mutation):
-    _reads_or_fails_cleanly(read_header, NIFTI, mutation, ".nii")
+    # every fault read_header can find is in the file's format: exit 3
+    _reads_or_fails_cleanly(read_header, NIFTI, mutation, ".nii", exit_code=3)
 
 
 @FUZZ
 @given(_mutations(NIFTI_GZ, NIFTI_GZ_HEAD))
 def test_mutated_nifti_gz_header(mutation):
-    _reads_or_fails_cleanly(read_header, NIFTI_GZ, mutation, ".nii.gz")
+    _reads_or_fails_cleanly(read_header, NIFTI_GZ, mutation, ".nii.gz", exit_code=3)

@@ -5,6 +5,8 @@ The same world image stored with its voxel axes in another order, with its
 intensities scaled, or with its origin moved gives the same native mask
 byte for byte. Training pairs stored permuted, or with their origin moved,
 reach the network grid with the same bytes and give the same checkpoint.
+The same phantom scanned with thick slices or on a rotated grid keeps a
+Dice floor.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from evcseg.crf import CrfConfig
 from evcseg.evnet import EvNetConfig
+from evcseg.metrics import dice
 from evcseg.nifti import write_nifti
 from evcseg.pipeline import (
     GridConfig,
@@ -44,43 +48,90 @@ def stored(data, affine, order=ZXY, flip=1):
     return np.ascontiguousarray(data), affine
 
 
+def native_mask(tmp_path, image, iterations=5):
+    """The scan and the native mask bench/checkpoint.evc extracts from it at
+    the default grid."""
+    # float64 on disk, so the stored intensities are the scan's own
+    write_nifti(image, tmp_path / "head.nii", dtype=np.float64)
+    res = extract(PipelineConfig(
+        input_path=tmp_path / "head.nii",
+        output_path=tmp_path / "mask.nii",
+        checkpoint_path=CHECKPOINT,
+        crf=CrfConfig(iterations=iterations),
+    ))
+    assert res.native_mask.data.any()
+    return image, res.native_mask.data
+
+
 class TestExtract:
     """bench/checkpoint.evc at the default grid and 5 CRF iterations."""
 
     @pytest.fixture(scope="class")
     def plain(self, tmp_path_factory):
         image, _ = make_phantom(64, np.random.default_rng(900))
-        return self.native_mask(tmp_path_factory.mktemp("plain"), image)
-
-    @staticmethod
-    def native_mask(tmp_path, image):
-        # float64 on disk, so the stored intensities are the scan's own
-        write_nifti(image, tmp_path / "head.nii", dtype=np.float64)
-        res = extract(PipelineConfig(
-            input_path=tmp_path / "head.nii",
-            output_path=tmp_path / "mask.nii",
-            checkpoint_path=CHECKPOINT,
-            crf=CrfConfig(iterations=5),
-        ))
-        assert res.native_mask.data.any()
-        return image, res.native_mask.data
+        return native_mask(tmp_path_factory.mktemp("plain"), image)
 
     def test_axes_permuted_and_flipped(self, plain, tmp_path):
         image, mask = plain
-        _, out = self.native_mask(tmp_path, Volume(*stored(image.data, image.affine)))
+        _, out = native_mask(tmp_path, Volume(*stored(image.data, image.affine)))
         assert out.tobytes() == stored(mask, image.affine)[0].tobytes()
 
     def test_intensities_scaled(self, plain, tmp_path):
         image, mask = plain
-        _, out = self.native_mask(tmp_path, Volume(image.data * 1000.0, image.affine))
+        _, out = native_mask(tmp_path, Volume(image.data * 1000.0, image.affine))
         assert out.tobytes() == mask.tobytes()
 
     def test_origin_moved(self, plain, tmp_path):
         image, mask = plain
         affine = image.affine.copy()
         affine[:3, 3] += [13.25, -7.5, 100.0]
-        _, out = self.native_mask(tmp_path, Volume(image.data, affine))
+        _, out = native_mask(tmp_path, Volume(image.data, affine))
         assert out.tobytes() == mask.tobytes()
+
+
+def thick_slices(image, truth, mm):
+    """The 1 mm phantom as a scan of mm-thick slices along z: the image and
+    the truth averaged over each slab, the truth kept where it covers half."""
+    slabs = image.shape[:2] + (image.shape[2] // mm, mm)
+    affine = np.diag([1.0, 1.0, float(mm), 1.0])
+    return (image.reshape(slabs).mean(-1), truth.reshape(slabs).mean(-1) >= 0.5, affine)
+
+
+def rotated_grid(image, truth, degrees):
+    """The 1 mm phantom sampled on a grid of its own size rotated in plane
+    about its centre: the image and the truth interpolated trilinearly, the
+    truth kept where it reaches 0.5."""
+    t = np.deg2rad(degrees)
+    rot = np.array([[np.cos(t), -np.sin(t), 0.0], [np.sin(t), np.cos(t), 0.0], [0.0, 0.0, 1.0]])
+    centre = (np.array(image.shape) - 1) / 2
+    affine = np.eye(4)
+    affine[:3, :3], affine[:3, 3] = rot, centre - rot @ centre
+    # the phantom's affine is the identity, so world points are its indices
+    points = rot @ np.indices(image.shape).reshape(3, -1) + affine[:3, 3:]
+
+    def sample(a, mode):
+        return ndimage.map_coordinates(a, points, order=1, mode=mode).reshape(a.shape)
+
+    return sample(image, "nearest"), sample(truth.astype(np.float64), "constant") >= 0.5, affine
+
+
+@pytest.mark.parametrize("scan,measured", [
+    pytest.param(lambda image, truth: thick_slices(image, truth, 2), 0.9545, id="2mm-slices"),
+    pytest.param(lambda image, truth: thick_slices(image, truth, 4), 0.9300, id="4mm-slices"),
+    pytest.param(lambda image, truth: rotated_grid(image, truth, 20.0), 0.9478,
+                 id="rotated-20deg"),
+])
+def test_scanner_geometry_dice_floor(scan, measured, tmp_path):
+    """Native Dice at 0 iterations stays within 0.01 of `measured`, the
+    minimum over the three seeds when the floor was set. The default 64^3
+    pad fits each scan's resampled extent (64^3 at 1 mm)."""
+    scores = []
+    for seed in (700, 701, 702):
+        image, truth = make_phantom(64, np.random.default_rng(seed))
+        data, scan_truth, affine = scan(image.data, truth.data)
+        _, mask = native_mask(tmp_path, Volume(data, affine), iterations=0)
+        scores.append(dice(scan_truth, mask))
+    assert min(scores) >= measured - 0.01, scores
 
 
 @pytest.mark.parametrize("grid", [

@@ -19,7 +19,6 @@ from evcseg.errors import (
     BadMagicError,
     DataError,
     FormatError,
-    GeometryError,
     TruncatedFileError,
     UnsupportedDatatypeError,
 )
@@ -336,8 +335,14 @@ class TestFormatErrors:
     def test_bad_dim0(self, tmp_path):
         hdr = craft_header(dim=(0, 2, 2, 2, 1, 1, 1, 1), datatype=16, bitpix=32)
         craft_file(tmp_path / "d0.nii", hdr, np.zeros((2, 2, 2), np.float32))
-        with pytest.raises(GeometryError):
+        with pytest.raises(FormatError, match=r"dim\[0\] must be 1..7, got 0"):
             read_nifti(tmp_path / "d0.nii")
+
+    def test_non_positive_axis_length(self, tmp_path):
+        hdr = craft_header(dim=(3, -3, 2, 2, 1, 1, 1, 1), datatype=16, bitpix=32)
+        craft_file(tmp_path / "neg.nii", hdr, np.zeros((2, 2, 2), np.float32))
+        with pytest.raises(FormatError, match="non-positive axis length"):
+            read_nifti(tmp_path / "neg.nii")
 
     @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
     def test_non_finite_vox_offset(self, tmp_path, offset):
@@ -379,6 +384,19 @@ class TestFormatErrors:
             read_nifti(tmp_path / "af.nii")
         with pytest.raises(FormatError, match="af.nii"):
             read_mask(tmp_path / "af.nii")
+
+    @pytest.mark.parametrize("form,offset", [({}, 80), ({"sform": 1, "srow": IDENTITY_SROW}, 292)],
+                             ids=["pixdim", "srow"])
+    @pytest.mark.filterwarnings("error")
+    def test_signaling_nan_in_affine(self, tmp_path, form, offset):
+        # a float32 signaling NaN at pixdim[1] or srow_x[3], which numpy flags
+        # as invalid when it casts the header to float64
+        hdr = bytearray(craft_header(dim=(3, 2, 2, 2, 1, 1, 1, 1), datatype=16, bitpix=32, **form))
+        hdr[offset : offset + 4] = struct.pack("<I", 0x7F800001)
+        craft_file(tmp_path / "sn.nii", bytes(hdr), np.zeros((2, 2, 2), np.float32))
+        read_header(tmp_path / "sn.nii")
+        with pytest.raises(FormatError, match="non-finite"):
+            read_nifti(tmp_path / "sn.nii")
 
     def test_overflowing_dim_is_truncated(self, tmp_path):
         # 32767^7 voxels overflow int64, so the count must be exact

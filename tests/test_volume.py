@@ -70,8 +70,10 @@ class TestTypes:
             Volume(data=np.ones((2, 2, 2)), affine=aff)
 
     def test_mask_rejects_nonbinary(self):
-        with pytest.raises(GeometryError):
-            LabelMask(data=np.full((2, 2, 2), 3, dtype=np.uint8))
+        # checked before the uint8 cast, which would make 0.5 a 0 and 257 a 1
+        for value in (np.uint8(3), 0.5, 257.0, -1, np.nan):
+            with pytest.raises(DataError, match="0 or 1"):
+                LabelMask(data=np.full((2, 2, 2), value))
 
     def test_mask_accepts_bool(self):
         m = LabelMask(data=np.ones((2, 2, 2), dtype=bool))
@@ -80,14 +82,18 @@ class TestTypes:
     def test_probmap_checks_per_voxel_sum(self):
         good = np.stack([np.full((2, 2, 2), 0.3), np.full((2, 2, 2), 0.7)])
         ProbMap(data=good)
-        bad = np.stack([np.full((2, 2, 2), 0.3), np.full((2, 2, 2), 0.6)])
-        with pytest.raises(GeometryError):
-            ProbMap(data=bad)
+        for bad in (np.stack([np.full((2, 2, 2), 0.3), np.full((2, 2, 2), 0.6)]),
+                    np.full((2, 2, 2, 2), 0.45)):
+            with pytest.raises(DataError, match="sum to 1"):
+                ProbMap(data=bad)
 
     def test_probmap_rejects_negative(self):
-        bad = np.stack([np.full((2, 2, 2), -0.1), np.full((2, 2, 2), 1.1)])
-        with pytest.raises(GeometryError):
-            ProbMap(data=bad)
+        everywhere = np.stack([np.full((2, 2, 2), -0.1), np.full((2, 2, 2), 1.1)])
+        one_voxel = np.full((2, 2, 2, 2), 0.5)
+        one_voxel[:, 1, 0, 1] = (-0.5, 1.5)
+        for bad in (everywhere, one_voxel):
+            with pytest.raises(DataError, match="nonnegative"):
+                ProbMap(data=bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected(self, bad):
