@@ -7,16 +7,17 @@ float32 training share one code path.
 
 conv3d is cross-correlation (no kernel flip) summed offset by offset: each
 kernel tap kernel[:, :, i, j, l] meets one strided window of the padded
-input, so no window matrix is built. The padded input is copied once into
-a flat, channel-major buffer split into its stride phases (one at stride
-1, eight at stride 2), each zero-filled to the phase grid ceil(n / s).
-Every tap's window is then one contiguous slice of that buffer, taken at
-every phase-grid voxel, so no window is copied; the outputs off the
-strided grid read across rows and are cut off at the end. Each offset's
-product is accumulated in place by one BLAS gemm with beta = 1, so no
-per-offset product array is allocated and no second add pass runs. The
-kernel gradient contracts the output gradient, placed on the same phase
-grid and zero off the strided outputs, with the same contiguous windows.
+input, so no window matrix is built. The input is copied once, padding
+and all, into a flat, channel-major buffer split into its stride phases
+(one at stride 1, eight at stride 2), each zero-filled to the phase grid
+ceil(n / s). Every tap's window is then one contiguous slice of that
+buffer, taken at every phase-grid voxel, so no window is copied; the
+outputs off the strided grid read across rows and are cut off at the end.
+Each offset's product is accumulated in place by one BLAS gemm with
+beta = 1, so no per-offset product array is allocated and no second add
+pass runs. The forward's cache keeps the buffer: the kernel gradient
+contracts the output gradient, placed on the same phase grid and zero off
+the strided outputs, with the same windows.
 The input gradient is conv3d_transpose, computed one output stride phase
 at a time: along an axis, output voxel a + s * w meets only the taps
 i = a + p (mod s), each at a fixed shift into g, so a phase is one gemm
@@ -82,20 +83,19 @@ def _phase_windows(x, kshape, stride, dtype, pad=((0, 0),) * 3):
     return (qd, qh, qw), taps
 
 
-def _kernel_grad(xp, g, kshape, stride):
-    """Gradient of <g, conv(xp, K)> in K, shape (o, c, *kshape), for g (n, o, *out).
+def _kernel_grad(windows, g, kshape):
+    """Gradient of <g, conv(x, K)> in K, shape (o, c, *kshape), for g (n, o, *out).
 
-    g is placed on xp's phase grid, zero at every voxel that is no output,
-    and each tap contracts it with its window from _phase_windows, so no
-    window is copied.
+    windows is _phase_windows' (q, taps) of the conv's input x; g is placed
+    on its phase grid, zero at every voxel that is no output, and each tap
+    contracts it with its window, so no window is copied.
     """
-    dtype = np.result_type(xp, g)
-    q, taps = _phase_windows(xp, kshape, stride, dtype)
+    q, taps = windows
     n, o, od, oh, ow = g.shape
     gph = np.zeros((o, n, *q), dtype=g.dtype)
     gph[:, :, :od, :oh, :ow] = g.swapaxes(0, 1)
     gmat = gph.reshape(o, -1)
-    grad = np.empty((o, xp.shape[1], *kshape), dtype=dtype)
+    grad = np.empty((o, taps[0][1].shape[0], *kshape), dtype=np.result_type(taps[0][1], g))
     for (i, j, l), win in taps:
         grad[:, :, i, j, l] = np.dot(gmat, win.T)
     return grad
@@ -113,11 +113,11 @@ def conv3d_forward(x, kernel, bias, stride=1, padding=0):
     out_sp = conv3d_output_shape((d, h, w), kd, stride, padding)
     if any(s < 1 for s in out_sp):
         raise GeometryError(f"conv output shape {out_sp} is empty for input {(d, h, w)}")
-    xp = np.pad(x, ((0, 0), (0, 0)) + ((padding, padding),) * 3) if padding else x
     dtype = np.result_type(x, kernel, bias)
     # for a dtype BLAS lacks, gemm sums in a dtype of its own
     gemm = get_blas_funcs("gemm", dtype=dtype)
-    (qd, qh, qw), taps = _phase_windows(xp, (kd, kh, kw), stride, gemm.dtype)
+    pad = ((padding, padding),) * 3
+    (qd, qh, qw), taps = windows = _phase_windows(x, (kd, kh, kw), stride, gemm.dtype, pad)
     # (phase-grid voxels, o) in Fortran order, the layout gemm updates in place
     acc = np.zeros((n * qd * qh * qw, o), dtype=gemm.dtype, order="F")
     for (i, j, l), win in taps:
@@ -126,8 +126,7 @@ def conv3d_forward(x, kernel, bias, stride=1, padding=0):
     grid = acc.T.reshape(o, n, qd, qh, qw)[:, :, : out_sp[0], : out_sp[1], : out_sp[2]]
     y = np.ascontiguousarray(grid.swapaxes(0, 1), dtype=dtype)
     y += bias.reshape(1, o, 1, 1, 1)
-    cache = (xp, kernel, stride, padding, out_sp, x.shape)
-    return y, cache
+    return y, (windows, kernel, stride, padding, x.shape)
 
 
 def conv3d_transpose(g, kernel, bias, stride, padding, spatial):
@@ -174,13 +173,13 @@ def conv3d_param_grads(grad_y, cache):
     For a layer whose input gradient nothing takes, such as one fed by the
     network input.
     """
-    xp, kernel, stride = cache[:3]
-    return _kernel_grad(xp, grad_y, kernel.shape[2:], stride), grad_y.sum(axis=(0, 2, 3, 4))
+    windows, kernel = cache[:2]
+    return _kernel_grad(windows, grad_y, kernel.shape[2:]), grad_y.sum(axis=(0, 2, 3, 4))
 
 
 def conv3d_backward(grad_y, cache):
     """Gradients of conv3d_forward; returns (grad_x, grad_kernel, grad_bias)."""
-    _, kernel, stride, padding, _, x_shape = cache
+    _, kernel, stride, padding, x_shape = cache
     grad_kernel, grad_bias = conv3d_param_grads(grad_y, cache)
     zero = np.zeros(x_shape[1], dtype=kernel.dtype)
     grad_x = conv3d_transpose(grad_y, kernel, zero, stride, padding, x_shape[2:])
@@ -219,7 +218,8 @@ def upconv_forward(x, kernel, bias):
 def upconv_backward(grad_y, cache):
     x, kernel = cache
     grad_bias = grad_y.sum(axis=(0, 2, 3, 4))
-    grad_kernel = _kernel_grad(grad_y, x, kernel.shape[2:], 2)
+    windows = _phase_windows(grad_y, kernel.shape[2:], 2, np.result_type(grad_y, x))
+    grad_kernel = _kernel_grad(windows, x, kernel.shape[2:])
     grad_x, _ = conv3d_forward(grad_y, kernel, np.zeros(kernel.shape[0], dtype=kernel.dtype), 2)
     return grad_x, grad_kernel, grad_bias
 

@@ -28,7 +28,7 @@ from .errors import (
     TruncatedFileError,
     UnsupportedDatatypeError,
 )
-from .volume import LabelMask, ProbMap, Volume
+from .volume import LabelMask, ProbMap, Volume, _check_affine
 
 # --------------------------------------------------------------------------
 # header layout
@@ -251,9 +251,10 @@ def _read_array(path) -> tuple[np.ndarray, np.ndarray]:
     path = Path(path)
     buf = _read_bytes(path)
     hdr = _parse_header(buf, path)
-    affine = hdr.affine()
-    if not np.isfinite(affine).all():
-        raise FormatError(f"{path}: header affine has non-finite entries")
+    try:
+        affine = _check_affine(hdr.affine())
+    except GeometryError as e:  # a header that names no valid affine is bad input
+        raise FormatError(f"{path}: header {e}") from e
 
     if hdr.magic == b"ni1":
         # header/payload pair: voxels live in the sibling image file,
@@ -298,10 +299,7 @@ def _read_array(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _squeeze_to_3d(data: np.ndarray, path) -> np.ndarray:
-    if data.ndim == 3:
-        return data
-    extra = data.shape[3:]
-    if all(s == 1 for s in extra):
+    if data.ndim >= 3 and all(s == 1 for s in data.shape[3:]):
         return data.reshape(data.shape[:3])
     raise GeometryError(
         f"{path}: expected a 3D volume, file is {data.shape} (use read_probmap for 4D)"

@@ -266,9 +266,9 @@ class TestBackward:
             # C order, as conv3d_forward returns: later reductions sum in
             # memory order
             y = np.ascontiguousarray(offset_loop_conv3d(x, kernel, bias, stride, padding))
-            out_sp = y.shape[2:]
-            xp = np.pad(x, ((0, 0), (0, 0)) + ((padding, padding),) * 3) if padding else x
-            return y, (xp, kernel, stride, padding, out_sp, x.shape)
+            pad = ((padding, padding),) * 3
+            windows = ops._phase_windows(x, kernel.shape[2:], stride, y.dtype, pad)
+            return y, (windows, kernel, stride, padding, x.shape)
 
         probs, grads = run()
         monkeypatch.setattr(ops, "conv3d_forward", reference)

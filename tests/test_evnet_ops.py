@@ -345,7 +345,8 @@ class TestKernelGrad:
             y, cache = ops.conv3d_forward(x, kernel, np.zeros(o, dtype), stride=s, padding=p)
             g = rng.standard_normal(y.shape).astype(dtype)
             got, _ = ops.conv3d_param_grads(g, cache)
-            self.assert_matches(got, gathered_kernel_grad(cache[0], g, kernel.shape[2:], s), exact)
+            xp = np.pad(x, ((0, 0), (0, 0)) + ((p, p),) * 3)
+            self.assert_matches(got, gathered_kernel_grad(xp, g, kernel.shape[2:], s), exact)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("batch", [1, 2])
@@ -360,6 +361,24 @@ class TestKernelGrad:
             gy = rng.standard_normal(y.shape).astype(dtype)
             _, got, _ = ops.upconv_backward(gy, cache)
             self.assert_matches(got, gathered_kernel_grad(gy, x, kernel.shape[2:], 2), True)
+
+    def test_backward_builds_one_phase_buffer(self, monkeypatch):
+        # the kernel gradient reads the windows the forward cached, so the
+        # backward builds one buffer only: the transpose's, over g
+        rng = np.random.default_rng(78)
+        x = rng.standard_normal((1, 2, 6, 7, 5)).astype(np.float32)
+        kernel = rng.standard_normal((3, 2, 5, 5, 5)).astype(np.float32)
+        y, cache = ops.conv3d_forward(x, kernel, np.zeros(3, np.float32), padding=2)
+        gy = rng.standard_normal(y.shape).astype(np.float32)
+        build, calls = ops._phase_windows, []
+
+        def counted(g, *args):
+            calls.append(g)
+            return build(g, *args)
+
+        monkeypatch.setattr(ops, "_phase_windows", counted)
+        ops.conv3d_backward(gy, cache)
+        assert len(calls) == 1 and calls[0] is gy
 
 
 class TestDownUpConv:

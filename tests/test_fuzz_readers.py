@@ -1,28 +1,28 @@
 """Fuzz the file readers: a mutated or truncated file may read or fail, but
-it fails only with an EvcsegError subclass, never a bare Python error."""
+it fails only with an EvcsegError subclass, never a bare Python error, and
+with the exit code of bad input.
 
+Each test draws CASES mutations, case k from np.random.default_rng((key, k))
+with the test's own key, so every run draws the same cases whatever else
+the process has imported."""
+
+import hashlib
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-from evcseg.errors import EvcsegError
+from evcseg.errors import EvcsegError, GeometryError
 from evcseg.evnet import load_checkpoint
 from evcseg.nifti import read_header, read_nifti, write_nifti
 from evcseg.volume import Volume
 
 CHECKPOINT = Path(__file__).resolve().parents[1] / "bench" / "checkpoint.evc"
 NIFTI_HEADER = 352  # header plus the 4 extension-flag bytes
-
-FUZZ = settings(
-    derandomize=True,
-    database=None,
-    max_examples=300,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+CASES = 300
 
 
 def _nifti_bytes(suffix):
@@ -35,12 +35,19 @@ def _nifti_bytes(suffix):
         return path.read_bytes()
 
 
-def _mutations(data, head):
-    """Up to 8 byte overwrites, mostly within the first `head` bytes, then
-    an optional truncation."""
-    index = st.one_of(st.integers(0, head - 1), st.integers(0, len(data) - 1))
-    edits = st.lists(st.tuples(index, st.integers(0, 255)), max_size=8)
-    return st.tuples(edits, st.none() | st.integers(0, len(data)))
+def _mutations(key, data, head):
+    """The CASES mutations of one test: up to 8 byte overwrites, mostly
+    within the first `head` bytes, then an optional truncation."""
+    draws = []
+    for case in range(CASES):
+        rng = np.random.default_rng((key, case))
+        edits = []
+        for _ in range(rng.integers(9)):
+            span = head if rng.random() < 0.75 else len(data)
+            edits.append((int(rng.integers(span)), int(rng.integers(256))))
+        cut = int(rng.integers(len(data) + 1)) if rng.random() < 0.5 else None
+        draws.append((edits, cut))
+    return draws
 
 
 def _mutate(data, mutation):
@@ -51,19 +58,33 @@ def _mutate(data, mutation):
     return bytes(buf[:cut])
 
 
-def _reads_or_fails_cleanly(read, data, mutation, suffix, exit_code=None):
-    """Read the mutated file; a failure must be an EvcsegError, and one
-    with `exit_code` when that is given."""
-    mutated = _mutate(data, mutation)
-    with tempfile.TemporaryDirectory() as d:
-        path = Path(d) / f"f{suffix}"
-        path.write_bytes(mutated)
-        try:
-            read(path)
-        except EvcsegError as exc:
-            if mutated == data:
-                raise  # the original is valid, so the fuzzing starts from a good file
-            assert exit_code is None or exc.exit_code == exit_code, exc
+def _not_3d(path):
+    """Whether the file's header claims fewer than 3 axes or a non-unit 4th+ axis."""
+    shape = read_header(path).shape
+    return len(shape) < 3 or any(m != 1 for m in shape[3:])
+
+
+def _reads_or_fails_cleanly(read, target, suffix, not_3d_is_geometry=False):
+    """Read each mutated file; a failure must be an EvcsegError with exit
+    code 3, or, where `not_3d_is_geometry`, a GeometryError (exit 4) for
+    a file whose header claims a volume that is not 3D."""
+    key, data, head = TARGETS[target]
+    for case, mutation in enumerate(_mutations(key, data, head)):
+        mutated = _mutate(data, mutation)
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / f"f{suffix}"
+            path.write_bytes(mutated)
+            try:
+                read(path)
+            except EvcsegError as exc:
+                # the original is valid, so the fuzzing starts from a good file
+                assert mutated != data, exc
+                if not_3d_is_geometry and isinstance(exc, GeometryError):
+                    assert _not_3d(path), (case, mutation, exc)
+                else:
+                    assert exc.exit_code == 3, (case, mutation, exc)
+            except Exception as exc:
+                raise AssertionError(f"case {case} {mutation}: {exc!r}") from exc
 
 
 NIFTI = _nifti_bytes(".nii")
@@ -72,33 +93,60 @@ NIFTI_GZ_HEAD = 10 + 64  # gzip header, then the deflate block's code tables
 CKPT = CHECKPOINT.read_bytes()
 CKPT_HEAD = 12 + int.from_bytes(CKPT[8:12], "little")  # magic, length, manifest
 
-
-@FUZZ
-@given(_mutations(NIFTI, NIFTI_HEADER))
-def test_mutated_nifti(mutation):
-    _reads_or_fails_cleanly(read_nifti, NIFTI, mutation, ".nii")
-
-
-@FUZZ
-@given(_mutations(NIFTI_GZ, NIFTI_GZ_HEAD))
-def test_mutated_nifti_gz(mutation):
-    _reads_or_fails_cleanly(read_nifti, NIFTI_GZ, mutation, ".nii.gz")
+# per test: its stream key, the file it mutates and that file's head
+TARGETS = {
+    "nifti": (1, NIFTI, NIFTI_HEADER),
+    "nifti_gz": (2, NIFTI_GZ, NIFTI_GZ_HEAD),
+    "checkpoint": (3, CKPT, CKPT_HEAD),
+    "nifti_header": (4, NIFTI, NIFTI_HEADER),
+    "nifti_gz_header": (5, NIFTI_GZ, NIFTI_GZ_HEAD),
+}
 
 
-@FUZZ
-@given(_mutations(CKPT, CKPT_HEAD))
-def test_mutated_checkpoint(mutation):
-    _reads_or_fails_cleanly(load_checkpoint, CKPT, mutation, ".evc")
+def test_mutated_nifti():
+    # a file that is not 3D is a GeometryError, as the README documents
+    _reads_or_fails_cleanly(read_nifti, "nifti", ".nii", not_3d_is_geometry=True)
 
 
-@FUZZ
-@given(_mutations(NIFTI, NIFTI_HEADER))
-def test_mutated_nifti_header(mutation):
+def test_mutated_nifti_gz():
+    _reads_or_fails_cleanly(read_nifti, "nifti_gz", ".nii.gz", not_3d_is_geometry=True)
+
+
+def test_mutated_checkpoint():
+    _reads_or_fails_cleanly(load_checkpoint, "checkpoint", ".evc")
+
+
+def test_mutated_nifti_header():
     # every fault read_header can find is in the file's format: exit 3
-    _reads_or_fails_cleanly(read_header, NIFTI, mutation, ".nii", exit_code=3)
+    _reads_or_fails_cleanly(read_header, "nifti_header", ".nii")
 
 
-@FUZZ
-@given(_mutations(NIFTI_GZ, NIFTI_GZ_HEAD))
-def test_mutated_nifti_gz_header(mutation):
-    _reads_or_fails_cleanly(read_header, NIFTI_GZ, mutation, ".nii.gz", exit_code=3)
+def test_mutated_nifti_gz_header():
+    _reads_or_fails_cleanly(read_header, "nifti_gz_header", ".nii.gz")
+
+
+def test_draws_do_not_depend_on_imports():
+    # hash every test's mutations in a process that imports this module
+    # alone and in one that first imports the rest of the chain
+    script = (
+        "import hashlib, importlib, sys\n"
+        "for name in sys.argv[1:]:\n"
+        "    importlib.import_module(name)\n"
+        "import test_fuzz_readers as f\n"
+        "draws = [f._mutations(*t) for t in f.TARGETS.values()]\n"
+        "print(hashlib.sha256(repr(draws).encode()).hexdigest())\n"
+    )
+    here = Path(__file__).resolve().parent
+    path = [str(here), str(here.parent / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    digests = []
+    for extra in ([], ["evcseg.pipeline", "evcseg.cli", "evcseg.crf"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *extra],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
+    draws = [_mutations(*t) for t in TARGETS.values()]
+    assert digests[0] == hashlib.sha256(repr(draws).encode()).hexdigest()

@@ -19,6 +19,7 @@ from evcseg.errors import (
     BadMagicError,
     DataError,
     FormatError,
+    GeometryError,
     TruncatedFileError,
     UnsupportedDatatypeError,
 )
@@ -199,6 +200,24 @@ class TestReadCrafted:
         with pytest.raises(DataError, match=r"p\.img\.gz"):
             read_nifti(tmp_path / "p.hdr.gz")
 
+    @pytest.mark.parametrize(
+        "dim, shape",
+        [((2, 4, 5, 1, 1, 1, 1, 1), (4, 5)), ((4, 2, 2, 2, 3, 1, 1, 1), (2, 2, 2, 3)),
+         ((5, 2, 3, 2, 1, 1, 1, 1), (2, 3, 2))],
+        ids=["2d", "4d", "5d_unit_tail"],
+    )
+    def test_scan_and_mask_must_be_3d(self, tmp_path, dim, shape):
+        # trailing axes of length 1 aside, the reader refuses a scan or mask
+        # that is not 3D, naming the file (GeometryError, exit 4)
+        hdr = craft_header(dim=dim, datatype=16, bitpix=32)
+        craft_file(tmp_path / "f.nii", hdr, np.zeros(shape, np.float32))
+        for read in (read_nifti, read_mask):
+            if len(shape) == 3:
+                assert read(tmp_path / "f.nii").shape == shape
+                continue
+            with pytest.raises(GeometryError, match=r"f\.nii: expected a 3D volume"):
+                read(tmp_path / "f.nii")
+
 
 class TestAffinePrecedence:
     def test_sform_wins_over_qform(self, tmp_path):
@@ -289,6 +308,17 @@ class TestSpatialUnits:
         craft_file(tmp_path / "far.nii", bytes(hdr), np.zeros((2, 2, 2), np.float32))
         with pytest.raises(FormatError, match="non-finite"):
             read_nifti(tmp_path / "far.nii")
+
+    def test_singular_sform_refused_as_bad_input(self, tmp_path):
+        # a header whose sform maps two axes onto one is a malformed file
+        # (exit 3), not a geometry fault in the chain (exit 4)
+        hdr = craft_header(
+            dim=(3, 2, 2, 2, 1, 1, 1, 1), datatype=16, bitpix=32,
+            sform=1, srow=([1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]),
+        )
+        craft_file(tmp_path / "flat.nii", hdr, np.zeros((2, 2, 2), np.float32))
+        with pytest.raises(FormatError, match="header affine upper-left 3x3 block is singular"):
+            read_nifti(tmp_path / "flat.nii")
 
     @pytest.mark.parametrize("units", [4, 7, 4 | 8])
     def test_undefined_spatial_unit_refused(self, tmp_path, units):
