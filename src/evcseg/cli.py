@@ -1,23 +1,18 @@
 """Command line front end: extract, train, refine, eval, synth.
 
 Exit codes: 0 on success, 2 for usage errors, else the code the raised
-error's class carries (the table is in :mod:`evcseg.errors`). Each
-subcommand accepts ``--config FILE`` with defaults in JSON or flat
-``key=value`` form, keyed by option dest names (e.g. ``crf_iters=0``);
-each value must pass its option's type, count and choices, and explicit
-flags win.
+error's class carries (the table is in :mod:`evcseg.errors`). Every
+setting is a flag of its subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from . import __version__
 from .crf import CrfConfig
-from .errors import ConfigError, EvcsegError
+from .errors import EvcsegError
 from .evnet import EvNetConfig
 from .pipeline import (
     DEFAULT_PAD,
@@ -30,14 +25,6 @@ from .pipeline import (
     train,
 )
 from .synth import synth_dataset
-
-
-def _add_config_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--config",
-        metavar="FILE",
-        help="defaults file, JSON or key=value lines keyed by option dest names",
-    )
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
@@ -157,7 +144,7 @@ def _cmd_synth(args) -> None:
     print(f"wrote {len(pairs)} phantom pairs under {args.out}")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evcseg",
         description="Brain extraction: multi-scale V-Net with dense CRF refinement.",
@@ -173,7 +160,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--no-cleanup", action="store_true", help="skip connected-component cleanup")
     _add_grid_args(p)
     _add_crf_args(p)
-    _add_config_arg(p)
     p.set_defaults(func=_cmd_extract)
 
     p = subs.add_parser("train", help="fit the network on image/mask pairs")
@@ -196,7 +182,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     p.add_argument("--no-augment", action="store_true", help="train without augmentation")
     _add_grid_args(p)
-    _add_config_arg(p)
     p.set_defaults(func=_cmd_train)
 
     p = subs.add_parser("refine", help="CRF-refine an existing probability map")
@@ -204,7 +189,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--image", required=True, help="intensity volume on the same grid")
     p.add_argument("--out", required=True, help="output mask path")
     _add_crf_args(p)
-    _add_config_arg(p)
     p.set_defaults(func=_cmd_refine)
 
     p = subs.add_parser("eval", help="score predicted masks against references")
@@ -212,7 +196,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--truth", required=True, help="directory of reference masks")
     p.add_argument("--out-json", default=None, help="per-case report path")
     p.add_argument("--out-csv", default=None, help="summary table path")
-    _add_config_arg(p)
     p.set_defaults(func=_cmd_eval)
 
     p = subs.add_parser("synth", help="generate a synthetic phantom dataset")
@@ -220,82 +203,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--n", type=int, default=10, help="number of phantoms")
     p.add_argument("--size", type=int, default=32, help="grid side length (>= 16)")
     p.add_argument("--seed", type=int, default=0)
-    _add_config_arg(p)
     p.set_defaults(func=_cmd_synth)
 
-    return parser, subs.choices
-
-
-def _load_config_file(path) -> dict:
-    """Read defaults from JSON or flat key=value lines."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-        if text.lstrip().startswith("{"):
-            return json.loads(text)  # an object, or a decode error
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ConfigError(f"{path}: unreadable config: {e}") from None
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, raw = line.partition("=")
-        raw = raw.strip()
-        try:
-            values[key.strip()] = json.loads(raw)
-        except json.JSONDecodeError:
-            values[key.strip()] = raw
-    return values
-
-
-def _config_value(action: argparse.Action, value, where: str):
-    """value as the option's own type, nargs and choices would read it."""
-    if action.nargs == 0:  # a flag: the file says whether it is set
-        if not isinstance(value, bool):
-            raise ConfigError(f"{where}: expected true or false, got {value!r}")
-        return value
-    items = [value] if action.nargs is None else value
-    if not isinstance(items, list) or len(items) != (action.nargs or 1):
-        raise ConfigError(f"{where}: expected {action.nargs or 1} values, got {value!r}")
-    convert = action.type or str
-    out = []
-    for item in items:
-        if item is None:
-            raise ConfigError(f"{where}: null is no value; leave the key out for the default")
-        # each value is read from its text, as the command line reads a flag's
-        text = item if isinstance(item, str) else json.dumps(item)
-        try:
-            item = convert(text)
-        except ValueError:
-            raise ConfigError(f"{where}: invalid {convert.__name__} value {text}") from None
-        if action.choices is not None and item not in action.choices:
-            raise ConfigError(f"{where}: {item!r} is not one of {list(action.choices)}")
-        out.append(item)
-    return out[0] if action.nargs is None else out
-
-
-def _apply_config_defaults(sub: argparse.ArgumentParser, path) -> None:
-    values = _load_config_file(path)
-    actions = {a.dest: a for a in sub._actions}
-    unknown = sorted(set(values) - set(actions))
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    sub.set_defaults(
-        **{k: _config_value(actions[k], v, f"{path}: {k}") for k, v in values.items()}
-    )
+    return parser
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, subparsers = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            # Config supplies defaults only; reparse so explicit flags win.
-            _apply_config_defaults(subparsers[args.command], args.config)
-            args = parser.parse_args(argv)
         args.func(args)
     except (EvcsegError, OSError) as e:
         print(f"evcseg: error: {e}", file=sys.stderr)

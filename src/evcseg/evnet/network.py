@@ -208,7 +208,8 @@ def evnet_forward(x, params, cfg: EvNetConfig, want_cache: bool = False):
         t, ec["convs"] = _block_forward(t, params, f"enc{i}", cfg.convs_per_block[i])
         t = t + res_src  # level 0's one input channel broadcasts over the block's
         feats.append(t)
-        cache["enc"].append(ec)
+        if want_cache:
+            cache["enc"].append(ec)
 
     for i in range(cfg.levels - 2, -1, -1):
         dc = {"level": i}
@@ -218,7 +219,8 @@ def evnet_forward(x, params, cfg: EvNetConfig, want_cache: bool = False):
         t, dc["skip_widths"] = concat_channels_forward([t, feats[i]])
         t, dc["convs"] = _block_forward(t, params, f"dec{i}", cfg.convs_per_block[i])
         t = t + res_src  # decoder residual; channel counts already match
-        cache["dec"].append(dc)
+        if want_cache:
+            cache["dec"].append(dc)
 
     logits, cache["head"] = conv3d_forward(
         t, params["head.kernel"], params["head.bias"], stride=1, padding=0

@@ -586,11 +586,12 @@ def evaluate(pred_dir, truth_dir, json_path=None, csv_path=None) -> dict:
     (per-case) and CSV (summary).
     """
     with _stage("config"):
+        workers = worker_count()
         pairs = _paired_files(Path(pred_dir), Path(truth_dir), "prediction", "truth")
         _prepare_outputs({"JSON report": json_path, "CSV report": csv_path},
                          [p for _, pred, truth in pairs for p in (pred, truth)])
     names = [name for name, _, _ in pairs]
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+    with _stage("score"), ThreadPoolExecutor(max_workers=workers) as pool:
         cases = dict(pool.map(lambda pair: _score_case(*pair), pairs))
 
     summary = {}

@@ -1,5 +1,6 @@
 """Tests for the evcseg command line: flags, wiring, exit codes."""
 
+import argparse
 import importlib.metadata
 import json
 import os
@@ -114,16 +115,34 @@ class TestUsageErrors:
             run(["train", "--data", "d", "--out", "c.evc", "--multiscale-mode", "concat"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extract", "--in", "x.nii", "--out", "m.nii", "--checkpoint", "c.evc"],
+            ["train", "--data", "d", "--out", "c.evc"],
+            ["refine", "--prob", "p.nii", "--image", "v.nii", "--out", "m.nii"],
+            ["eval", "--pred", "p", "--truth", "t"],
+            ["synth", "--out", "d"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_config_flag_is_gone(self, argv):
+        # every setting is a flag of its command; no file supplies defaults
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--config", "f"])
+        assert exc.value.code == 2
+
     def test_readme_flags_exist(self):
         """Every --flag the README's command-line section shows is an option
         of some subcommand (or of the top-level parser)."""
         text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
         flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
-        parser, subparsers = cli.build_parser()
+        parser = cli.build_parser()
+        (subs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         known = {
             opt
-            for p in (parser, *subparsers.values())
+            for p in (parser, *subs.choices.values())
             for action in p._actions
             for opt in action.option_strings
         }
@@ -712,6 +731,31 @@ class TestEvalCommand:
         assert (f"stage 'config': {kind} directory not found: {dirs[kind]}"
                 in capsys.readouterr().err)
 
+    def test_bad_thread_count_refused_before_outputs(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "d").mkdir()
+        write_nifti(LabelMask(np.ones((4, 4, 4), np.uint8)), tmp_path / "d" / "a.nii.gz")
+        monkeypatch.setenv("EVCSEG_THREADS", "abc")
+        code = run(["eval", "--pred", str(tmp_path / "d"), "--truth", str(tmp_path / "d"),
+                    "--out-json", str(tmp_path / "rep" / "r.json")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "evcseg: error: stage 'config': EVCSEG_THREADS")
+        assert not (tmp_path / "rep").exists()
+
+    def test_scoring_error_names_its_stage(self, tmp_path, capsys):
+        ball = np.zeros((6, 6, 6))
+        ball[2:4, 2:4, 2:4] = 1.0
+        half = ball.copy()
+        half[0, 0, 0] = 0.5
+        for sub, data in (("pred", half), ("truth", ball)):
+            (tmp_path / sub).mkdir()
+            write_nifti(Volume(data), tmp_path / sub / "a.nii.gz")
+        code = run(["eval", "--pred", str(tmp_path / "pred"), "--truth", str(tmp_path / "truth")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("evcseg: error: stage 'score': "), err
+        assert "mask file contains values other than 0 and 1" in err
+
 
 def refine_inputs(tmp_path):
     """A 6^3 two-label map and its image under tmp_path, keyed by flag."""
@@ -931,78 +975,6 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "synth_dataset", fail)
         assert run(["synth", "--out", str(tmp_path / "d")]) == DOCUMENTED_EXIT[cls.__name__]
         assert capsys.readouterr().err == "evcseg: error: boom\n"
-
-
-class TestConfigFile:
-    def test_key_value_defaults(self, tmp_path):
-        cfg = tmp_path / "synth.cfg"
-        cfg.write_text("# phantom defaults\nn=3\nsize=16\nseed=9\n")
-        assert run(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 0
-        assert len(list((tmp_path / "d" / "images").iterdir())) == 3
-
-    def test_explicit_flag_wins(self, tmp_path):
-        cfg = tmp_path / "synth.cfg"
-        cfg.write_text("n=3\nsize=16\n")
-        assert run(
-            ["synth", "--out", str(tmp_path / "d"), "--config", str(cfg), "--n", "1"]
-        ) == 0
-        assert len(list((tmp_path / "d" / "images").iterdir())) == 1
-
-    def test_json_config(self, tmp_path):
-        cfg = tmp_path / "synth.json"
-        cfg.write_text(json.dumps({"n": 2, "size": 16}))
-        assert run(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 0
-        assert len(list((tmp_path / "d" / "images").iterdir())) == 2
-
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "synth.cfg"
-        cfg.write_text("phantoms=3\n")
-        assert run(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 3
-        assert "phantoms" in capsys.readouterr().err
-
-    def test_multiscale_mode_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "train.cfg"
-        cfg.write_text("multiscale_mode=add\n")
-        argv = ["train", "--data", str(tmp_path), "--out", str(tmp_path / "c.evc")]
-        assert run([*argv, "--config", str(cfg)]) == 3
-        assert "unknown config keys: multiscale_mode" in capsys.readouterr().err
-        assert not (tmp_path / "c.evc").exists()
-
-    @pytest.mark.parametrize(
-        "blob", [b'{"n": 2,', b"n=\xff\n"], ids=["broken-json", "not-utf8"]
-    )
-    def test_unreadable_file_is_data_error(self, blob, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_bytes(blob)
-        assert run(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 3
-        assert f"{cfg}: unreadable config" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "command,text,key",
-        [
-            ("extract", "crf_iters=2.5\npad=[16, 16, 16]\nno_resize_half=true\n", "crf_iters"),
-            ("extract", "crf_iters=true\npad=[16, 16, 16]\nno_resize_half=true\n", "crf_iters"),
-            ("extract", json.dumps({"pad": [16, 16, 16.7], "no_resize_half": True}), "pad"),
-            ("synth", "n=2.5\nsize=16\n", "n"),
-        ],
-        ids=["float-for-int", "bool-for-int", "float-in-int-list", "synth-float-for-int"],
-    )
-    def test_value_must_fit_its_option(
-        self, command, text, key, phantom_dataset, init_checkpoint, tmp_path, capsys
-    ):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(text)
-        out = tmp_path / "out.nii.gz"
-        argv = {
-            "extract": ["extract", "--in", str(phantom_dataset / "images" / "phantom_000.nii.gz"),
-                        "--out", str(out), "--checkpoint", str(init_checkpoint)],
-            "synth": ["synth", "--out", str(out)],
-        }[command]
-        assert run([*argv, "--config", str(cfg)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("evcseg: error: ")
-        assert f"{cfg}: {key}:" in err
-        assert not out.exists()
 
 
 class TestVersionFlag:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,23 @@ class TestForward:
         a, _ = evnet_forward(x, params, cfg)
         b, _ = evnet_forward(x, params, cfg)
         assert np.array_equal(a, b)
+
+    def test_inference_holds_no_layer_caches(self):
+        # without a cache each level's conv buffers go once the next level
+        # starts, so inference peaks below the forward a backward needs
+        cfg = EvNetConfig(base_channels=2)
+        params = init_params(cfg, dtype=np.float32)
+        x = np.random.default_rng(4).standard_normal((1, 1, 32, 32, 32)).astype(np.float32)
+        probs, peaks = [], []
+        for want_cache in (False, True):
+            tracemalloc.start()
+            try:
+                probs.append(evnet_forward(x, params, cfg, want_cache=want_cache)[0])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert probs[0].tobytes() == probs[1].tobytes()
+        assert peaks[0] < peaks[1], peaks
 
     def test_init_reproducible(self):
         cfg = EvNetConfig(levels=2, base_channels=2, seed=9)

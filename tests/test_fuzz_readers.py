@@ -64,10 +64,17 @@ def _not_3d(path):
     return len(shape) < 3 or any(m != 1 for m in shape[3:])
 
 
-def _reads_or_fails_cleanly(read, target, suffix, not_3d_is_geometry=False):
+def _agrees_with_header(path, vol):
+    """Whether a volume read cleanly has the shape and affine its header claims."""
+    hdr = read_header(path)
+    return vol.shape == hdr.shape[:3] and np.array_equal(vol.affine, hdr.affine())
+
+
+def _reads_or_fails_cleanly(read, target, suffix, not_3d_is_geometry=False, check=None):
     """Read each mutated file; a failure must be an EvcsegError with exit
     code 3, or, where `not_3d_is_geometry`, a GeometryError (exit 4) for
-    a file whose header claims a volume that is not 3D."""
+    a file whose header claims a volume that is not 3D. A file that reads
+    cleanly must pass `check(path, result)`, where one is given."""
     key, data, head = TARGETS[target]
     for case, mutation in enumerate(_mutations(key, data, head)):
         mutated = _mutate(data, mutation)
@@ -75,7 +82,7 @@ def _reads_or_fails_cleanly(read, target, suffix, not_3d_is_geometry=False):
             path = Path(d) / f"f{suffix}"
             path.write_bytes(mutated)
             try:
-                read(path)
+                result = read(path)
             except EvcsegError as exc:
                 # the original is valid, so the fuzzing starts from a good file
                 assert mutated != data, exc
@@ -85,6 +92,8 @@ def _reads_or_fails_cleanly(read, target, suffix, not_3d_is_geometry=False):
                     assert exc.exit_code == 3, (case, mutation, exc)
             except Exception as exc:
                 raise AssertionError(f"case {case} {mutation}: {exc!r}") from exc
+            else:
+                assert check is None or check(path, result), (case, mutation)
 
 
 NIFTI = _nifti_bytes(".nii")
@@ -105,11 +114,15 @@ TARGETS = {
 
 def test_mutated_nifti():
     # a file that is not 3D is a GeometryError, as the README documents
-    _reads_or_fails_cleanly(read_nifti, "nifti", ".nii", not_3d_is_geometry=True)
+    _reads_or_fails_cleanly(
+        read_nifti, "nifti", ".nii", not_3d_is_geometry=True, check=_agrees_with_header
+    )
 
 
 def test_mutated_nifti_gz():
-    _reads_or_fails_cleanly(read_nifti, "nifti_gz", ".nii.gz", not_3d_is_geometry=True)
+    _reads_or_fails_cleanly(
+        read_nifti, "nifti_gz", ".nii.gz", not_3d_is_geometry=True, check=_agrees_with_header
+    )
 
 
 def test_mutated_checkpoint():
