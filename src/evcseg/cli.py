@@ -1,7 +1,8 @@
 """Command line front end: extract, train, refine, eval, synth.
 
 Exit codes: 0 on success, 2 for usage errors, else the code the raised
-error's class carries (the table is in :mod:`evcseg.errors`). Every
+error's class carries (the table is in :mod:`evcseg.errors`); running
+out of memory is a compute failure, exit 4. Every
 setting is a flag of its subcommand.
 """
 
@@ -215,6 +216,10 @@ def main(argv=None) -> int:
     except (EvcsegError, OSError) as e:
         print(f"evcseg: error: {e}", file=sys.stderr)
         return getattr(e, "exit_code", 3)  # an OSError is a data error
+    except MemoryError as e:
+        detail = f": {e}" if str(e) else ""
+        print(f"evcseg: error: out of memory{detail}", file=sys.stderr)
+        return EvcsegError.exit_code
     return 0
 
 

@@ -4,8 +4,9 @@ Each class carries the exit code the CLI returns for it, and a subclass
 inherits its parent's. Exit 3, data: FormatError (with BadMagicError,
 UnsupportedDatatypeError and TruncatedFileError), DataError, ConfigError,
 DomainError, and an OSError from the file system. Exit 4, compute:
-GeometryError, CapacityError, TrainingError and a bare EvcsegError. Usage
-errors never reach this module: argparse exits 2 for them.
+GeometryError, CapacityError, TrainingError, a bare EvcsegError and a
+MemoryError. Usage errors never reach this module: argparse exits 2 for
+them.
 """
 
 from __future__ import annotations

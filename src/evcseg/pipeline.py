@@ -578,8 +578,9 @@ def evaluate(pred_dir, truth_dir, json_path=None, csv_path=None) -> dict:
     A prediction must share its reference's shape and affine, or the run
     fails with a DataError naming the case.
 
-    Cases run on a thread pool capped by ``EVCSEG_THREADS`` (results are
-    keyed by name, so the worker count cannot change them). The report
+    Cases run on min(``EVCSEG_THREADS``, cases) workers (results are keyed
+    by name, so the worker count cannot change them); a single worker
+    scores the cases in order in the calling thread, with no pool. The report
     maps case names to dice / jaccard / balanced_ahd plus a summary with
     population mean and std per metric; an empty prediction scores
     balanced_ahd = inf and is flagged. Optionally written as JSON
@@ -591,8 +592,15 @@ def evaluate(pred_dir, truth_dir, json_path=None, csv_path=None) -> dict:
         _prepare_outputs({"JSON report": json_path, "CSV report": csv_path},
                          [p for _, pred, truth in pairs for p in (pred, truth)])
     names = [name for name, _, _ in pairs]
-    with _stage("score"), ThreadPoolExecutor(max_workers=workers) as pool:
-        cases = dict(pool.map(lambda pair: _score_case(*pair), pairs))
+    workers = min(workers, len(pairs))
+    with _stage("score"):
+        if workers == 1:
+            # A pool thread would get its own malloc arena, whose heap
+            # stays mapped after the pool shuts down.
+            cases = dict(_score_case(*pair) for pair in pairs)
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                cases = dict(pool.map(lambda pair: _score_case(*pair), pairs))
 
     summary = {}
     for metric in _METRICS:

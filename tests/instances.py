@@ -7,7 +7,14 @@ from scipy.ndimage import convolve1d
 from evcseg.bilateral import CELL, TRUNCATE, _blur_kernel, gaussian_blur
 from evcseg.crf import CrfConfig, UnaryField, _free_energy, kernel_matrix
 from evcseg.errors import GeometryError
-from evcseg.synth import make_phantom
+from evcseg.synth import (
+    BRAIN_INTENSITY,
+    NOISE_SIGMA,
+    SHELL_INNER,
+    SHELL_OUTER,
+    SKULL_INTENSITY,
+    make_phantom,
+)
 from evcseg.volume import LabelMask, ProbMap, Volume, _lerp_axis
 
 
@@ -144,6 +151,23 @@ def random_crf_instance(seed, max_side=12):
         backend="brute",
     )
     return ProbMap(probs), Volume(intensity), cfg
+
+
+def index_grid_phantom(size, rng):
+    """Reference for make_phantom: the squared ellipsoid distance summed
+    over a full np.indices grid, one size^3 float64 array per axis."""
+    center = size / 2.0 + rng.uniform(-0.05 * size, 0.05 * size, size=3)
+    radii = rng.uniform(0.22, 0.32, size=3) * size
+    idx = np.indices((size, size, size), dtype=np.float64)
+    d2 = sum(((idx[a] - center[a]) / radii[a]) ** 2 for a in range(3))
+    brain = d2 <= 1.0
+    shell = (d2 > SHELL_INNER**2) & (d2 <= SHELL_OUTER**2)
+    image = (
+        BRAIN_INTENSITY * brain
+        + SKULL_INTENSITY * shell
+        + NOISE_SIGMA * rng.standard_normal((size, size, size))
+    )
+    return Volume(image), LabelMask(brain.astype(np.uint8))
 
 
 def phantom_crf_instance(seed):

@@ -976,6 +976,19 @@ class TestExitCodes:
         assert run(["synth", "--out", str(tmp_path / "d")]) == DOCUMENTED_EXIT[cls.__name__]
         assert capsys.readouterr().err == "evcseg: error: boom\n"
 
+    @pytest.mark.parametrize("message,line", [
+        ("Unable to allocate 603. GiB", "out of memory: Unable to allocate 603. GiB"),
+        ("", "out of memory"),
+    ])
+    def test_out_of_memory_is_a_compute_error(self, message, line, monkeypatch, tmp_path, capsys):
+        # one error line and the compute exit code, never a traceback
+        def fail(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "synth_dataset", fail)
+        assert run(["synth", "--out", str(tmp_path / "d"), "--size", "3000"]) == 4
+        assert capsys.readouterr().err == f"evcseg: error: {line}\n"
+
 
 class TestVersionFlag:
     def test_version_prints_and_exits_zero(self, capsys):

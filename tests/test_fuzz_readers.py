@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from evcseg.errors import EvcsegError, GeometryError
-from evcseg.evnet import load_checkpoint
+from evcseg.evnet import config_hash, load_checkpoint
+from evcseg.evnet.network import param_shapes
 from evcseg.nifti import read_header, read_nifti, write_nifti
 from evcseg.volume import Volume
 
@@ -68,6 +69,18 @@ def _agrees_with_header(path, vol):
     """Whether a volume read cleanly has the shape and affine its header claims."""
     hdr = read_header(path)
     return vol.shape == hdr.shape[:3] and np.array_equal(vol.affine, hdr.affine())
+
+
+def _matches_its_config(path, loaded):
+    """Whether a checkpoint loaded cleanly holds exactly the float32
+    tensors its config builds, under that config's hash."""
+    params, cfg, manifest = loaded
+    shapes = {name: arr.shape for name, arr in params.items()}
+    return (
+        shapes == param_shapes(cfg)
+        and all(arr.dtype == np.float32 for arr in params.values())
+        and manifest["config_hash"] == config_hash(cfg)
+    )
 
 
 def _reads_or_fails_cleanly(read, target, suffix, not_3d_is_geometry=False, check=None):
@@ -126,7 +139,7 @@ def test_mutated_nifti_gz():
 
 
 def test_mutated_checkpoint():
-    _reads_or_fails_cleanly(load_checkpoint, "checkpoint", ".evc")
+    _reads_or_fails_cleanly(load_checkpoint, "checkpoint", ".evc", check=_matches_its_config)
 
 
 def test_mutated_nifti_header():

@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import TOY_EVNET, TOY_GRID
-from evcseg import crf
+from evcseg import crf, pipeline
 from evcseg.crf import CrfConfig
 from evcseg.errors import ConfigError, DataError, GeometryError, TrainingError
 from evcseg.evnet import (
@@ -578,6 +579,26 @@ class TestEvaluate:
         monkeypatch.setenv("EVCSEG_THREADS", "4")
         r2 = evaluate(pred, truth)
         assert r1 == r2
+
+    @pytest.mark.parametrize("threads,n_cases", [("1", 3), ("4", 1)])
+    def test_one_worker_scores_in_calling_thread(self, tmp_path, monkeypatch, threads, n_cases):
+        ball = ball_mask(10, 3)
+        pred, truth = self.build_dirs(
+            tmp_path, {f"c{i}.nii.gz": (ball, ball) for i in range(n_cases)}
+        )
+        calls = []
+        score_case = pipeline._score_case
+
+        def recording(name, pred_path, truth_path):
+            calls.append((name, threading.get_ident()))
+            return score_case(name, pred_path, truth_path)
+
+        monkeypatch.setattr(pipeline, "_score_case", recording)
+        monkeypatch.setenv("EVCSEG_THREADS", threads)
+        report = evaluate(pred, truth)
+        names = [f"c{i}.nii.gz" for i in range(n_cases)]
+        assert calls == [(n, threading.get_ident()) for n in names]
+        assert list(report["cases"]) == names
 
     def test_shape_mismatch_rejected(self, tmp_path):
         pred, truth = self.build_dirs(
