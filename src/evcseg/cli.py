@@ -2,123 +2,81 @@
 
 Exit codes: 0 on success, 2 for usage errors, else the code the raised
 error's class carries (the table is in :mod:`evcseg.errors`); running
-out of memory is a compute failure, exit 4. Every
-setting is a flag of its subcommand.
+out of memory is a compute failure, exit 4. Every setting of `extract`,
+`train` and `refine` is a flag of its subcommand, stored under the name
+of the config field it sets; a flag left out takes that config's own
+default, so no default is written here.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import __version__
 from .crf import CrfConfig
 from .errors import EvcsegError
-from .evnet import EvNetConfig
-from .pipeline import (
-    DEFAULT_PAD,
-    GridConfig,
-    PipelineConfig,
-    TrainConfig,
-    evaluate,
-    extract,
-    refine_file,
-    train,
-)
+from .pipeline import GridConfig, PipelineConfig, TrainConfig, evaluate, extract, refine_file, train
 from .synth import synth_dataset
+
+
+def _config(cls, args):
+    """A cls built from the namespace attributes named after its fields; a
+    field whose default is itself a config class is built the same way."""
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.default_factory):
+            kwargs[f.name] = _config(f.default_factory, args)
+        elif hasattr(args, f.name):
+            kwargs[f.name] = getattr(args, f.name)
+    return cls(**kwargs)
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
     grid = p.add_argument_group("target grid")
     grid.add_argument(
         "--pad",
+        dest="pad_shape",
         nargs=3,
         type=int,
         metavar=("X", "Y", "Z"),
-        default=DEFAULT_PAD,
-        help=f"padded grid shape (default {DEFAULT_PAD[0]}^3)",
+        help=f"padded grid shape (default {GridConfig.pad_shape[0]}^3)",
     )
     grid.add_argument(
         "--no-resize-half",
-        action="store_true",
+        dest="resize_half",
+        action="store_false",
         help="feed the padded grid to the network without halving it",
     )
 
 
-def _grid_from_args(args) -> GridConfig:
-    return GridConfig(pad_shape=tuple(args.pad), resize_half=not args.no_resize_half)
-
-
 def _add_crf_args(p: argparse.ArgumentParser) -> None:
     crf = p.add_argument_group("CRF refinement")
-    crf.add_argument("--crf-iters", type=int, default=CrfConfig.iterations,
+    crf.add_argument("--crf-iters", dest="iterations", type=int, metavar="CRF_ITERS",
                      help="mean-field iterations; 0 skips the CRF")
-    crf.add_argument("--w-app", type=float, default=CrfConfig.w_appearance,
+    crf.add_argument("--w-app", dest="w_appearance", type=float, metavar="W_APP",
                      help="appearance kernel weight")
-    crf.add_argument("--w-smooth", type=float, default=CrfConfig.w_smoothness,
+    crf.add_argument("--w-smooth", dest="w_smoothness", type=float, metavar="W_SMOOTH",
                      help="smoothness kernel weight")
-    crf.add_argument("--theta-alpha", type=float, default=CrfConfig.theta_alpha,
-                     help="appearance spatial bandwidth, mm")
-    crf.add_argument("--theta-beta", type=float, default=CrfConfig.theta_beta,
-                     help="appearance intensity bandwidth")
-    crf.add_argument("--theta-gamma", type=float, default=CrfConfig.theta_gamma,
-                     help="smoothness spatial bandwidth, mm")
+    crf.add_argument("--theta-alpha", type=float, help="appearance spatial bandwidth, mm")
+    crf.add_argument("--theta-beta", type=float, help="appearance intensity bandwidth")
+    crf.add_argument("--theta-gamma", type=float, help="smoothness spatial bandwidth, mm")
     crf.add_argument(
         "--crf-backend",
+        dest="backend",
         choices=("brute", "filtered"),
-        default=CrfConfig.backend,
         help="message passing backend (brute is exact but tiny-volume only)",
     )
 
 
-def _crf_from_args(args) -> CrfConfig:
-    return CrfConfig(
-        w_appearance=args.w_app,
-        w_smoothness=args.w_smooth,
-        theta_alpha=args.theta_alpha,
-        theta_beta=args.theta_beta,
-        theta_gamma=args.theta_gamma,
-        iterations=args.crf_iters,
-        backend=args.crf_backend,
-    )
-
-
 def _cmd_extract(args) -> None:
-    cfg = PipelineConfig(
-        input_path=args.input_path,
-        output_path=args.output_path,
-        checkpoint_path=args.checkpoint,
-        sidecar_path=args.sidecar,
-        crf=_crf_from_args(args),
-        cleanup=not args.no_cleanup,
-        grid=_grid_from_args(args),
-    )
-    res = extract(cfg)
+    res = extract(_config(PipelineConfig, args))
     print(f"wrote {res.output_path} (transforms in {res.sidecar_path})")
 
 
 def _cmd_train(args) -> None:
-    evnet = EvNetConfig(
-        levels=args.levels,
-        base_channels=args.base_channels,
-        multiscale_inputs=not args.no_multiscale,
-        seed=args.seed,
-    )
-    cfg = TrainConfig(
-        data_dir=args.data,
-        checkpoint_path=args.out,
-        log_path=args.log,
-        epochs=args.epochs,
-        lr=args.lr,
-        momentum=args.momentum,
-        batch_size=args.batch,
-        holdout=args.holdout,
-        seed=args.seed,
-        augment=not args.no_augment,
-        evnet=evnet,
-        grid=_grid_from_args(args),
-    )
-    res = train(cfg)
+    res = train(_config(TrainConfig, args))
     if res.best_epoch is None:
         print(f"wrote initialization checkpoint {res.checkpoint_path}")
     else:
@@ -129,7 +87,7 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_refine(args) -> None:
-    cfg = _crf_from_args(args)
+    cfg = _config(CrfConfig, args)
     refine_file(args.prob, args.image, args.out, cfg)
     print(f"wrote {args.out} ({cfg.iterations} updates)")
 
@@ -153,39 +111,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"evcseg {__version__}")
     subs = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = subs.add_parser("extract", help="segment one volume end to end")
+    # unset flags stay out of the namespace, so each config keeps its defaults
+    config_command = {"argument_default": argparse.SUPPRESS}
+    p = subs.add_parser("extract", help="segment one volume end to end", **config_command)
     p.add_argument("--in", dest="input_path", required=True, metavar="NIFTI", help="input volume")
     p.add_argument("--out", dest="output_path", required=True, metavar="NIFTI", help="output mask")
-    p.add_argument("--checkpoint", required=True, help="trained network checkpoint")
-    p.add_argument("--sidecar", default=None, help="transform log path (default OUT.transforms.json)")
-    p.add_argument("--no-cleanup", action="store_true", help="skip connected-component cleanup")
+    p.add_argument("--checkpoint", dest="checkpoint_path", required=True, metavar="CHECKPOINT",
+                   help="trained network checkpoint")
+    p.add_argument("--sidecar", dest="sidecar_path", metavar="SIDECAR",
+                   help="transform log path (default OUT.transforms.json)")
+    p.add_argument("--no-cleanup", dest="cleanup", action="store_false",
+                   help="skip connected-component cleanup")
     _add_grid_args(p)
     _add_crf_args(p)
     p.set_defaults(func=_cmd_extract)
 
-    p = subs.add_parser("train", help="fit the network on image/mask pairs")
-    p.add_argument("--data", required=True, help="directory with images/ and masks/ subdirs")
-    p.add_argument("--out", required=True, help="checkpoint path to write")
-    p.add_argument("--log", default=None, help="loss log path (default OUT.log.json)")
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--lr", type=float, default=TrainConfig.lr)
-    p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
-    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--holdout", type=int, default=TrainConfig.holdout,
-                   help="cases held out for validation")
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    p.add_argument("--levels", type=int, default=EvNetConfig.levels,
-                   help="resolution levels in the network")
-    p.add_argument("--base-channels", type=int, default=EvNetConfig.base_channels)
+    p = subs.add_parser("train", help="fit the network on image/mask pairs", **config_command)
+    p.add_argument("--data", dest="data_dir", required=True, metavar="DATA",
+                   help="directory with images/ and masks/ subdirs")
+    p.add_argument("--out", dest="checkpoint_path", required=True, metavar="OUT",
+                   help="checkpoint path to write")
+    p.add_argument("--log", dest="log_path", metavar="LOG",
+                   help="loss log path (default OUT.log.json)")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--momentum", type=float)
+    p.add_argument("--batch", dest="batch_size", type=int, metavar="BATCH")
+    p.add_argument("--holdout", type=int, help="cases held out for validation")
+    # TrainConfig and EvNetConfig both name a field seed, so --seed sets both
+    p.add_argument("--seed", type=int)
+    p.add_argument("--levels", type=int, help="resolution levels in the network")
+    p.add_argument("--base-channels", type=int)
     p.add_argument(
-        "--no-multiscale", action="store_true",
+        "--no-multiscale", dest="multiscale_inputs", action="store_false",
         help="drop the downscaled raw inputs (plain V-shaped baseline)",
     )
-    p.add_argument("--no-augment", action="store_true", help="train without augmentation")
+    p.add_argument("--no-augment", dest="augment", action="store_false",
+                   help="train without augmentation")
     _add_grid_args(p)
     p.set_defaults(func=_cmd_train)
 
-    p = subs.add_parser("refine", help="CRF-refine an existing probability map")
+    p = subs.add_parser("refine", help="CRF-refine an existing probability map", **config_command)
     p.add_argument("--prob", required=True, help="4D NIfTI probability map, labels last")
     p.add_argument("--image", required=True, help="intensity volume on the same grid")
     p.add_argument("--out", required=True, help="output mask path")

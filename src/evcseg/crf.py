@@ -49,8 +49,8 @@ import numpy as np
 from scipy.special import xlogy
 
 from .bilateral import bilateral_filter, cell_records, gaussian_blur
-from .errors import CapacityError, ConfigError, DomainError, GeometryError, whole_number
-from .volume import LabelMask, ProbMap, Volume
+from .errors import CapacityError, ConfigError, DomainError, whole_number
+from .volume import LabelMask, ProbMap, Volume, check_same_grid
 
 BRUTE_MAX_VOXELS = 4096
 PROB_CLAMP = 1e-6
@@ -268,9 +268,12 @@ def _two_label_argmax(q: np.ndarray) -> np.ndarray:
 def refine(p: ProbMap, vol: Volume, cfg: CrfConfig, keep_state=True):
     """Mean-field refinement of a probability map against its volume.
 
-    Returns (LabelMask, MeanFieldState). After the grid, affine and label
-    checks, iterations = 0 returns the argmax of the input map and None as
-    the state, without unaries, kernel or message pass.
+    Returns (LabelMask, MeanFieldState). After the grid check (a DataError
+    unless p and vol share shape and affine) and the label check,
+    iterations = 0 returns the argmax of the input map and None as the
+    state, without unaries, kernel or message pass. Final marginals that are
+    not finite, from kernel weights large enough to overflow the messages,
+    raise a ConfigError.
 
     keep_state=False returns None as the state at every iteration count, for
     callers that only want the mask: n sweeps then make n message passes
@@ -278,22 +281,26 @@ def refine(p: ProbMap, vol: Volume, cfg: CrfConfig, keep_state=True):
     default keeps the final state, whose message and free-energy trace take
     one more pass and 1 + n free energies.
     """
-    if p.data.shape[1:] != vol.data.shape:
-        raise GeometryError(
-            f"probability map grid {p.data.shape[1:]} does not match "
-            f"volume {vol.data.shape}"
-        )
-    if not np.allclose(p.affine, vol.affine, atol=1e-5):
-        raise GeometryError("probability map and volume affines disagree")
+    check_same_grid(p, vol, "probability map", "volume")
     if p.data.shape[0] != 2:
         raise DomainError("refinement is defined for two-label maps")
     if cfg.iterations == 0:
         return LabelMask(_two_label_argmax(p.data), vol.affine), None
     u = unary_from_probmap(p)
-    state = _initial_state(u, vol, cfg, keep_state)
-    for _ in range(cfg.iterations - 1):
-        state = mean_field_step(state, u, vol, cfg, keep_state)
-    if not keep_state:
-        return LabelMask(_two_label_argmax(_swept(state, _flat(u))), vol.affine), None
-    state = mean_field_step(state, u, vol, cfg)
-    return LabelMask(_two_label_argmax(state.q), vol.affine), state
+    # an overflowing kernel weight makes the messages non-finite inside
+    # numpy; the check below reports it, so numpy's own warnings stay quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = _initial_state(u, vol, cfg, keep_state)
+        for _ in range(cfg.iterations - 1):
+            state = mean_field_step(state, u, vol, cfg, keep_state)
+        if keep_state:
+            state = mean_field_step(state, u, vol, cfg)
+            q = state.q
+        else:
+            q, state = _swept(state, _flat(u)), None
+    if not np.isfinite(q).all():
+        raise ConfigError(
+            f"mean-field marginals are not finite: the kernel weights w_appearance="
+            f"{cfg.w_appearance:g} and w_smoothness={cfg.w_smoothness:g} overflow"
+        )
+    return LabelMask(_two_label_argmax(q), vol.affine), state

@@ -48,10 +48,9 @@ from .evnet import (
 from .metrics import balanced_ahd, dice, jaccard
 from .nifti import read_mask, read_nifti, read_probmap, write_nifti
 from .postproc import cleanup as component_cleanup
-from .volume import SPACING_MM, LabelMask, ProbMap, Volume, mask_to_native, mask_to_network
-from .volume import pad_to, reorient_ras, resample_isotropic, resize_half
+from .volume import SPACING_MM, LabelMask, ProbMap, Volume, check_same_grid, mask_to_native
+from .volume import mask_to_network, pad_to, reorient_ras, resample_isotropic, resize_half
 
-DEFAULT_PAD = (64, 64, 64)
 # Network-input intensity scale: resample to SPACING_MM isotropic spacing,
 # divide by this percentile of the volume, clamp to [0, NORM_CLAMP].
 NORM_PERCENTILE = 99.0
@@ -142,7 +141,7 @@ class GridConfig:
     are fixed: see ``SPACING_MM``, ``NORM_PERCENTILE`` and ``NORM_CLAMP``.
     """
 
-    pad_shape: tuple[int, int, int] = DEFAULT_PAD
+    pad_shape: tuple[int, int, int] = (64, 64, 64)
     resize_half: bool = True
 
     def __post_init__(self):
@@ -157,10 +156,13 @@ class GridConfig:
             raise ConfigError(f"pad_shape must be even to halve, got {pad}")
         object.__setattr__(self, "pad_shape", pad)
 
+    @property
+    def step(self) -> int:
+        """Padded-grid voxels per network voxel along each axis: 2 when halved."""
+        return 2 if self.resize_half else 1
+
     def network_shape(self) -> tuple[int, int, int]:
-        if self.resize_half:
-            return tuple(s // 2 for s in self.pad_shape)
-        return self.pad_shape
+        return tuple(s // self.step for s in self.pad_shape)
 
 
 def _check_grid_fits(grid: GridConfig, net_cfg: EvNetConfig) -> None:
@@ -176,7 +178,7 @@ def _check_grid_fits(grid: GridConfig, net_cfg: EvNetConfig) -> None:
 def _check_resampled_extent(meta: dict, grid: GridConfig, net_cfg: EvNetConfig) -> None:
     """Refuse a resampled axis shorter than one voxel of the coarsest level:
     2^(levels - 1) network voxels, each two resampled ones when halved."""
-    step = 2 ** (net_cfg.levels - 1) * (2 if grid.resize_half else 1)
+    step = 2 ** (net_cfg.levels - 1) * grid.step
     shape = tuple(meta["resample"]["shape"])
     with _stage("resample"):
         if min(shape) < step:
@@ -431,14 +433,11 @@ def _load_training_pairs(cfg: TrainConfig) -> list[tuple[Volume, LabelMask]]:
         try:
             vol = read_nifti(img_path)
             msk = read_mask(msk_path)
-            if msk.shape != vol.shape:
-                raise DataError(f"mask shape {msk.shape} != image shape {vol.shape}")
-            if not np.allclose(msk.affine, vol.affine, atol=1e-5):
-                raise DataError("mask and image grids disagree")
+            check_same_grid(msk, vol, "mask", "image")
             net_vol, meta = preprocess_volume(vol, cfg.grid)
             _check_resampled_extent(meta, cfg.grid, cfg.evnet)
             net_msk = mask_to_network(msk.data, vol.affine, meta["pad"]["offsets"],
-                                      2 if cfg.grid.resize_half else 1, net_vol.shape)
+                                      cfg.grid.step, net_vol.shape)
             out.append((net_vol, LabelMask(net_msk, net_vol.affine)))
         except (EvcsegError, OSError) as e:
             problems.append(f"{img_path}: {e}")
@@ -556,12 +555,7 @@ _METRICS = ("dice", "jaccard", "balanced_ahd")
 def _score_case(name: str, pred_path: Path, truth_path: Path) -> tuple[str, dict]:
     truth = read_mask(truth_path)
     pred = read_mask(pred_path)
-    if pred.shape != truth.shape:
-        raise DataError(
-            f"{name}: prediction shape {pred.shape} != truth shape {truth.shape}"
-        )
-    if not np.allclose(pred.affine, truth.affine, atol=1e-5):
-        raise DataError(f"{name}: prediction and truth grids disagree")
+    check_same_grid(pred, truth, f"{name}: prediction", "truth")
     case = {
         "dice": dice(truth.data, pred.data),
         "jaccard": jaccard(truth.data, pred.data),

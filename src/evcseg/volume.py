@@ -144,6 +144,15 @@ class ProbMap(_Grid):
         object.__setattr__(self, "affine", _check_affine(self.affine))
 
 
+def check_same_grid(a: _Grid, b: _Grid, a_name: str, b_name: str) -> None:
+    """Raise DataError unless a and b share their spatial shape and, within
+    1e-5, their affine: one is read on the other's voxels."""
+    if a.shape != b.shape:
+        raise DataError(f"{a_name} shape {a.shape} != {b_name} shape {b.shape}")
+    if not np.allclose(a.affine, b.affine, atol=1e-5):
+        raise DataError(f"{a_name} and {b_name} grids disagree")
+
+
 # --------------------------------------------------------------------------
 # orientation
 # --------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from evcseg.errors import CapacityError, EvcsegError, FormatError
 from evcseg.evnet import EvNetConfig, config_hash, load_checkpoint, save_checkpoint
 from evcseg.metrics import dice
 from evcseg.nifti import read_mask, read_nifti, read_probmap, write_nifti
-from evcseg.pipeline import PipelineConfig, TrainConfig
+from evcseg.pipeline import GridConfig, PipelineConfig, TrainConfig
 from evcseg.synth import make_phantom
 from evcseg.volume import LabelMask, ProbMap, Volume
 
@@ -154,6 +154,61 @@ class Intercepted(Exception):
     """Raised by a stand-in for a pipeline entry point, carrying its args."""
 
 
+def _extract_args(**changes):
+    """extract's call with the required flags of REQUIRED and changes to the config."""
+    return (PipelineConfig(input_path="a.nii", output_path="m.nii", checkpoint_path="c.evc",
+                           **changes),)
+
+
+def _train_args(**changes):
+    return (TrainConfig(data_dir="d", checkpoint_path="c.evc", **changes),)
+
+
+def _refine_args(**changes):
+    return ("p.nii.gz", "v.nii.gz", "m.nii.gz", CrfConfig(**changes))
+
+
+REQUIRED = {
+    "extract": ["--in", "a.nii", "--out", "m.nii", "--checkpoint", "c.evc"],
+    "train": ["--data", "d", "--out", "c.evc"],
+    "refine": ["--prob", "p.nii.gz", "--image", "v.nii.gz", "--out", "m.nii.gz"],
+}
+DEFAULT_ARGS = {"extract": _extract_args(), "train": _train_args(), "refine": _refine_args()}
+GRID_CHANGES = [
+    (["--pad", "32", "32", "32"], {"pad_shape": (32, 32, 32)}),
+    (["--no-resize-half"], {"resize_half": False}),
+]
+CRF_CHANGES = [
+    (["--crf-iters", "2"], {"iterations": 2}),
+    (["--w-app", "1.5"], {"w_appearance": 1.5}),
+    (["--w-smooth", "0.5"], {"w_smoothness": 0.5}),
+    (["--theta-alpha", "2"], {"theta_alpha": 2.0}),
+    (["--theta-beta", "0.2"], {"theta_beta": 0.2}),
+    (["--theta-gamma", "1"], {"theta_gamma": 1.0}),
+    (["--crf-backend", "brute"], {"backend": "brute"}),
+]
+# (command, one optional flag with a non-default value, the call it should make)
+CONFIG_FLAGS = [
+    ("extract", ["--sidecar", "s.json"], _extract_args(sidecar_path="s.json")),
+    ("extract", ["--no-cleanup"], _extract_args(cleanup=False)),
+    *(("extract", f, _extract_args(grid=GridConfig(**c))) for f, c in GRID_CHANGES),
+    *(("extract", f, _extract_args(crf=CrfConfig(**c))) for f, c in CRF_CHANGES),
+    ("train", ["--log", "l.json"], _train_args(log_path="l.json")),
+    ("train", ["--epochs", "3"], _train_args(epochs=3)),
+    ("train", ["--lr", "0.05"], _train_args(lr=0.05)),
+    ("train", ["--momentum", "0.5"], _train_args(momentum=0.5)),
+    ("train", ["--batch", "2"], _train_args(batch_size=2)),
+    ("train", ["--holdout", "1"], _train_args(holdout=1)),
+    ("train", ["--seed", "7"], _train_args(seed=7, evnet=EvNetConfig(seed=7))),
+    ("train", ["--levels", "3"], _train_args(evnet=EvNetConfig(levels=3))),
+    ("train", ["--base-channels", "8"], _train_args(evnet=EvNetConfig(base_channels=8))),
+    ("train", ["--no-multiscale"], _train_args(evnet=EvNetConfig(multiscale_inputs=False))),
+    ("train", ["--no-augment"], _train_args(augment=False)),
+    *(("train", f, _train_args(grid=GridConfig(**c))) for f, c in GRID_CHANGES),
+    *(("refine", f, _refine_args(**c)) for f, c in CRF_CHANGES),
+]
+
+
 class TestDefaults:
     """With only the required flags, each command builds the default configs."""
 
@@ -183,6 +238,25 @@ class TestDefaults:
         with pytest.raises(Intercepted) as exc:
             run(["refine", "--prob", "p.nii.gz", "--image", "v.nii.gz", "--out", "m.nii.gz"])
         assert exc.value.args == ("p.nii.gz", "v.nii.gz", "m.nii.gz", CrfConfig())
+
+    @pytest.mark.parametrize("command,flag,expected", CONFIG_FLAGS,
+                             ids=[c + f[0] for c, f, _ in CONFIG_FLAGS])
+    def test_flag_sets_exactly_its_field(self, captured, command, flag, expected):
+        # the flags reach the configs by field name, so a misspelled name
+        # would leave the default in place without an error
+        assert expected != DEFAULT_ARGS[command]
+        with pytest.raises(Intercepted) as exc:
+            run([command, *REQUIRED[command], *flag])
+        assert exc.value.args == expected
+
+    def test_every_optional_flag_has_a_case(self):
+        (subs,) = (a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for command in REQUIRED:
+            options = {opt for action in subs.choices[command]._actions
+                       if not action.required for opt in action.option_strings}
+            covered = {f[0] for c, f, _ in CONFIG_FLAGS if c == command}
+            assert options - {"-h", "--help"} == covered, command
 
 
 class TestTrainCommand:
@@ -439,6 +513,20 @@ class TestExtractCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "m.nii.gz").exists()
 
+    def test_overflowing_crf_weight_is_config_error(
+        self, phantom_dataset, init_checkpoint, tmp_path, capsys
+    ):
+        # used to write an all-background mask and an empty_mask sidecar
+        code = run(
+            ["extract",
+             "--in", str(phantom_dataset / "images" / "phantom_000.nii.gz"),
+             "--out", str(tmp_path / "m.nii.gz"), "--checkpoint", str(init_checkpoint),
+             "--w-app", "1e308", *GRID_FLAGS]
+        )
+        assert code == 3
+        assert "stage 'crf': mean-field marginals are not finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_tiny_intensity_bandwidth_is_compute_error_without_allocating(
         self, phantom_dataset, init_checkpoint, tmp_path, capsys
     ):
@@ -586,21 +674,38 @@ class TestRefineCommand:
         assert f"stage 'read': {fault}" in capsys.readouterr().err
         assert not (tmp_path / "m.nii").exists()
 
-    def test_affine_mismatch_is_compute_error(self, tmp_path, capsys):
-        # the image must sit on the map's grid, not merely share its shape
+    @pytest.mark.parametrize("shape,spacing,shift,fault", [
+        pytest.param((8, 8, 8), 3.0, 50.0, "probability map and volume grids disagree",
+                     id="affine"),
+        pytest.param((8, 8, 9), 1.0, 0.0,
+                     "probability map shape (8, 8, 8) != volume shape (8, 8, 9)", id="shape"),
+        pytest.param((8, 8, 8), 1.0, 5.0, "probability map and volume grids disagree",
+                     id="moved-5mm"),
+    ])
+    def test_grid_mismatch_is_data_error(self, shape, spacing, shift, fault, tmp_path, capsys):
+        # the image must sit on the map's grid, not merely share its shape;
+        # train (image vs mask) and eval (prediction vs truth) exit 3 alike
         rng = np.random.default_rng(2)
-        fg = rng.uniform(0.05, 0.95, size=(6, 6, 6))
-        affine = np.diag([3.0, 3.0, 3.0, 1.0])
-        affine[:3, 3] = 50.0
-        write_nifti(ProbMap(np.stack([1.0 - fg, fg]), affine), tmp_path / "p.nii.gz")
-        write_nifti(Volume(rng.uniform(size=(6, 6, 6))), tmp_path / "v.nii.gz")
-        code = run(
-            ["refine", "--prob", str(tmp_path / "p.nii.gz"),
-             "--image", str(tmp_path / "v.nii.gz"), "--out", str(tmp_path / "m.nii.gz")]
-        )
-        assert code == 4
-        assert "stage 'crf': probability map and volume affines disagree" in capsys.readouterr().err
+        fg = rng.uniform(0.05, 0.95, size=(8, 8, 8))
+        affine = np.diag([spacing, spacing, spacing, 1.0])
+        affine[:3, 3] = shift
+        write_nifti(ProbMap(np.stack([1.0 - fg, fg])), tmp_path / "p.nii.gz")
+        write_nifti(Volume(rng.uniform(size=shape), affine), tmp_path / "v.nii.gz")
+        code = run(["refine", "--prob", str(tmp_path / "p.nii.gz"),
+                    "--image", str(tmp_path / "v.nii.gz"), "--out", str(tmp_path / "m.nii.gz")])
+        assert code == 3
+        assert f"stage 'crf': {fault}" in capsys.readouterr().err
         assert not (tmp_path / "m.nii.gz").exists()
+
+    def test_overflowing_weight_is_config_error(self, tmp_path, capsys):
+        # the marginals turn NaN, whose argmax used to be written as an
+        # all-background mask with exit 0
+        out = tmp_path / "m.nii.gz"
+        code = run(["refine", *(str(x) for kv in refine_inputs(tmp_path).items() for x in kv),
+                    "--out", str(out), "--w-app", "1e308"])
+        assert code == 3
+        assert "kernel weights w_appearance=1e+308" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("iterations", ["0", "3"])
     def test_prints_update_count(self, iterations, tmp_path, capsys):

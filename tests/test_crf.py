@@ -29,7 +29,7 @@ from evcseg.crf import (
     refine,
     unary_from_probmap,
 )
-from evcseg.errors import CapacityError, ConfigError, DomainError, GeometryError
+from evcseg.errors import CapacityError, ConfigError, DataError, DomainError
 from evcseg.metrics import dice
 from evcseg.synth import make_phantom
 from evcseg.volume import LabelMask, ProbMap, Volume
@@ -630,7 +630,7 @@ class TestRefine:
     def test_shape_mismatch(self):
         p = ProbMap(np.full((2, 4, 4, 4), 0.5))
         vol = Volume(np.zeros((4, 4, 5)))
-        with pytest.raises(GeometryError):
+        with pytest.raises(DataError, match=r"probability map shape \(4, 4, 4\) != volume"):
             refine(p, vol, CrfConfig())
 
     def test_affine_mismatch(self):
@@ -639,8 +639,21 @@ class TestRefine:
         affine[:3, 3] = 50.0
         p = ProbMap(np.full((2, 4, 4, 4), 0.5), affine)
         vol = Volume(np.zeros((4, 4, 4)))
-        with pytest.raises(GeometryError):
+        with pytest.raises(DataError, match="probability map and volume grids disagree"):
             refine(p, vol, CrfConfig())
+
+    @pytest.mark.parametrize("keep_state", [True, False])
+    @pytest.mark.parametrize("backend", ["brute", "filtered"])
+    def test_overflowing_weight_is_config_error(self, backend, keep_state):
+        # at w_appearance 1e308 the messages overflow to inf and the
+        # marginals to NaN, whose argmax would be an all-background mask
+        rng = np.random.default_rng(19)
+        side = 4 if backend == "brute" else 8
+        fg = rng.uniform(0.05, 0.95, size=(side,) * 3)
+        p, vol = ProbMap(np.stack([1.0 - fg, fg])), Volume(rng.uniform(size=(side,) * 3))
+        cfg = CrfConfig(w_appearance=1e308, backend=backend)
+        with pytest.raises(ConfigError, match="kernel weights w_appearance=1e\\+308"):
+            refine(p, vol, cfg, keep_state=keep_state)
 
     def test_more_than_two_labels_rejected(self):
         p = ProbMap(np.full((3, 4, 4, 4), 1.0 / 3.0))
@@ -725,8 +738,8 @@ class TestZeroIterations:
     @pytest.mark.parametrize(
         "probs, affine, error",
         [
-            (np.full((2, 4, 4, 5), 0.5), np.eye(4), GeometryError),
-            (np.full((2, 4, 4, 4), 0.5), np.diag([3.0, 3.0, 3.0, 1.0]), GeometryError),
+            (np.full((2, 4, 4, 5), 0.5), np.eye(4), DataError),
+            (np.full((2, 4, 4, 4), 0.5), np.diag([3.0, 3.0, 3.0, 1.0]), DataError),
             (np.full((3, 4, 4, 4), 1.0 / 3.0), np.eye(4), DomainError),
         ],
         ids=["shape", "affine", "three-labels"],

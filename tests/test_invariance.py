@@ -140,7 +140,7 @@ def test_scanner_geometry_dice_floor(scan, measured, tmp_path):
 ], ids=["full", "halved"])
 def test_train_pairs_stored_permuted(grid, tmp_path):
     rng = np.random.default_rng(901)
-    pairs = [make_phantom(16 * (2 if grid.resize_half else 1), rng) for _ in range(3)]
+    pairs = [make_phantom(16 * grid.step, rng) for _ in range(3)]
     digests = []
     for name, store in (("plain", lambda d, a: (d, a)), ("zxy", stored)):
         root = tmp_path / name

@@ -1,5 +1,6 @@
 """Tests for the extract / train / evaluate orchestration layer."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -64,6 +65,12 @@ class TestGridConfig:
     def test_no_resize_keeps_pad_shape(self):
         g = GridConfig(pad_shape=(40, 40, 40), resize_half=False)
         assert g.network_shape() == (40, 40, 40)
+
+    def test_step_is_a_property_not_a_field(self):
+        # the halving factor is read, never stored, so sidecars keep their keys
+        assert GridConfig().step == 2
+        assert GridConfig(resize_half=False).step == 1
+        assert [f.name for f in dataclasses.fields(GridConfig)] == ["pad_shape", "resize_half"]
 
     @pytest.mark.parametrize(
         "kwargs",
