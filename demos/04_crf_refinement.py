@@ -32,11 +32,12 @@ before = dice(truth, np.argmax(probs.data, axis=0))
 print("dice before refinement:", round(before, 4))
 
 cfg = CrfConfig(w_appearance=3.0, w_smoothness=1.0, theta_alpha=3.0,
-                theta_beta=0.15, theta_gamma=1.5, iterations=5, backend="brute")
+                theta_beta=0.15, theta_gamma=1.5, iterations=5)
 mask, state = refine(probs, intensity, cfg)
 print("dice after refinement: ", round(dice(truth, mask.data), 4))
 
 # each mean-field sweep updates every voxel at once from the last sweep's
 # marginals; where the sweeps settle, the marginals are a stationary point of
-# the variational free energy recorded per sweep
+# the variational free energy. The trace records it per sweep in the filtered
+# approximation: the message pass grids the appearance kernel's intensities
 print("free energy per sweep:", " ".join(f"{v:.2f}" for v in state.free_energy_trace))

@@ -62,12 +62,6 @@ def _add_crf_args(p: argparse.ArgumentParser) -> None:
     crf.add_argument("--theta-alpha", type=float, help="appearance spatial bandwidth, mm")
     crf.add_argument("--theta-beta", type=float, help="appearance intensity bandwidth")
     crf.add_argument("--theta-gamma", type=float, help="smoothness spatial bandwidth, mm")
-    crf.add_argument(
-        "--crf-backend",
-        dest="backend",
-        choices=("brute", "filtered"),
-        help="message passing backend (brute is exact but tiny-volume only)",
-    )
 
 
 def _cmd_extract(args) -> None:

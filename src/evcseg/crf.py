@@ -7,14 +7,14 @@ alone with bandwidth theta_gamma and weight w_smoothness. Label
 disagreement costs the kernel value (Potts compatibility); unary costs
 come from a probability map, typically the network's softmax output.
 
-Two backends share the same update rule. "brute" materializes the full
-N x N kernel matrix (capped at BRUTE_MAX_VOXELS, it is the reference
-implementation and the test oracle); "filtered" computes the smoothness
-sums exactly with a separable spatial Gaussian blur and approximates the
-appearance sums with a bilateral filter that grids intensity only, which
-is what makes full volumes tractable. Positions are voxel index times
-spacing, and intensities are min-max normalized to [0, 1] before any
-kernel evaluation, so the bandwidths keep their meaning across scanners.
+The message pass computes the smoothness sums exactly with a separable
+spatial Gaussian blur and approximates the appearance sums with a
+bilateral filter that grids intensity only, which is what makes full
+volumes tractable. Positions are voxel index times spacing, and
+intensities are min-max normalized to [0, 1] before any kernel
+evaluation, so the bandwidths keep their meaning across scanners. The
+tests hold this path to a dense mean-field oracle written from the same
+formulas (`tests/instances.py`: `dense_kernel`, `oracle_refine`).
 
 Each state carries the message of its marginals, which gives both its
 free energy and the next parallel update, so a refinement of n >= 1
@@ -23,13 +23,12 @@ free energies. One that only labels (`refine(..., keep_state=False)`,
 as `extract` asks) makes n passes and no free energy: the last sweep's
 marginals need no message, and the trace is a diagnostic. At 0 sweeps a
 refinement makes none and is the argmax of the input map. The message
-pass is linear and the two labels'
-marginals sum to 1, so the filtered backend filters labels 1.. only:
-label 0's message is the kernel mass (the pass over a field of ones)
-minus theirs. The first pass filters the ones field alongside the
-foreground, and the states carry the mass forward. They also carry what
-the backend builds from the volume alone, once per refinement: the brute
-kernel matrix, or the bilateral filter's per-cell records
+pass is linear and the two labels' marginals sum to 1, so only labels
+1.. are filtered: label 0's message is the kernel mass (the pass over a
+field of ones) minus theirs. The first pass filters the ones field
+alongside the foreground, and the states carry the mass forward. They
+also carry what the filter builds from the volume alone, once per
+refinement: the bilateral filter's per-cell records
 (`bilateral.cell_records`), which every pass reuses.
 
 Marginals below the smallest normal float64 are set to 0. Messages reach
@@ -49,10 +48,9 @@ import numpy as np
 from scipy.special import xlogy
 
 from .bilateral import bilateral_filter, cell_records, gaussian_blur
-from .errors import CapacityError, ConfigError, DomainError, whole_number
+from .errors import ConfigError, DomainError, whole_number
 from .volume import LabelMask, ProbMap, Volume, check_same_grid
 
-BRUTE_MAX_VOXELS = 4096
 PROB_CLAMP = 1e-6
 TINY = np.finfo(np.float64).tiny
 LOG_TINY = np.log(TINY)
@@ -66,7 +64,6 @@ class CrfConfig:
     theta_beta: float = 0.1
     theta_gamma: float = 3.0
     iterations: int = 5
-    backend: str = "filtered"
 
     def __post_init__(self):
         kernel = (self.w_appearance, self.w_smoothness, self.theta_alpha, self.theta_beta,
@@ -85,8 +82,6 @@ class CrfConfig:
                 f"kernel bandwidths must have normal float64 squares, got {thetas}"
             )
         object.__setattr__(self, "iterations", whole_number("iterations", self.iterations, 0))
-        if self.backend not in ("brute", "filtered"):
-            raise ConfigError(f"unknown backend {self.backend!r}")
 
 
 @dataclass(frozen=True)
@@ -101,22 +96,20 @@ class MeanFieldState:
     """Marginals, their message, and the free energy recorded after each sweep.
 
     message is M_l(i) = sum_{j != i} k_ij q_l(j), shaped (L, N), from the
-    backend that made the state; the next parallel sweep updates from it.
-    mass is the filtered backend's message of a field of ones, shaped (N,),
-    from which label 0's message follows; None under the brute backend.
-    trace_exact is False under the filtered backend, whose kernel sums are
-    approximate. kernel holds what the backend built for the volume with the
-    first state: the dense kernel matrix under brute, the bilateral records
-    (see bilateral.cell_records) under filtered, or None there without an
-    appearance term.
+    filtered message pass; the next parallel sweep updates from it. The
+    free energies are the filtered approximation, since the pass
+    approximates the appearance sums. mass is the message of a field of
+    ones, shaped (N,), from which label 0's message follows; the next sweep
+    from a state without it filters it again. kernel holds
+    the bilateral records (see bilateral.cell_records) built for the volume
+    with the first state, or None without an appearance term.
     """
 
     q: np.ndarray
     message: np.ndarray
     free_energy_trace: tuple
-    trace_exact: bool = True
     mass: np.ndarray | None = None
-    kernel: np.ndarray | list | None = None
+    kernel: list | None = None
 
 
 def unary_from_probmap(p: ProbMap) -> UnaryField:
@@ -124,34 +117,13 @@ def unary_from_probmap(p: ProbMap) -> UnaryField:
     return UnaryField(neg_log_probs=-np.log(clamped))
 
 
-def _intensities(vol: Volume) -> np.ndarray:
-    """Voxel intensities min-max scaled to [0, 1], on the volume's grid."""
+def _appearance_intensities(vol: Volume, cfg: CrfConfig) -> np.ndarray:
+    """Intensities min-max scaled to [0, 1], in units of the appearance
+    bandwidth theta_beta."""
     data = vol.data
     lo, hi = data.min(), data.max()
-    return (data - lo) / (hi - lo) if hi > lo else np.zeros_like(data)
-
-
-def _appearance_intensities(vol: Volume, cfg: CrfConfig) -> np.ndarray:
-    """Intensities in units of the appearance bandwidth theta_beta."""
-    return _intensities(vol) / cfg.theta_beta
-
-
-def kernel_matrix(vol: Volume, cfg: CrfConfig) -> np.ndarray:
-    """Dense pairwise kernel with zero diagonal. Brute backend only."""
-    n = vol.data.size
-    if n > BRUTE_MAX_VOXELS:
-        raise CapacityError(
-            f"{n} voxels exceed the brute-force cap of {BRUTE_MAX_VOXELS}"
-        )
-    pos = np.indices(vol.data.shape).reshape(3, -1).T * vol.spacing
-    inten = _intensities(vol).reshape(-1)
-    dp2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
-    di2 = (inten[:, None] - inten[None, :]) ** 2
-    k = cfg.w_appearance * np.exp(
-        -dp2 / (2 * cfg.theta_alpha**2) - di2 / (2 * cfg.theta_beta**2)
-    ) + cfg.w_smoothness * np.exp(-dp2 / (2 * cfg.theta_gamma**2))
-    np.fill_diagonal(k, 0.0)
-    return k
+    scaled = (data - lo) / (hi - lo) if hi > lo else np.zeros_like(data)
+    return scaled / cfg.theta_beta
 
 
 def _softmax_labels(logits):
@@ -199,28 +171,17 @@ def filtered_message_pass(q, vol: Volume, cfg: CrfConfig, cells=None):
 def _scored(q, uf, vol, cfg, trace, mass, kernel, score=True) -> MeanFieldState:
     """State for marginals q: their message, and their free energy appended
     to trace unless score is False. kernel is the state's (see
-    MeanFieldState); the filtered backend filters the kernel mass along with
-    labels 1.. when mass is None."""
+    MeanFieldState); the kernel mass is filtered along with labels 1.. when
+    mass is None."""
     qf = q.reshape(uf.shape)
-    exact = cfg.backend == "brute"
-    if exact:
-        m = qf @ kernel  # the kernel matrix is symmetric
-    else:
-        rest = q[1:] if mass is not None else np.concatenate([np.ones_like(q[:1]), q[1:]])
-        rest = filtered_message_pass(rest, vol, cfg, kernel).reshape(len(rest), -1)
-        if mass is None:
-            mass, rest = rest[0], rest[1:]
-        m = np.concatenate([(mass - rest.sum(axis=0))[None], rest])
+    rest = q[1:] if mass is not None else np.concatenate([np.ones_like(q[:1]), q[1:]])
+    rest = filtered_message_pass(rest, vol, cfg, kernel).reshape(len(rest), -1)
+    if mass is None:
+        mass, rest = rest[0], rest[1:]
+    m = np.concatenate([(mass - rest.sum(axis=0))[None], rest])
     if score:
         trace += (_free_energy(qf, uf, m),)
-    return MeanFieldState(
-        q=q,
-        message=m,
-        free_energy_trace=trace,
-        trace_exact=exact,
-        mass=mass,
-        kernel=kernel,
-    )
+    return MeanFieldState(q=q, message=m, free_energy_trace=trace, mass=mass, kernel=kernel)
 
 
 def _flat(u: UnaryField) -> np.ndarray:
@@ -237,9 +198,9 @@ def mean_field_step(
 ) -> MeanFieldState:
     """One parallel sweep: every voxel's marginals from the state's message.
 
-    Appends the variational free energy of the new marginals to the trace:
-    exact under the brute backend, a filtered approximation otherwise.
-    score=False leaves the trace as it was.
+    Appends the variational free energy of the new marginals, in the
+    filtered approximation, to the trace; score=False leaves the trace as
+    it was.
     """
     uf = _flat(u)
     return _scored(
@@ -251,9 +212,7 @@ def _initial_state(u: UnaryField, vol: Volume, cfg: CrfConfig, score=True) -> Me
     uf = _flat(u)
     q0 = _softmax_labels(-uf).reshape(u.neg_log_probs.shape)
     kernel = None
-    if cfg.backend == "brute":
-        kernel = kernel_matrix(vol, cfg)
-    elif cfg.w_appearance > 0:
+    if cfg.w_appearance > 0:
         # every pass of the refinement filters against the same intensities
         inten = _appearance_intensities(vol, cfg)
         kernel = list(cell_records(inten, vol.spacing, cfg.theta_alpha))

@@ -301,7 +301,7 @@ def _read_array(path) -> tuple[np.ndarray, np.ndarray]:
 def _squeeze_to_3d(data: np.ndarray, path) -> np.ndarray:
     if data.ndim >= 3 and all(s == 1 for s in data.shape[3:]):
         return data.reshape(data.shape[:3])
-    raise GeometryError(
+    raise FormatError(
         f"{path}: expected a 3D volume, file is {data.shape} (use read_probmap for 4D)"
     )
 
@@ -324,8 +324,10 @@ def read_mask(path) -> LabelMask:
 def read_probmap(path) -> ProbMap:
     """Read a 4D NIfTI-1 probability map; the 4th axis holds the labels."""
     data, affine = _read_array(path)
-    if data.ndim != 4:
-        raise GeometryError(f"{path}: expected 4D probability map, file is {data.shape}")
+    if data.ndim != 4 or data.shape[3] < 2:
+        raise FormatError(
+            f"{path}: expected a 4D probability map of 2 or more labels, file is {data.shape}"
+        )
     return ProbMap(data=np.moveaxis(data, 3, 0), affine=affine)
 
 

@@ -3,9 +3,10 @@ resampling oracles that only the tests use."""
 
 import numpy as np
 from scipy.ndimage import convolve1d
+from scipy.special import xlogy
 
 from evcseg.bilateral import CELL, TRUNCATE, _blur_kernel, gaussian_blur
-from evcseg.crf import CrfConfig, UnaryField, _free_energy, kernel_matrix
+from evcseg.crf import PROB_CLAMP, CrfConfig, UnaryField
 from evcseg.errors import GeometryError
 from evcseg.synth import (
     BRAIN_INTENSITY,
@@ -67,6 +68,58 @@ def softmax_keeping_subnormals(logits):
     return e / e.sum(axis=0, keepdims=True)
 
 
+def dense_kernel(vol: Volume, cfg: CrfConfig) -> np.ndarray:
+    """The CRF's N x N pairwise kernel k_ij over a volume's voxels, in C
+    order, with a zero diagonal.
+
+    Positions are voxel index times spacing, in mm; intensities are min-max
+    scaled to [0, 1]. k_ij = w_a exp(-|p_i - p_j|^2 / 2 theta_alpha^2
+    - (I_i - I_j)^2 / 2 theta_beta^2) + w_s exp(-|p_i - p_j|^2 / 2 theta_gamma^2).
+    """
+    pos = np.indices(vol.data.shape).reshape(3, -1).T * vol.spacing
+    data = vol.data.reshape(-1)
+    lo, hi = data.min(), data.max()
+    inten = (data - lo) / (hi - lo) if hi > lo else np.zeros_like(data)
+    dp2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
+    di2 = (inten[:, None] - inten[None, :]) ** 2
+    k = cfg.w_appearance * np.exp(
+        -dp2 / (2 * cfg.theta_alpha**2) - di2 / (2 * cfg.theta_beta**2)
+    ) + cfg.w_smoothness * np.exp(-dp2 / (2 * cfg.theta_gamma**2))
+    np.fill_diagonal(k, 0.0)
+    return k
+
+
+def oracle_free_energy(qf, uf, k) -> float:
+    """Mean-field free energy of marginals qf (L, N) under unaries uf and
+    the dense kernel k: expected unary cost, plus the expected Potts cost
+    sum_{i<j} k_ij (1 - q_i . q_j), minus the entropy.
+
+    k is symmetric with a zero diagonal and each voxel's marginals sum to 1,
+    so the Potts sum is 0.5 * sum_{l,i} (1 - q_l(i)) (q @ k)_l(i).
+    """
+    unary = (qf * uf).sum()
+    potts = 0.5 * ((1.0 - qf) * (qf @ k)).sum()
+    return float(unary + potts + xlogy(qf, qf).sum())
+
+
+def oracle_refine(p: ProbMap, vol: Volume, cfg: CrfConfig, iterations):
+    """Dense parallel mean field: (marginals shaped like p.data, trace).
+
+    The unaries are -log of p clamped to [PROB_CLAMP, 1 - PROB_CLAMP]. The
+    marginals start at the softmax of the negative unaries, and each of the
+    iterations sweeps sets q <- softmax(-u + q @ k) at every voxel at once.
+    The trace holds the free energy of the start and of every sweep.
+    """
+    uf = -np.log(np.clip(p.data, PROB_CLAMP, 1.0 - PROB_CLAMP)).reshape(p.data.shape[0], -1)
+    k = dense_kernel(vol, cfg)
+    qf = softmax_keeping_subnormals(-uf)
+    trace = [oracle_free_energy(qf, uf, k)]
+    for _ in range(iterations):
+        qf = softmax_keeping_subnormals(-uf + qf @ k)
+        trace.append(oracle_free_energy(qf, uf, k))
+    return qf.reshape(p.data.shape), tuple(trace)
+
+
 def gibbs_energy(x: LabelMask, u: UnaryField, vol: Volume, cfg: CrfConfig) -> float:
     """Exact energy of a hard labeling: unary sum plus Potts pairwise sum."""
     labels = x.data.reshape(-1).astype(np.int64)
@@ -74,14 +127,9 @@ def gibbs_energy(x: LabelMask, u: UnaryField, vol: Volume, cfg: CrfConfig) -> fl
     if labels.size != uf.shape[1]:
         raise GeometryError("labeling and unary field sizes differ")
     e_unary = uf[labels, np.arange(labels.size)].sum()
-    k = kernel_matrix(vol, cfg)
+    k = dense_kernel(vol, cfg)
     differ = labels[:, None] != labels[None, :]
     return float(e_unary + 0.5 * (k * differ).sum())
-
-
-def free_energy_exact(qf, uf, k):
-    """The CRF's free-energy formula fed the exact message qf @ k."""
-    return _free_energy(qf, uf, qf @ k)
 
 
 def sphere_mask(shape, center, radius):
@@ -113,7 +161,6 @@ def noisy_sphere_instance(seed=7):
         theta_beta=0.15,
         theta_gamma=1.5,
         iterations=5,
-        backend="brute",
     )
     return ProbMap(probs), Volume(intensity), truth, cfg
 
@@ -148,7 +195,6 @@ def random_crf_instance(seed, max_side=12):
         theta_beta=float(rng.uniform(0.12, 0.2)),
         theta_gamma=float(rng.uniform(1.0, 2.0)),
         iterations=5,
-        backend="brute",
     )
     return ProbMap(probs), Volume(intensity), cfg
 

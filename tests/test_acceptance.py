@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from instances import (
+    dense_kernel,
     noisy_sphere_instance,
+    oracle_refine,
     random_crf_instance,
     softmax_keeping_subnormals,
     sphere_mask,
@@ -164,12 +166,10 @@ def test_multiscale_reduction_matches_plain_network():
 def test_filtered_backend_tracks_brute_marginals():
     worst = 0.0
     for seed in range(200, 210):
-        probs, vol, cfg = random_crf_instance(seed, max_side=12)
-        ref = dict(vars(cfg))
-        ref["iterations"] = 5
-        _, brute = refine(probs, vol, CrfConfig(**{**ref, "backend": "brute"}))
-        _, filt = refine(probs, vol, CrfConfig(**{**ref, "backend": "filtered"}))
-        worst = max(worst, float(np.max(np.abs(brute.q - filt.q))))
+        probs, vol, cfg = random_crf_instance(seed, max_side=12)  # 5 iterations
+        exact, _ = oracle_refine(probs, vol, cfg, 5)
+        _, filt = refine(probs, vol, cfg)
+        worst = max(worst, float(np.max(np.abs(exact - filt.q))))
     assert worst < 0.05, f"worst marginal gap {worst:.4f}"
 
 
@@ -184,20 +184,19 @@ def test_parallel_fixed_point_is_free_energy_stationary():
     step = 1e-5
     for seed in range(100, 105):
         probs, vol, cfg = random_crf_instance(seed, max_side=8)
-        ref = dict(vars(cfg))
-        ref.update(iterations=100, backend="brute")
-        _, state = refine(probs, vol, CrfConfig(**ref))
+        fixed, _ = oracle_refine(probs, vol, cfg, 100)
+        k = dense_kernel(vol, cfg)
         u = unary_from_probmap(probs).neg_log_probs.reshape(2, -1)
         r = np.random.default_rng(seed).standard_normal(u.shape)
 
         def slope(logits):
             def energy(t):
                 q = softmax_keeping_subnormals(logits + t * r)
-                return _free_energy(q, u, q @ state.kernel)
+                return _free_energy(q, u, q @ k)
 
             return (energy(step) - energy(-step)) / (2 * step)
 
-        ratio = abs(slope(-u + state.message)) / abs(slope(-u))
+        ratio = abs(slope(-u + fixed.reshape(2, -1) @ k)) / abs(slope(-u))
         assert ratio <= 1e-6, f"seed {seed}: slope ratio {ratio:.3g}"
 
 

@@ -1,6 +1,7 @@
 """Tests for the evcseg command line: flags, wiring, exit codes."""
 
 import argparse
+import dataclasses
 import importlib.metadata
 import json
 import os
@@ -109,6 +110,13 @@ class TestUsageErrors:
             run(["florb"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command, backend", [("extract", "brute"), ("refine", "filtered")])
+    def test_crf_backend_flag_is_gone(self, command, backend):
+        # the filtered message pass is the CRF's only path
+        with pytest.raises(SystemExit) as exc:
+            run([command, *REQUIRED[command], "--crf-backend", backend])
+        assert exc.value.code == 2
+
     def test_multiscale_mode_flag_is_gone(self):
         # concatenation is the one lower-scale merge; no flag selects it
         with pytest.raises(SystemExit) as exc:
@@ -185,7 +193,6 @@ CRF_CHANGES = [
     (["--theta-alpha", "2"], {"theta_alpha": 2.0}),
     (["--theta-beta", "0.2"], {"theta_beta": 0.2}),
     (["--theta-gamma", "1"], {"theta_gamma": 1.0}),
-    (["--crf-backend", "brute"], {"backend": "brute"}),
 ]
 # (command, one optional flag with a non-default value, the call it should make)
 CONFIG_FLAGS = [
@@ -318,7 +325,9 @@ class TestExtractCommand:
         assert code == 0
         assert "wrote" in capsys.readouterr().out
         assert out.exists()
-        assert (tmp_path / "mask.nii.gz.transforms.json").exists()
+        sidecar = json.loads((tmp_path / "mask.nii.gz.transforms.json").read_text())
+        assert set(sidecar["config"]["crf"]) == {f.name for f in dataclasses.fields(CrfConfig)}
+        assert "backend" not in sidecar["config"]["crf"]
         assert read_mask(out).shape == (16, 16, 16)
 
     def test_missing_checkpoint_names_path(self, phantom_dataset, tmp_path, capsys):
@@ -722,22 +731,23 @@ class TestRefineCommand:
         assert code == 0
         assert capsys.readouterr().out == f"wrote {out} ({iterations} updates)\n"
 
-    def test_refinement_runs_brute(self, tmp_path):
-        rng = np.random.default_rng(1)
-        fg = rng.uniform(0.05, 0.95, size=(6, 6, 6))
-        probs = ProbMap(np.stack([1.0 - fg, fg]))
-        vol = Volume(rng.uniform(size=(6, 6, 6)))
-        write_nifti(probs, tmp_path / "p.nii.gz")
-        write_nifti(vol, tmp_path / "v.nii.gz")
-        code = run(
-            ["refine", "--prob", str(tmp_path / "p.nii.gz"),
-             "--image", str(tmp_path / "v.nii.gz"),
-             "--out", str(tmp_path / "m.nii.gz"),
-             "--crf-backend", "brute", "--crf-iters", "2",
-             "--w-app", "0.2", "--w-smooth", "0.1"]
-        )
-        assert code == 0
-        assert read_mask(tmp_path / "m.nii.gz").shape == (6, 6, 6)
+    @pytest.mark.parametrize("one_label", [False, True], ids=["3d", "one-label"])
+    def test_map_that_is_not_two_labels_is_format_error(self, one_label, tmp_path, capsys):
+        # a map of the wrong rank or label count is malformed input, not a geometry fault
+        prob_path, image_path = tmp_path / "p.nii", tmp_path / "v.nii"
+        write_nifti(Volume(np.full((4, 4, 4), 0.5)), prob_path)
+        if one_label:  # the same file, its dim claiming a 4th axis of length 1
+            raw = bytearray(prob_path.read_bytes())
+            raw[40:50] = np.array([4, 4, 4, 4, 1], "<i2").tobytes()
+            prob_path.write_bytes(bytes(raw))
+        write_nifti(Volume(np.random.default_rng(3).uniform(size=(4, 4, 4))), image_path)
+        code = run(["refine", "--prob", str(prob_path), "--image", str(image_path),
+                    "--out", str(tmp_path / "m.nii")])
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("evcseg: error: ")
+        assert f"{prob_path}: expected a 4D probability map" in lines[0]
+        assert not (tmp_path / "m.nii").exists()
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -24,7 +24,6 @@ from evcseg.crf import (
     MeanFieldState,
     UnaryField,
     filtered_message_pass,
-    kernel_matrix,
     mean_field_step,
     refine,
     unary_from_probmap,
@@ -35,10 +34,12 @@ from evcseg.synth import make_phantom
 from evcseg.volume import LabelMask, ProbMap, Volume
 from instances import (
     convolve_blur,
-    free_energy_exact,
+    dense_kernel,
     full_grid_bilateral,
     gibbs_energy,
     noisy_sphere_instance,
+    oracle_free_energy,
+    oracle_refine,
     pairwise_kernel,
     phantom_crf_instance,
     random_crf_instance,
@@ -46,32 +47,10 @@ from instances import (
 )
 
 
-def brute_kernel(pos, inten, cfg):
-    """Direct evaluation of the two-part kernel, zero diagonal."""
-    dp2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
-    di2 = (inten[:, None] - inten[None, :]) ** 2
-    k = cfg.w_appearance * np.exp(
-        -dp2 / (2 * cfg.theta_alpha**2) - di2 / (2 * cfg.theta_beta**2)
-    ) + cfg.w_smoothness * np.exp(-dp2 / (2 * cfg.theta_gamma**2))
-    np.fill_diagonal(k, 0.0)
-    return k
-
-
-def features_of(vol):
-    idx = np.indices(vol.data.shape).reshape(3, -1).T
-    pos = idx * vol.spacing
-    data = vol.data.reshape(-1)
-    lo, hi = data.min(), data.max()
-    inten = (data - lo) / (hi - lo) if hi > lo else np.zeros_like(data)
-    return pos, inten
-
-
-def brute_messages(q, vol, cfg):
+def dense_messages(q, vol, cfg):
     """O(N^2) oracle for sum_{j != i} k_ij q_j(l)."""
-    pos, inten = features_of(vol)
-    k = brute_kernel(pos, inten, cfg)
     qf = q.reshape(q.shape[0], -1)
-    return (qf @ k).reshape(q.shape)
+    return (qf @ dense_kernel(vol, cfg)).reshape(q.shape)
 
 
 def brute_free_energy(qf, uf, k):
@@ -150,22 +129,26 @@ class TestPairwiseKernel:
 
 
 class TestKernelMatrix:
+    """The tests' dense kernel against the pairwise formula."""
+
     def test_matches_pairwise_kernel(self):
         rng = np.random.default_rng(7)
         vol = Volume(rng.uniform(size=(3, 2, 2)))
         cfg = CrfConfig(theta_alpha=2.0, theta_beta=0.3, theta_gamma=1.5)
-        k = kernel_matrix(vol, cfg)
-        pos, inten = features_of(vol)
+        k = dense_kernel(vol, cfg)
+        lo, hi = vol.data.min(), vol.data.max()
+        features = [
+            np.append(np.array(idx) * vol.spacing, (vol.data[idx] - lo) / (hi - lo))
+            for idx in np.ndindex(vol.shape)
+        ]
         n = vol.data.size
         assert k.shape == (n, n)
         for i in range(n):
             assert k[i, i] == 0.0
             for j in range(n):
                 if i != j:
-                    fi = np.append(pos[i], inten[i])
-                    fj = np.append(pos[j], inten[j])
                     assert k[i, j] == pytest.approx(
-                        pairwise_kernel(fi, fj, cfg), rel=1e-12
+                        pairwise_kernel(features[i], features[j], cfg), rel=1e-12
                     )
         np.testing.assert_allclose(k, k.T)
 
@@ -174,15 +157,10 @@ class TestKernelMatrix:
         fine = Volume(data, affine=np.diag([1.0, 1.0, 1.0, 1.0]))
         coarse = Volume(data, affine=np.diag([3.0, 1.0, 1.0, 1.0]))
         cfg = CrfConfig(w_appearance=0.0, w_smoothness=1.0, theta_gamma=1.0)
-        k_fine = kernel_matrix(fine, cfg)
-        k_coarse = kernel_matrix(coarse, cfg)
+        k_fine = dense_kernel(fine, cfg)
+        k_coarse = dense_kernel(coarse, cfg)
         # voxels (0,0,0) and (1,0,0) are flat indices 0 and 4
         assert k_coarse[0, 4] < k_fine[0, 4]
-
-    def test_capacity_guard(self):
-        vol = Volume(np.zeros((17, 17, 17)))
-        with pytest.raises(CapacityError):
-            kernel_matrix(vol, CrfConfig())
 
 
 class TestGibbsEnergy:
@@ -225,13 +203,6 @@ class TestGibbsEnergy:
         expect = 1.2 + 0.9 + k01
         assert gibbs_energy(labels, u, vol, cfg) == pytest.approx(expect, rel=1e-12)
 
-    def test_capacity_guard(self):
-        vol = Volume(np.zeros((17, 17, 17)))
-        u = UnaryField(np.zeros((2, 17, 17, 17)))
-        mask = LabelMask(np.zeros((17, 17, 17), dtype=np.uint8))
-        with pytest.raises(CapacityError):
-            gibbs_energy(mask, u, vol, CrfConfig())
-
 
 def initial_state(u, vol, cfg):
     return crf._initial_state(u, vol, cfg)
@@ -244,7 +215,7 @@ class TestMeanFieldStep:
         p = ProbMap(np.stack([1 - fg, fg]))
         u = unary_from_probmap(p)
         vol = Volume(rng.uniform(size=(3, 3, 3)))
-        cfg = CrfConfig(w_appearance=0.0, w_smoothness=0.0, backend="brute")
+        cfg = CrfConfig(w_appearance=0.0, w_smoothness=0.0)
         state = initial_state(u, vol, cfg)
         stepped = mean_field_step(state, u, vol, cfg)
         z = np.exp(-u.neg_log_probs)
@@ -257,21 +228,18 @@ class TestMeanFieldStep:
     def test_two_voxel_symmetry(self):
         vol = two_voxel_volume()
         probs = np.array([[0.4, 0.4], [0.6, 0.6]]).reshape(2, 2, 1, 1)
-        u = unary_from_probmap(ProbMap(probs))
-        cfg = CrfConfig(backend="brute", theta_beta=0.5)
-        state = initial_state(u, vol, cfg)
-        for _ in range(3):
-            state = mean_field_step(state, u, vol, cfg)
-            np.testing.assert_array_equal(state.q[:, 0], state.q[:, 1])
+        cfg = CrfConfig(theta_beta=0.5)
+        for sweeps in range(1, 4):
+            q, _ = oracle_refine(ProbMap(probs), vol, cfg, sweeps)
+            np.testing.assert_array_equal(q[:, 0], q[:, 1])
 
     def test_two_voxel_fixed_point_matches_scalar_oracle(self):
         vol = two_voxel_volume()
         fg = 0.4
         probs = np.array([[1 - fg, 1 - fg], [fg, fg]]).reshape(2, 2, 1, 1)
-        u = unary_from_probmap(ProbMap(probs))
         cfg = CrfConfig(
             w_appearance=1.0, w_smoothness=1.0, theta_alpha=2.0,
-            theta_beta=0.5, theta_gamma=1.5, backend="brute",
+            theta_beta=0.5, theta_gamma=1.5,
         )
         # same intensity -> appearance sees only the 1 mm position gap
         k = 1.0 * math.exp(-1 / 8) + 1.0 * math.exp(-1 / (2 * 1.5**2))
@@ -287,16 +255,25 @@ class TestMeanFieldStep:
             qb = np.exp(lb - lb.max())
             qb /= qb.sum()
 
-        state = initial_state(u, vol, cfg)
-        for _ in range(200):
-            state = mean_field_step(state, u, vol, cfg)
-        np.testing.assert_allclose(state.q[:, 0, 0, 0], qa, atol=1e-8)
-        np.testing.assert_allclose(state.q[:, 1, 0, 0], qb, atol=1e-8)
+        q, _ = oracle_refine(ProbMap(probs), vol, cfg, 200)
+        np.testing.assert_allclose(q[:, 0, 0, 0], qa, atol=1e-8)
+        np.testing.assert_allclose(q[:, 1, 0, 0], qb, atol=1e-8)
 
-    @pytest.mark.parametrize("backend", ["brute", "filtered"])
-    def test_marginals_stay_normalized(self, backend):
+    @pytest.mark.parametrize("seed", range(200, 210))
+    def test_step_from_exact_message_is_oracle_sweep(self, seed):
+        # the update rule alone: mean_field_step fed the dense message of the
+        # oracle's sweep t lands on the oracle's sweep t + 1
+        p, vol, cfg = random_crf_instance(seed=seed)
+        u = unary_from_probmap(p)
+        k = dense_kernel(vol, cfg)
+        sweeps = [oracle_refine(p, vol, cfg, t)[0] for t in range(6)]
+        for q, following in zip(sweeps, sweeps[1:]):
+            state = MeanFieldState(q=q, message=q.reshape(2, -1) @ k, free_energy_trace=())
+            stepped = mean_field_step(state, u, vol, cfg, score=False)
+            assert np.max(np.abs(stepped.q - following)) <= 1e-12
+
+    def test_marginals_stay_normalized(self):
         p, vol, cfg = random_crf_instance(seed=11, max_side=8)
-        cfg = dataclasses.replace(cfg, backend=backend)
         u = unary_from_probmap(p)
         state = initial_state(u, vol, cfg)
         for _ in range(4):
@@ -304,19 +281,6 @@ class TestMeanFieldStep:
             sums = state.q.sum(axis=0)
             np.testing.assert_allclose(sums, 1.0, atol=1e-6)
             assert state.q.min() >= 0
-
-    def test_trace_grows_and_flags_backend(self):
-        p, vol, cfg = random_crf_instance(seed=12, max_side=6)
-        u = unary_from_probmap(p)
-        brute_state = initial_state(u, vol, cfg)
-        brute_state = mean_field_step(brute_state, u, vol, cfg)
-        assert len(brute_state.free_energy_trace) == 2
-        assert brute_state.trace_exact
-        fcfg = dataclasses.replace(cfg, backend="filtered")
-        filt_state = initial_state(u, vol, fcfg)
-        filt_state = mean_field_step(filt_state, u, vol, fcfg)
-        assert len(filt_state.free_energy_trace) == 2
-        assert not filt_state.trace_exact
 
 
 class TestFreeEnergy:
@@ -326,13 +290,13 @@ class TestFreeEnergy:
         p = ProbMap(np.stack([1 - fg, fg]))
         u = unary_from_probmap(p)
         vol = Volume(rng.uniform(size=(2, 2, 2)))
-        cfg = CrfConfig(theta_beta=0.3, backend="brute")
-        k = kernel_matrix(vol, cfg)
+        cfg = CrfConfig(theta_beta=0.3)
+        k = dense_kernel(vol, cfg)
         qf = p.data.reshape(2, -1)
         uf = u.neg_log_probs.reshape(2, -1)
-        assert free_energy_exact(qf, uf, k) == pytest.approx(
-            brute_free_energy(qf, uf, k), rel=1e-12
-        )
+        pair_loop = brute_free_energy(qf, uf, k)
+        assert crf._free_energy(qf, uf, qf @ k) == pytest.approx(pair_loop, rel=1e-12)
+        assert oracle_free_energy(qf, uf, k) == pytest.approx(pair_loop, rel=1e-12)
 
 
 class TestFilteredMessagePass:
@@ -346,7 +310,7 @@ class TestFilteredMessagePass:
         vol = Volume(np.full(shape, 0.5))
         cfg = CrfConfig(
             w_appearance=1.0, w_smoothness=1.0, theta_alpha=1.5,
-            theta_beta=0.1, theta_gamma=1.0, backend="filtered",
+            theta_beta=0.1, theta_gamma=1.0,
         )
         out = filtered_message_pass(q, vol, cfg)
         np.testing.assert_allclose(out[0] * 0.7, out[1] * 0.3, rtol=0.02)
@@ -371,7 +335,7 @@ class TestFilteredMessagePass:
             theta_beta=0.2, theta_gamma=1.5,
         )
         approx = filtered_message_pass(q, vol, cfg)
-        exact = brute_messages(q, vol, cfg)
+        exact = dense_messages(q, vol, cfg)
         scale = exact.max() - exact.min()
         assert np.max(np.abs(approx - exact)) < 0.05 * scale
 
@@ -386,7 +350,7 @@ class TestFilteredMessagePass:
             theta_beta=0.2, theta_gamma=1.5,
         )
         approx = filtered_message_pass(q, vol, cfg)
-        exact = brute_messages(q, vol, cfg)
+        exact = dense_messages(q, vol, cfg)
         scale = exact.max() - exact.min()
         assert np.max(np.abs(approx - exact)) < 0.05 * scale
 
@@ -556,7 +520,7 @@ class TestBilateralEmptyCells:
 
 
 class TestTwoLabelMessage:
-    """The filtered backend filters the foreground marginal only; the
+    """The message pass filters the foreground marginal only; the
     background message is the kernel mass minus the foreground's."""
 
     def test_one_channel_per_sweep_after_the_mass(self, monkeypatch):
@@ -568,7 +532,7 @@ class TestTwoLabelMessage:
 
         monkeypatch.setattr(crf, "filtered_message_pass", recording)
         p, vol, cfg = random_crf_instance(seed=200)
-        refine(p, vol, dataclasses.replace(cfg, backend="filtered", iterations=5))
+        refine(p, vol, dataclasses.replace(cfg, iterations=5))
         assert channels == [2, 1, 1, 1, 1, 1]
 
     @pytest.mark.parametrize(
@@ -581,7 +545,6 @@ class TestTwoLabelMessage:
         p, vol, cfg = random_crf_instance(seed=seed)
         if affine is not None:
             vol = Volume(vol.data, affine=affine)
-        cfg = dataclasses.replace(cfg, backend="filtered")
         u = unary_from_probmap(p)
         state = initial_state(u, vol, cfg)
         for sweep in range(6):
@@ -592,13 +555,6 @@ class TestTwoLabelMessage:
             err = np.max(np.abs(state.message - direct))
             assert err <= 1e-12 * scale, (sweep, err, scale)
 
-    def test_brute_states_carry_no_mass(self):
-        p, vol, cfg = random_crf_instance(seed=12, max_side=6)
-        u = unary_from_probmap(p)
-        state = initial_state(u, vol, cfg)
-        assert state.mass is None
-        assert mean_field_step(state, u, vol, cfg).mass is None
-
 
 class TestRefine:
     def test_zero_iterations_is_argmax(self):
@@ -608,12 +564,9 @@ class TestRefine:
         np.testing.assert_array_equal(mask.data, np.argmax(p.data, axis=0))
         assert state is None
 
-    @pytest.mark.parametrize("backend", ["brute", "filtered"])
-    def test_zero_pairwise_keeps_argmax(self, backend):
+    def test_zero_pairwise_keeps_argmax(self):
         p, vol, cfg = random_crf_instance(seed=18, max_side=8)
-        cfg = dataclasses.replace(
-            cfg, w_appearance=0.0, w_smoothness=0.0, iterations=5, backend=backend
-        )
+        cfg = dataclasses.replace(cfg, w_appearance=0.0, w_smoothness=0.0, iterations=5)
         mask, _ = refine(p, vol, cfg)
         np.testing.assert_array_equal(mask.data, np.argmax(p.data, axis=0))
 
@@ -643,15 +596,13 @@ class TestRefine:
             refine(p, vol, CrfConfig())
 
     @pytest.mark.parametrize("keep_state", [True, False])
-    @pytest.mark.parametrize("backend", ["brute", "filtered"])
-    def test_overflowing_weight_is_config_error(self, backend, keep_state):
+    def test_overflowing_weight_is_config_error(self, keep_state):
         # at w_appearance 1e308 the messages overflow to inf and the
         # marginals to NaN, whose argmax would be an all-background mask
         rng = np.random.default_rng(19)
-        side = 4 if backend == "brute" else 8
-        fg = rng.uniform(0.05, 0.95, size=(side,) * 3)
-        p, vol = ProbMap(np.stack([1.0 - fg, fg])), Volume(rng.uniform(size=(side,) * 3))
-        cfg = CrfConfig(w_appearance=1e308, backend=backend)
+        fg = rng.uniform(0.05, 0.95, size=(8, 8, 8))
+        p, vol = ProbMap(np.stack([1.0 - fg, fg])), Volume(rng.uniform(size=(8, 8, 8)))
+        cfg = CrfConfig(w_appearance=1e308)
         with pytest.raises(ConfigError, match="kernel weights w_appearance=1e\\+308"):
             refine(p, vol, cfg, keep_state=keep_state)
 
@@ -661,10 +612,9 @@ class TestRefine:
         with pytest.raises(DomainError):
             refine(p, vol, CrfConfig())
 
-    @pytest.mark.parametrize("backend", ["brute", "filtered"])
-    def test_deterministic(self, backend):
+    def test_deterministic(self):
         p, vol, cfg = random_crf_instance(seed=19, max_side=7)
-        cfg = dataclasses.replace(cfg, backend=backend, iterations=3)
+        cfg = dataclasses.replace(cfg, iterations=3)
         mask1, state1 = refine(p, vol, cfg)
         mask2, state2 = refine(p, vol, cfg)
         np.testing.assert_array_equal(mask1.data, mask2.data)
@@ -673,7 +623,7 @@ class TestRefine:
 
 
     def test_bytes_do_not_depend_on_blas_threads(self):
-        # the filtered backend blurs through BLAS matrix products; its
+        # the message pass blurs through BLAS matrix products; its
         # marginals and messages must not depend on how many threads run them
         script = (
             "import hashlib, numpy as np\n"
@@ -705,27 +655,23 @@ class TestZeroIterations:
     """At 0 iterations refine checks its inputs and returns the argmax of the
     map, with no state: no unaries, kernel or message pass."""
 
-    @pytest.mark.parametrize("backend", ["brute", "filtered"])
-    def test_argmax_without_kernel_or_message_pass(self, backend, monkeypatch):
+    def test_argmax_without_kernel_or_message_pass(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("a 0-iteration refine built a kernel or passed a message")
 
         monkeypatch.setattr(crf, "filtered_message_pass", forbidden)
-        monkeypatch.setattr(crf, "kernel_matrix", forbidden)
+        monkeypatch.setattr(crf, "cell_records", forbidden)
         p, vol, cfg = random_crf_instance(seed=17)
-        mask, state = refine(p, vol, dataclasses.replace(cfg, backend=backend, iterations=0))
+        mask, state = refine(p, vol, dataclasses.replace(cfg, iterations=0))
         assert state is None
         assert mask.data.dtype == np.uint8
         np.testing.assert_array_equal(mask.data, np.argmax(p.data, axis=0))
         np.testing.assert_array_equal(mask.affine, vol.affine)
 
-    @pytest.mark.parametrize(
-        "cfg", [CrfConfig(theta_beta=1e-9, iterations=0), CrfConfig(backend="brute", iterations=0)],
-        ids=["intensity-span-too-wide", "brute-above-cap"],
-    )
-    def test_capacity_limits_wait_for_a_sweep(self, cfg):
-        # with iterations both raise CapacityError: 3e9 filter cells, and
-        # 17^3 voxels above the brute cap
+    def test_capacity_limit_waits_for_a_sweep(self):
+        # with iterations, an intensity span of 1e9 bandwidths needs 3e9
+        # filter cells and raises CapacityError
+        cfg = CrfConfig(theta_beta=1e-9, iterations=0)
         rng = np.random.default_rng(4)
         fg = rng.uniform(0.05, 0.95, size=(17, 17, 17))
         p, vol = ProbMap(np.stack([1.0 - fg, fg])), Volume(rng.uniform(size=(17, 17, 17)))
@@ -776,30 +722,14 @@ class TestTwoLabelArgmax:
         assert (p.data[0] == p.data[1]).any()
         np.testing.assert_array_equal(mask.data, np.argmax(p.data, axis=0))
 
-    @pytest.mark.parametrize("backend", ["brute", "filtered"])
-    def test_final_marginals_exit(self, backend):
+    def test_final_marginals_exit(self):
         # without pairwise terms the marginals stay the map's, ties included
         p = self.tied_map(96)
         vol = Volume(np.random.default_rng(97).uniform(size=p.shape), p.affine)
-        cfg = CrfConfig(iterations=2, w_appearance=0.0, w_smoothness=0.0, backend=backend)
+        cfg = CrfConfig(iterations=2, w_appearance=0.0, w_smoothness=0.0)
         mask, state = refine(p, vol, cfg)
         assert (state.q[0] == state.q[1]).any()
         np.testing.assert_array_equal(mask.data, np.argmax(state.q, axis=0))
-
-
-class TestKernelBuiltOnce:
-    def test_brute_matrix_built_once_per_refinement(self, monkeypatch):
-        builds = []
-
-        def counting(*args):
-            builds.append(1)
-            return kernel_matrix(*args)
-
-        monkeypatch.setattr(crf, "kernel_matrix", counting)
-        p, vol, cfg = random_crf_instance(seed=19, max_side=7)
-        _, state = refine(p, vol, dataclasses.replace(cfg, backend="brute", iterations=5))
-        assert len(builds) == 1
-        assert len(state.free_energy_trace) == 6 and state.trace_exact
 
 
 class TestBoxedFilterInRefine:
@@ -815,7 +745,6 @@ class TestBoxedFilterInRefine:
             p, vol, cfg = ProbMap(np.stack([1 - fg, fg]), aff), Volume(image.data, aff), CrfConfig()
         else:
             p, vol, cfg = random_crf_instance(seed=seed)
-            cfg = dataclasses.replace(cfg, backend="filtered")
         mask, state = refine(p, vol, cfg)
 
         def reference(values, inten, spacing, theta, cells):
@@ -867,8 +796,9 @@ class TestKeptCellRecords:
         monkeypatch.setattr(crf, "cell_records", counting)
         monkeypatch.setattr(crf, "bilateral_filter", recording)
         p, vol, cfg = random_crf_instance(seed=201)
-        _, state = refine(p, vol, dataclasses.replace(cfg, backend="filtered", iterations=5))
+        _, state = refine(p, vol, dataclasses.replace(cfg, iterations=5))
         assert len(builds) == 1 and len(passed) == 6
+        assert len(state.free_energy_trace) == 6
         assert isinstance(state.kernel, list) and state.kernel
         assert all(cells is state.kernel for cells in passed)
 
@@ -893,34 +823,25 @@ class TestKeptCellRecords:
 
 
 class TestBackendEquivalence:
+    """Five filtered sweeps against five sweeps of the dense oracle."""
+
     def test_filtered_marginals_track_brute(self):
         worst = 0.0
         for seed in range(10):
             p, vol, cfg = random_crf_instance(seed=200 + seed, max_side=12)
-            u = unary_from_probmap(p)
-            states = {}
-            for backend in ("brute", "filtered"):
-                bcfg = dataclasses.replace(cfg, backend=backend)
-                state = initial_state(u, vol, bcfg)
-                for _ in range(5):
-                    state = mean_field_step(state, u, vol, bcfg)
-                states[backend] = state.q
-            worst = max(worst, np.max(np.abs(states["brute"] - states["filtered"])))
+            _, state = refine(p, vol, cfg)
+            q, _ = oracle_refine(p, vol, cfg, 5)
+            worst = max(worst, np.max(np.abs(q - state.q)))
         assert worst < 0.05, worst
 
     def test_filtered_free_energy_tracks_brute(self):
         worst = 0.0
         for seed in range(10):
             p, vol, cfg = random_crf_instance(seed=200 + seed, max_side=12)
-            u = unary_from_probmap(p)
-            traces = {}
-            for backend in ("brute", "filtered"):
-                bcfg = dataclasses.replace(cfg, backend=backend)
-                state = initial_state(u, vol, bcfg)
-                for _ in range(5):
-                    state = mean_field_step(state, u, vol, bcfg)
-                traces[backend] = np.array(state.free_energy_trace)
-            rel = np.abs(traces["filtered"] - traces["brute"]) / np.abs(traces["brute"])
+            _, state = refine(p, vol, cfg)
+            _, trace = oracle_refine(p, vol, cfg, 5)
+            exact = np.array(trace)
+            rel = np.abs(np.array(state.free_energy_trace) - exact) / np.abs(exact)
             worst = max(worst, rel.max())
         assert worst < 0.01, worst
 
@@ -933,8 +854,6 @@ class TestConfigValidation:
             CrfConfig(theta_alpha=0.0)
         with pytest.raises(ConfigError):
             CrfConfig(iterations=-1)
-        with pytest.raises(ConfigError):
-            CrfConfig(backend="exact")
 
     @pytest.mark.parametrize("iterations", [True, False, 2.5, 3.0, "3", None])
     def test_rejects_non_integer_iterations(self, iterations):
@@ -951,11 +870,10 @@ class TestRefineWithoutState:
     energy, and its mask is the default's, byte for byte."""
 
     @pytest.mark.parametrize("iterations", [0, 1, 2, 5])
-    @pytest.mark.parametrize("backend", ["brute", "filtered"])
-    def test_same_mask_and_no_state(self, backend, iterations):
+    def test_same_mask_and_no_state(self, iterations):
         for seed in (210, 211, 212):
             p, vol, cfg = random_crf_instance(seed=seed)
-            cfg = dataclasses.replace(cfg, backend=backend, iterations=iterations)
+            cfg = dataclasses.replace(cfg, iterations=iterations)
             mask, _ = refine(p, vol, cfg)
             lean, state = refine(p, vol, cfg, keep_state=False)
             assert state is None
@@ -971,8 +889,7 @@ class TestRefineWithoutState:
 
     @pytest.mark.parametrize("keep_state", [True, False])
     @pytest.mark.parametrize("iterations", [0, 1, 2, 5])
-    @pytest.mark.parametrize("backend", ["brute", "filtered"])
-    def test_message_passes_and_free_energies(self, backend, iterations, keep_state, monkeypatch):
+    def test_message_passes_and_free_energies(self, iterations, keep_state, monkeypatch):
         calls = {"pass": 0, "free_energy": 0}
 
         def counted(name, fn):
@@ -985,15 +902,13 @@ class TestRefineWithoutState:
         monkeypatch.setattr(crf, "filtered_message_pass", counted("pass", filtered_message_pass))
         monkeypatch.setattr(crf, "_free_energy", counted("free_energy", crf._free_energy))
         p, vol, cfg = random_crf_instance(seed=213)
-        cfg = dataclasses.replace(cfg, backend=backend, iterations=iterations)
+        cfg = dataclasses.replace(cfg, iterations=iterations)
         refine(p, vol, cfg, keep_state=keep_state)
         n = iterations
         if n and keep_state:
             passes, energies = n + 1, n + 1
         else:
             passes, energies = n, 0
-        if backend == "brute":
-            passes = 0  # the kernel matrix product makes the message
         assert calls == {"pass": passes, "free_energy": energies}
 
 

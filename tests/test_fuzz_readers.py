@@ -15,24 +15,32 @@ from pathlib import Path
 
 import numpy as np
 
-from evcseg.errors import EvcsegError, GeometryError
+from evcseg.errors import EvcsegError
 from evcseg.evnet import config_hash, load_checkpoint
 from evcseg.evnet.network import param_shapes
-from evcseg.nifti import read_header, read_nifti, write_nifti
-from evcseg.volume import Volume
+from evcseg.nifti import read_header, read_mask, read_nifti, read_probmap, write_nifti
+from evcseg.volume import LabelMask, ProbMap, Volume
 
 CHECKPOINT = Path(__file__).resolve().parents[1] / "bench" / "checkpoint.evc"
 NIFTI_HEADER = 352  # header plus the 4 extension-flag bytes
 CASES = 300
 
 
-def _nifti_bytes(suffix):
+def _nifti_bytes(suffix, kind=Volume):
+    """A valid file of a 6x5x4 grid: a scan, a 0/1 mask or a two-label map."""
     rng = np.random.default_rng(80)
     affine = np.diag([1.5, 1.0, 0.8, 1.0])
     affine[:3, 3] = (-4.0, 2.0, 7.5)
+    if kind is Volume:
+        obj = Volume(rng.standard_normal((6, 5, 4)), affine)
+    elif kind is LabelMask:
+        obj = LabelMask((rng.random((6, 5, 4)) < 0.5).astype(np.uint8), affine)
+    else:
+        fg = rng.random((6, 5, 4))
+        obj = ProbMap(np.stack([1.0 - fg, fg]), affine)
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / f"v{suffix}"
-        write_nifti(Volume(rng.standard_normal((6, 5, 4)), affine), path)
+        write_nifti(obj, path)
         return path.read_bytes()
 
 
@@ -59,16 +67,27 @@ def _mutate(data, mutation):
     return bytes(buf[:cut])
 
 
-def _not_3d(path):
-    """Whether the file's header claims fewer than 3 axes or a non-unit 4th+ axis."""
-    shape = read_header(path).shape
-    return len(shape) < 3 or any(m != 1 for m in shape[3:])
-
-
 def _agrees_with_header(path, vol):
     """Whether a volume read cleanly has the shape and affine its header claims."""
     hdr = read_header(path)
     return vol.shape == hdr.shape[:3] and np.array_equal(vol.affine, hdr.affine())
+
+
+def _is_binary_mask(path, mask):
+    """Whether a mask read cleanly holds only 0 and 1 on its header's grid."""
+    return _agrees_with_header(path, mask) and np.isin(mask.data, (0, 1)).all()
+
+
+def _is_probability_map(path, probs):
+    """Whether a map read cleanly is nonnegative, sums to 1 over its labels,
+    and has the shape and affine its header claims, labels last on disk."""
+    hdr = read_header(path)
+    return (
+        probs.data.min() >= 0.0
+        and np.allclose(probs.data.sum(axis=0), 1.0, rtol=0.0, atol=1e-6)
+        and probs.data.shape == (hdr.shape[3], *hdr.shape[:3])
+        and np.array_equal(probs.affine, hdr.affine())
+    )
 
 
 def _matches_its_config(path, loaded):
@@ -83,11 +102,10 @@ def _matches_its_config(path, loaded):
     )
 
 
-def _reads_or_fails_cleanly(read, target, suffix, not_3d_is_geometry=False, check=None):
+def _reads_or_fails_cleanly(read, target, suffix, check=None):
     """Read each mutated file; a failure must be an EvcsegError with exit
-    code 3, or, where `not_3d_is_geometry`, a GeometryError (exit 4) for
-    a file whose header claims a volume that is not 3D. A file that reads
-    cleanly must pass `check(path, result)`, where one is given."""
+    code 3. A file that reads cleanly must pass `check(path, result)`,
+    where one is given."""
     key, data, head = TARGETS[target]
     for case, mutation in enumerate(_mutations(key, data, head)):
         mutated = _mutate(data, mutation)
@@ -99,10 +117,7 @@ def _reads_or_fails_cleanly(read, target, suffix, not_3d_is_geometry=False, chec
             except EvcsegError as exc:
                 # the original is valid, so the fuzzing starts from a good file
                 assert mutated != data, exc
-                if not_3d_is_geometry and isinstance(exc, GeometryError):
-                    assert _not_3d(path), (case, mutation, exc)
-                else:
-                    assert exc.exit_code == 3, (case, mutation, exc)
+                assert exc.exit_code == 3, (case, mutation, exc)
             except Exception as exc:
                 raise AssertionError(f"case {case} {mutation}: {exc!r}") from exc
             else:
@@ -111,6 +126,8 @@ def _reads_or_fails_cleanly(read, target, suffix, not_3d_is_geometry=False, chec
 
 NIFTI = _nifti_bytes(".nii")
 NIFTI_GZ = _nifti_bytes(".nii.gz")
+MASK = _nifti_bytes(".nii", LabelMask)
+PROBMAP = _nifti_bytes(".nii", ProbMap)
 NIFTI_GZ_HEAD = 10 + 64  # gzip header, then the deflate block's code tables
 CKPT = CHECKPOINT.read_bytes()
 CKPT_HEAD = 12 + int.from_bytes(CKPT[8:12], "little")  # magic, length, manifest
@@ -122,20 +139,26 @@ TARGETS = {
     "checkpoint": (3, CKPT, CKPT_HEAD),
     "nifti_header": (4, NIFTI, NIFTI_HEADER),
     "nifti_gz_header": (5, NIFTI_GZ, NIFTI_GZ_HEAD),
+    "mask": (6, MASK, NIFTI_HEADER),
+    "probmap": (7, PROBMAP, NIFTI_HEADER),
 }
 
 
 def test_mutated_nifti():
-    # a file that is not 3D is a GeometryError, as the README documents
-    _reads_or_fails_cleanly(
-        read_nifti, "nifti", ".nii", not_3d_is_geometry=True, check=_agrees_with_header
-    )
+    # a file that is not 3D is bad input like any other: exit 3
+    _reads_or_fails_cleanly(read_nifti, "nifti", ".nii", check=_agrees_with_header)
 
 
 def test_mutated_nifti_gz():
-    _reads_or_fails_cleanly(
-        read_nifti, "nifti_gz", ".nii.gz", not_3d_is_geometry=True, check=_agrees_with_header
-    )
+    _reads_or_fails_cleanly(read_nifti, "nifti_gz", ".nii.gz", check=_agrees_with_header)
+
+
+def test_mutated_mask():
+    _reads_or_fails_cleanly(read_mask, "mask", ".nii", check=_is_binary_mask)
+
+
+def test_mutated_probmap():
+    _reads_or_fails_cleanly(read_probmap, "probmap", ".nii", check=_is_probability_map)
 
 
 def test_mutated_checkpoint():

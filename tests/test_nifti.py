@@ -19,7 +19,6 @@ from evcseg.errors import (
     BadMagicError,
     DataError,
     FormatError,
-    GeometryError,
     TruncatedFileError,
     UnsupportedDatatypeError,
 )
@@ -208,14 +207,14 @@ class TestReadCrafted:
     )
     def test_scan_and_mask_must_be_3d(self, tmp_path, dim, shape):
         # trailing axes of length 1 aside, the reader refuses a scan or mask
-        # that is not 3D, naming the file (GeometryError, exit 4)
+        # that is not 3D, naming the file (FormatError, exit 3)
         hdr = craft_header(dim=dim, datatype=16, bitpix=32)
         craft_file(tmp_path / "f.nii", hdr, np.zeros(shape, np.float32))
         for read in (read_nifti, read_mask):
             if len(shape) == 3:
                 assert read(tmp_path / "f.nii").shape == shape
                 continue
-            with pytest.raises(GeometryError, match=r"f\.nii: expected a 3D volume"):
+            with pytest.raises(FormatError, match=r"f\.nii: expected a 3D volume"):
                 read(tmp_path / "f.nii")
 
 
