@@ -218,9 +218,9 @@ def upconv_forward(x, kernel, bias):
 def upconv_backward(grad_y, cache):
     x, kernel = cache
     grad_bias = grad_y.sum(axis=(0, 2, 3, 4))
-    windows = _phase_windows(grad_y, kernel.shape[2:], 2, np.result_type(grad_y, x))
+    zero = np.zeros(kernel.shape[0], dtype=kernel.dtype)
+    grad_x, (windows, *_) = conv3d_forward(grad_y, kernel, zero, 2)
     grad_kernel = _kernel_grad(windows, x, kernel.shape[2:])
-    grad_x, _ = conv3d_forward(grad_y, kernel, np.zeros(kernel.shape[0], dtype=kernel.dtype), 2)
     return grad_x, grad_kernel, grad_bias
 
 

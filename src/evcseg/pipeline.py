@@ -16,16 +16,13 @@ Four entry points, mirrored by the CLI:
 * :func:`refine_file` CRF-refines a saved probability map against its
   image and writes the mask, with no network.
 
-Every run is deterministic given its config; evaluation parallelism only
-fans out over independent cases, keyed by name, so worker count never
-changes results.
+Every run is deterministic given its config.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -55,20 +52,6 @@ from .volume import mask_to_network, pad_to, reorient_ras, resample_isotropic, r
 # divide by this percentile of the volume, clamp to [0, NORM_CLAMP].
 NORM_PERCENTILE = 99.0
 NORM_CLAMP = 1.5
-
-
-def worker_count() -> int:
-    """Evaluation worker cap: EVCSEG_THREADS if set, else min(8, cpus)."""
-    env = os.environ.get("EVCSEG_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(f"EVCSEG_THREADS must be an integer, got {env!r}") from None
-        if n < 1:
-            raise ConfigError(f"EVCSEG_THREADS must be >= 1, got {n}")
-        return n
-    return min(8, os.cpu_count() or 1)
 
 
 def _paired_files(
@@ -226,7 +209,8 @@ def preprocess_volume(v: Volume, grid: GridConfig) -> tuple[Volume, dict]:
         if data.max() == data.min():
             raise DataError(f"no contrast: every resampled voxel is {data.flat[0]}")
         divisor = max(linear_percentile(data, NORM_PERCENTILE), 1e-12)
-        data = np.clip(data / divisor, 0.0, NORM_CLAMP)
+        data = data / divisor
+        np.clip(data, 0.0, NORM_CLAMP, out=data)
     with _stage("pad"):
         data, affine, offsets = pad_to(data, affine, grid.pad_shape)
     pre_resize_shape = data.shape
@@ -572,39 +556,27 @@ def evaluate(pred_dir, truth_dir, json_path=None, csv_path=None) -> dict:
     A prediction must share its reference's shape and affine, or the run
     fails with a DataError naming the case.
 
-    Cases run on min(``EVCSEG_THREADS``, cases) workers (results are keyed
-    by name, so the worker count cannot change them); a single worker
-    scores the cases in order in the calling thread, with no pool. The report
-    maps case names to dice / jaccard / balanced_ahd plus a summary with
-    population mean and std per metric; an empty prediction scores
-    balanced_ahd = inf and is flagged. Optionally written as JSON
-    (per-case) and CSV (summary).
+    Cases are scored in order in the calling thread. The report maps case
+    names to dice / jaccard / balanced_ahd plus a summary with population
+    mean and std per metric; an empty prediction scores balanced_ahd = inf
+    and is flagged. Optionally written as JSON (per-case) and CSV (summary).
     """
     with _stage("config"):
-        workers = worker_count()
         pairs = _paired_files(Path(pred_dir), Path(truth_dir), "prediction", "truth")
         _prepare_outputs({"JSON report": json_path, "CSV report": csv_path},
                          [p for _, pred, truth in pairs for p in (pred, truth)])
-    names = [name for name, _, _ in pairs]
-    workers = min(workers, len(pairs))
     with _stage("score"):
-        if workers == 1:
-            # A pool thread would get its own malloc arena, whose heap
-            # stays mapped after the pool shuts down.
-            cases = dict(_score_case(*pair) for pair in pairs)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                cases = dict(pool.map(lambda pair: _score_case(*pair), pairs))
+        cases = dict(_score_case(*pair) for pair in pairs)
 
     summary = {}
     for metric in _METRICS:
-        values = np.array([cases[n][metric] for n in names], dtype=np.float64)
+        values = np.array([case[metric] for case in cases.values()], dtype=np.float64)
         if np.isinf(values).any():
             # An empty prediction poisons the aggregate by design.
             mean, std = float("inf"), float("nan")
         else:
             mean, std = float(values.mean()), float(values.std())
-        summary[metric] = {"mean": mean, "std": std, "n": len(names)}
+        summary[metric] = {"mean": mean, "std": std, "n": len(cases)}
     report = {"cases": cases, "summary": summary}
 
     if json_path is not None:

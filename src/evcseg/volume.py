@@ -257,11 +257,14 @@ def pad_to(
     """Zero-pad to `shape`, centering the input.
 
     Returns the padded data, its affine and the per-axis offsets of the
-    original low corner, ``floor((target - shape) / 2)``.
+    original low corner, ``floor((target - shape) / 2)``. An array that
+    already has the target shape comes back uncopied, with zero offsets.
     """
     target = tuple(int(s) for s in shape)
     if any(t < s for t, s in zip(target, data.shape)):
         raise GeometryError(f"cannot pad {data.shape} into smaller target {target}")
+    if target == data.shape:
+        return data, affine.copy(), (0, 0, 0)
     offsets = tuple((t - s) // 2 for t, s in zip(target, data.shape))
     out = np.zeros(target, dtype=data.dtype)
     out[tuple(slice(o, o + s) for o, s in zip(offsets, data.shape))] = data

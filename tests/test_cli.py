@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TOY_GRID, rewrite_manifest
+from conftest import rewrite_manifest
 from evcseg import cli, crf
 from evcseg.crf import CrfConfig, refine
 from evcseg.errors import CapacityError, EvcsegError, FormatError
@@ -845,17 +845,6 @@ class TestEvalCommand:
         assert code == 3
         assert (f"stage 'config': {kind} directory not found: {dirs[kind]}"
                 in capsys.readouterr().err)
-
-    def test_bad_thread_count_refused_before_outputs(self, tmp_path, monkeypatch, capsys):
-        (tmp_path / "d").mkdir()
-        write_nifti(LabelMask(np.ones((4, 4, 4), np.uint8)), tmp_path / "d" / "a.nii.gz")
-        monkeypatch.setenv("EVCSEG_THREADS", "abc")
-        code = run(["eval", "--pred", str(tmp_path / "d"), "--truth", str(tmp_path / "d"),
-                    "--out-json", str(tmp_path / "rep" / "r.json")])
-        assert code == 3
-        assert capsys.readouterr().err.startswith(
-            "evcseg: error: stage 'config': EVCSEG_THREADS")
-        assert not (tmp_path / "rep").exists()
 
     def test_scoring_error_names_its_stage(self, tmp_path, capsys):
         ball = np.zeros((6, 6, 6))

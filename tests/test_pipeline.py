@@ -35,10 +35,9 @@ from evcseg.pipeline import (
     linear_percentile,
     preprocess_volume,
     train,
-    worker_count,
 )
 from evcseg.synth import make_phantom, synth_dataset
-from evcseg.volume import LabelMask, Volume, mask_to_native
+from evcseg.volume import LabelMask, mask_to_native
 
 FAST_CRF = CrfConfig(iterations=0)
 
@@ -574,25 +573,10 @@ class TestEvaluate:
         with pytest.raises(DataError, match="b.nii.gz"):
             evaluate(pred, truth)
 
-    def test_worker_count_does_not_change_report(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(0)
-        cases = {
-            f"c{i}.nii.gz": (ball_mask(10, 3 + i % 2), ball_mask(10, 3, center=4.4))
-            for i in range(4)
-        }
-        pred, truth = self.build_dirs(tmp_path, cases)
-        monkeypatch.setenv("EVCSEG_THREADS", "1")
-        r1 = evaluate(pred, truth)
-        monkeypatch.setenv("EVCSEG_THREADS", "4")
-        r2 = evaluate(pred, truth)
-        assert r1 == r2
-
-    @pytest.mark.parametrize("threads,n_cases", [("1", 3), ("4", 1)])
-    def test_one_worker_scores_in_calling_thread(self, tmp_path, monkeypatch, threads, n_cases):
+    def test_scores_in_calling_thread_in_order(self, tmp_path, monkeypatch):
         ball = ball_mask(10, 3)
-        pred, truth = self.build_dirs(
-            tmp_path, {f"c{i}.nii.gz": (ball, ball) for i in range(n_cases)}
-        )
+        names = [f"c{i}.nii.gz" for i in range(3)]
+        pred, truth = self.build_dirs(tmp_path, {n: (ball, ball) for n in names})
         calls = []
         score_case = pipeline._score_case
 
@@ -601,9 +585,7 @@ class TestEvaluate:
             return score_case(name, pred_path, truth_path)
 
         monkeypatch.setattr(pipeline, "_score_case", recording)
-        monkeypatch.setenv("EVCSEG_THREADS", threads)
         report = evaluate(pred, truth)
-        names = [f"c{i}.nii.gz" for i in range(n_cases)]
         assert calls == [(n, threading.get_ident()) for n in names]
         assert list(report["cases"]) == names
 
@@ -613,19 +595,3 @@ class TestEvaluate:
         )
         with pytest.raises(DataError, match="a.nii.gz"):
             evaluate(pred, truth)
-
-
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("EVCSEG_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_default_bounded(self, monkeypatch):
-        monkeypatch.delenv("EVCSEG_THREADS", raising=False)
-        assert 1 <= worker_count() <= 8
-
-    @pytest.mark.parametrize("value", ["0", "-2", "many"])
-    def test_invalid_env_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("EVCSEG_THREADS", value)
-        with pytest.raises(ConfigError):
-            worker_count()

@@ -444,6 +444,11 @@ class TestPad:
         w_new = padded.affine @ np.append(probe + offsets, 1.0)
         np.testing.assert_allclose(w_old, w_new, atol=1e-9)
         assert padded.data[tuple(probe + offsets)] == v.data[tuple(probe)]
+        # a volume already at the target shape comes back uncopied
+        data, affine, offsets = pad_to(v.data, v.affine, v.shape)
+        assert np.shares_memory(data, v.data)
+        assert offsets == (0, 0, 0)
+        np.testing.assert_array_equal(affine, v.affine)
 
     def test_rejects_smaller_target(self):
         v = Volume(data=np.ones((10, 10, 10)))
