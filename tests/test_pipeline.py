@@ -573,9 +573,12 @@ class TestEvaluate:
         with pytest.raises(DataError, match="b.nii.gz"):
             evaluate(pred, truth)
 
-    def test_scores_in_calling_thread_in_order(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("threads,n_cases", [("1", 3), ("4", 1)])
+    def test_one_worker_scores_in_calling_thread(self, tmp_path, monkeypatch, threads, n_cases):
+        # EVCSEG_THREADS is no longer read: a leftover setting must not
+        # move scoring off the calling thread or reorder the cases.
         ball = ball_mask(10, 3)
-        names = [f"c{i}.nii.gz" for i in range(3)]
+        names = [f"c{i}.nii.gz" for i in range(n_cases)]
         pred, truth = self.build_dirs(tmp_path, {n: (ball, ball) for n in names})
         calls = []
         score_case = pipeline._score_case
@@ -585,6 +588,7 @@ class TestEvaluate:
             return score_case(name, pred_path, truth_path)
 
         monkeypatch.setattr(pipeline, "_score_case", recording)
+        monkeypatch.setenv("EVCSEG_THREADS", threads)
         report = evaluate(pred, truth)
         assert calls == [(n, threading.get_ident()) for n in names]
         assert list(report["cases"]) == names
