@@ -17,20 +17,28 @@ import sys
 from . import __version__
 from .crf import CrfConfig
 from .errors import EvcsegError
-from .pipeline import GridConfig, PipelineConfig, TrainConfig, evaluate, extract, refine_file, train
+from .pipeline import GridConfig, PipelineConfig, TrainConfig, _stage, evaluate, extract
+from .pipeline import refine_file, train
 from .synth import synth_dataset
 
 
 def _config(cls, args):
     """A cls built from the namespace attributes named after its fields; a
-    field whose default is itself a config class is built the same way."""
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if dataclasses.is_dataclass(f.default_factory):
-            kwargs[f.name] = _config(f.default_factory, args)
-        elif hasattr(args, f.name):
-            kwargs[f.name] = getattr(args, f.name)
-    return cls(**kwargs)
+    field whose default is itself a config class is built the same way. A
+    refused setting is an error of stage 'config', as the pipeline's own
+    config checks are."""
+
+    def build(cls):
+        kwargs = {}
+        for f in dataclasses.fields(cls):
+            if dataclasses.is_dataclass(f.default_factory):
+                kwargs[f.name] = build(f.default_factory)
+            elif hasattr(args, f.name):
+                kwargs[f.name] = getattr(args, f.name)
+        return cls(**kwargs)
+
+    with _stage("config"):
+        return build(cls)
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:

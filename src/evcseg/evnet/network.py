@@ -1,15 +1,16 @@
 """The segmentation network: a V-shaped encoder/decoder over 3D volumes.
 
-Each encoder level halves the grid with a strided 2x2x2 convolution and,
-when multi-scale inputs are on, takes the raw input volume downsampled to
-its own grid as one more channel beside the downconv output, before the
-level's conv block; that raw input is halved once per level on the way
-down. Blocks are residual: their input (taken before that channel joins,
-so dropping it or zeroing its weights recovers the plain single-scale
-network exactly) is added to the block output, the one-channel network
-input broadcasting over level 0's channels. The decoder mirrors the
-encoder with transposed convolutions and skip concatenations, ending in a
-1x1x1 conv and a softmax over two channels.
+After its resampling conv (none at level 0), every encoder and decoder
+level runs the one routine `_level_forward` (backward: `_level_backward`):
+join one extra tensor as more channels, run a block of 5x5x5 conv + PReLU
+layers, and add the level's input, taken before the join, back. Encoder
+levels halve the grid with a strided 2x2x2 conv, and with multi-scale
+inputs on their extra tensor is the raw input halved once per level, so
+dropping it or zeroing its weights recovers the plain single-scale network
+exactly. Level 0 joins nothing; its one input channel broadcasts over the
+block's. Decoder levels double the grid with a transposed conv and join
+the encoder feature of their grid as the skip. A 1x1x1 conv and a softmax
+over two channels end the network.
 
 Parameters live in a flat name -> array dict; `evnet_forward` optionally
 returns a cache that `evnet_backward` consumes to produce a gradient dict
@@ -81,13 +82,6 @@ class EvNetConfig:
         return self.base_channels * (2**level)
 
 
-def _block_in_channels(cfg: EvNetConfig, level: int) -> int:
-    c = cfg.channels_at(level) if level > 0 else 1
-    if level > 0 and cfg.multiscale_inputs:
-        c += 1
-    return c
-
-
 def param_shapes(cfg: EvNetConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter, in the order init_params draws them."""
     shapes: dict[str, tuple[int, ...]] = {}
@@ -96,15 +90,17 @@ def param_shapes(cfg: EvNetConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"{name}.kernel"] = (out_c, in_c, k, k, k)
         shapes[f"{name}.bias"] = (out_c,)
 
+    def block(name, c, in_c, convs):
+        for j in range(convs):
+            conv(f"{name}.conv{j}", c, in_c if j == 0 else c, KERNEL)
+            shapes[f"{name}.prelu{j}"] = (c,)
+
     for i in range(cfg.levels):
         c_i = cfg.channels_at(i)
         if i > 0:
             conv(f"down{i}", c_i, cfg.channels_at(i - 1), 2)
             shapes[f"down{i}.prelu"] = (c_i,)
-        c_in = _block_in_channels(cfg, i)
-        for j in range(cfg.convs_per_block[i]):
-            conv(f"enc{i}.conv{j}", c_i, c_in if j == 0 else c_i, KERNEL)
-            shapes[f"enc{i}.prelu{j}"] = (c_i,)
+        block(f"enc{i}", c_i, c_i + cfg.multiscale_inputs if i > 0 else 1, cfg.convs_per_block[i])
 
     for i in range(cfg.levels - 2, -1, -1):
         c_i = cfg.channels_at(i)
@@ -112,9 +108,7 @@ def param_shapes(cfg: EvNetConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"up{i}.kernel"] = (cfg.channels_at(i + 1), c_i, 2, 2, 2)
         shapes[f"up{i}.bias"] = (c_i,)
         shapes[f"up{i}.prelu"] = (c_i,)
-        for j in range(cfg.convs_per_block[i]):
-            conv(f"dec{i}.conv{j}", c_i, 2 * c_i if j == 0 else c_i, KERNEL)
-            shapes[f"dec{i}.prelu{j}"] = (c_i,)
+        block(f"dec{i}", c_i, 2 * c_i, cfg.convs_per_block[i])
 
     conv("head", NUM_LABELS, cfg.base_channels, 1)
     return shapes
@@ -148,40 +142,40 @@ def _check_input(x, cfg: EvNetConfig):
         )
 
 
-def _block_forward(t, params, name, convs):
-    """The padded conv + PReLU layers `name`.conv{j} / `name`.prelu{j} in turn.
-
-    Returns (output, caches), one (conv, prelu) cache pair per layer.
-    """
-    caches = []
+def _level_forward(t, extra, params, name, convs, cache):
+    """One level after its resampling conv: join extra (unless None) to t's
+    channels, run the padded conv + PReLU layers `name`.conv{j} /
+    `name`.prelu{j} in turn, and add t back. Fills cache with the join's
+    widths and one (conv, prelu) cache pair per layer."""
+    res = t
+    if extra is not None:
+        t, cache["widths"] = concat_channels_forward([t, extra])
+    cache["layers"] = []
     for j in range(convs):
-        t, cc = conv3d_forward(
-            t,
-            params[f"{name}.conv{j}.kernel"],
-            params[f"{name}.conv{j}.bias"],
-            stride=1,
-            padding=KERNEL // 2,
-        )
+        kernel, bias = params[f"{name}.conv{j}.kernel"], params[f"{name}.conv{j}.bias"]
+        t, cc = conv3d_forward(t, kernel, bias, stride=1, padding=KERNEL // 2)
         t, cp = prelu_forward(t, params[f"{name}.prelu{j}"])
-        caches.append((cc, cp))
-    return t, caches
+        cache["layers"].append((cc, cp))
+    return t + res
 
 
-def _block_backward(g, caches, name, grads, input_grad=True):
-    """Backward of _block_forward; fills grads and returns the input gradient.
-
-    With input_grad False the first conv takes only its kernel and bias
-    gradients, and None is returned.
-    """
-    for j, (cc, cp) in reversed(list(enumerate(caches))):
+def _level_backward(g, cache, name, grads, input_grad=True):
+    """Backward of _level_forward; fills grads and returns the gradients of
+    t and of extra (None without one). With input_grad False the first conv
+    takes only its kernel and bias gradients, and (None, None) is returned."""
+    g_res = g
+    for j, (cc, cp) in reversed(list(enumerate(cache["layers"]))):
         g, grads[f"{name}.prelu{j}"] = prelu_backward(g, cp)
         if j == 0 and not input_grad:
             grads[f"{name}.conv0.kernel"], grads[f"{name}.conv0.bias"] = conv3d_param_grads(g, cc)
-            return None
+            return None, None
         g, grads[f"{name}.conv{j}.kernel"], grads[f"{name}.conv{j}.bias"] = (
             conv3d_backward(g, cc)
         )
-    return g
+    g_extra = None
+    if "widths" in cache:
+        g, g_extra = concat_channels_backward(g, cache["widths"])
+    return g + g_res, g_extra
 
 
 def evnet_forward(x, params, cfg: EvNetConfig, want_cache: bool = False):
@@ -195,32 +189,26 @@ def evnet_forward(x, params, cfg: EvNetConfig, want_cache: bool = False):
     feats = []
     t = raw = x
     for i in range(cfg.levels):
-        ec = {}
+        lc, extra = {}, None
         if i > 0:
-            t, ec["down"] = downconv_forward(
+            t, lc["down"] = downconv_forward(
                 t, params[f"down{i}.kernel"], params[f"down{i}.bias"]
             )
-            t, ec["down_prelu"] = prelu_forward(t, params[f"down{i}.prelu"])
-        res_src = t
-        if i > 0 and cfg.multiscale_inputs:
-            raw = halve_spatial(raw)
-            t, ec["ms_widths"] = concat_channels_forward([t, raw])
-        t, ec["convs"] = _block_forward(t, params, f"enc{i}", cfg.convs_per_block[i])
-        t = t + res_src  # level 0's one input channel broadcasts over the block's
+            t, lc["down_prelu"] = prelu_forward(t, params[f"down{i}.prelu"])
+            if cfg.multiscale_inputs:
+                extra = raw = halve_spatial(raw)
+        t = _level_forward(t, extra, params, f"enc{i}", cfg.convs_per_block[i], lc)
         feats.append(t)
         if want_cache:
-            cache["enc"].append(ec)
+            cache["enc"].append(lc)
 
     for i in range(cfg.levels - 2, -1, -1):
-        dc = {"level": i}
-        t, dc["up"] = upconv_forward(t, params[f"up{i}.kernel"], params[f"up{i}.bias"])
-        t, dc["up_prelu"] = prelu_forward(t, params[f"up{i}.prelu"])
-        res_src = t
-        t, dc["skip_widths"] = concat_channels_forward([t, feats[i]])
-        t, dc["convs"] = _block_forward(t, params, f"dec{i}", cfg.convs_per_block[i])
-        t = t + res_src  # decoder residual; channel counts already match
+        lc = {}
+        t, lc["up"] = upconv_forward(t, params[f"up{i}.kernel"], params[f"up{i}.bias"])
+        t, lc["up_prelu"] = prelu_forward(t, params[f"up{i}.prelu"])
+        t = _level_forward(t, feats[i], params, f"dec{i}", cfg.convs_per_block[i], lc)
         if want_cache:
-            cache["dec"].append(dc)
+            cache["dec"].append(lc)
 
     logits, cache["head"] = conv3d_forward(
         t, params["head.kernel"], params["head.bias"], stride=1, padding=0
@@ -236,31 +224,25 @@ def evnet_backward(grad_probs, cache, cfg: EvNetConfig) -> dict[str, np.ndarray]
     g = softmax_channels_backward(grad_probs, cache["softmax"])
     g, grads["head.kernel"], grads["head.bias"] = conv3d_backward(g, cache["head"])
 
-    skip_grads: dict[int, np.ndarray] = {}
-    for dc in reversed(cache["dec"]):
-        i = dc["level"]
-        g_res = g
-        g = _block_backward(g, dc["convs"], f"dec{i}", grads)
-        g_up, skip_grads[i] = concat_channels_backward(g, dc["skip_widths"])
-        g = g_up + g_res
-        g, grads[f"up{i}.prelu"] = prelu_backward(g, dc["up_prelu"])
-        g, grads[f"up{i}.kernel"], grads[f"up{i}.bias"] = upconv_backward(g, dc["up"])
+    # the decoder ran from level levels - 2 down to 0, so its caches reverse to level order
+    skip_grads = []
+    for i, lc in enumerate(reversed(cache["dec"])):
+        g, g_skip = _level_backward(g, lc, f"dec{i}", grads)
+        skip_grads.append(g_skip)
+        g, grads[f"up{i}.prelu"] = prelu_backward(g, lc["up_prelu"])
+        g, grads[f"up{i}.kernel"], grads[f"up{i}.bias"] = upconv_backward(g, lc["up"])
 
     # g now holds the gradient at the deepest encoder feature
     for i in range(cfg.levels - 1, -1, -1):
-        ec = cache["enc"][i]
-        if i in skip_grads:
+        lc = cache["enc"][i]
+        if i < len(skip_grads):
             g = g + skip_grads[i]
-        g_res = g
-        # level 0 feeds from the input; nothing upstream takes its gradient
-        g = _block_backward(g, ec["convs"], f"enc{i}", grads, input_grad=i > 0)
-        if i == 0:
-            break
-        if cfg.multiscale_inputs:
-            g, _ = concat_channels_backward(g, ec["ms_widths"])  # raw branch ends here
-        g = g + g_res
-        g, grads[f"down{i}.prelu"] = prelu_backward(g, ec["down_prelu"])
-        g, grads[f"down{i}.kernel"], grads[f"down{i}.bias"] = downconv_backward(
-            g, ec["down"]
-        )
+        # the raw branch ends here; level 0 feeds from the input, whose
+        # gradient nothing upstream takes
+        g, _ = _level_backward(g, lc, f"enc{i}", grads, input_grad=i > 0)
+        if i > 0:
+            g, grads[f"down{i}.prelu"] = prelu_backward(g, lc["down_prelu"])
+            g, grads[f"down{i}.kernel"], grads[f"down{i}.bias"] = downconv_backward(
+                g, lc["down"]
+            )
     return grads

@@ -400,20 +400,15 @@ class TrainResult:
     best_loss: float | None
 
 
-def _training_files(cfg: TrainConfig) -> list[tuple[str, Path, Path]]:
-    root = Path(cfg.data_dir)
-    return _paired_files(root / "images", root / "masks", "image", "mask")
-
-
-def _load_training_pairs(cfg: TrainConfig) -> list[tuple[Volume, LabelMask]]:
-    """Read and preprocess every pair onto the network grid.
+def _load_training_pairs(cfg: TrainConfig, files) -> list[tuple[Volume, LabelMask]]:
+    """Read and preprocess every (name, image, mask) file pair onto the network grid.
 
     Bad files are collected and reported together so one broken scan does
     not hide the rest.
     """
     out: list[tuple[Volume, LabelMask]] = []
     problems: list[str] = []
-    for _, img_path, msk_path in _training_files(cfg):
+    for _, img_path, msk_path in files:
         try:
             vol = read_nifti(img_path)
             msk = read_mask(msk_path)
@@ -462,10 +457,12 @@ def train(cfg: TrainConfig) -> TrainResult:
     """
     with _stage("config"):
         _check_grid_fits(cfg.grid, cfg.evnet)
+        root = Path(cfg.data_dir)
+        files = _paired_files(root / "images", root / "masks", "image", "mask")
         _prepare_outputs({"checkpoint": cfg.checkpoint_path, "log": cfg.resolved_log()},
-                         [p for _, img, msk in _training_files(cfg) for p in (img, msk)])
+                         [p for _, img, msk in files for p in (img, msk)])
     with _stage("dataset"):
-        data = _load_training_pairs(cfg)
+        data = _load_training_pairs(cfg, files)
         if cfg.holdout >= len(data):
             raise ConfigError(
                 f"holdout {cfg.holdout} must leave at least one of "

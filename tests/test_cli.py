@@ -871,6 +871,39 @@ def refine_inputs(tmp_path):
     return paths
 
 
+class TestConfigRefusals:
+    @pytest.mark.parametrize(
+        "command,flags,message",
+        [
+            ("extract", ["--pad", "63", "64", "64"], "pad_shape must be even to halve"),
+            ("extract", ["--pad", "2", "2", "2"], "network grid (1, 1, 1) is not divisible by 2"),
+            ("extract", ["--crf-iters", "-1"], "iterations must be an integer >= 0"),
+            ("refine", ["--w-app", "-1"], "kernel weights must be >= 0"),
+            ("train", ["--levels", "1"], "levels must be an integer >= 2"),
+            ("train", ["--lr", "nan"], "lr must be finite and >= 0"),
+        ],
+    )
+    def test_refusal_names_stage_config_once(
+        self, command, flags, message, phantom_dataset, init_checkpoint, tmp_path, capsys
+    ):
+        # a setting refused while the CLI builds the configs reads like one the
+        # pipeline's config stage refuses: one prefix, exit 3, nothing written
+        out = tmp_path / "out"
+        argv = {
+            "extract": ["--in", str(phantom_dataset / "images" / "phantom_000.nii.gz"),
+                        "--out", str(out / "m.nii.gz"), "--checkpoint", str(init_checkpoint)],
+            "refine": ["--prob", str(tmp_path / "p.nii"), "--image", str(tmp_path / "i.nii"),
+                       "--out", str(out / "m.nii.gz")],
+            "train": ["--data", str(phantom_dataset), "--out", str(out / "c.evc"),
+                      "--epochs", "0"],
+        }[command]
+        assert run([command, *argv, *flags]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"evcseg: error: stage 'config': {message}"), err
+        assert err.count("stage") == 1 and len(err.splitlines()) == 1, err
+        assert not out.exists()
+
+
 class TestOutputCollisions:
     """An output that resolves to another output of its command, to one of
     its inputs or to an existing directory exits 3 before anything is

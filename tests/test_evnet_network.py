@@ -150,6 +150,9 @@ class TestBackward:
             (EvNetConfig(levels=2, base_channels=2, convs_per_block=(1, 1), seed=5), (2, 1, 4, 4, 4)),
             (EvNetConfig(levels=3, base_channels=2, convs_per_block=(1, 1, 1), seed=6), (1, 1, 8, 8, 8)),
             (EvNetConfig(levels=2, base_channels=2, convs_per_block=(1, 1), multiscale_inputs=False, seed=8), (1, 1, 4, 4, 4)),
+            # the default convs_per_block (1, 2, 3): blocks of two and three convs
+            (EvNetConfig(levels=3, base_channels=2, seed=9), (1, 1, 8, 8, 8)),
+            (EvNetConfig(levels=3, base_channels=2, multiscale_inputs=False, seed=9), (1, 1, 8, 8, 8)),
         ],
     )
     def test_directional_derivative(self, cfg, shape):

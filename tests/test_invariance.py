@@ -174,11 +174,12 @@ def test_training_pairs_reach_the_same_network_grid(halve, tmp_path):
         for kind, obj, cls in (("images", image, Volume), ("masks", mask, LabelMask)):
             (tmp_path / name / kind).mkdir(parents=True)
             write_nifti(cls(*store(obj.data)), tmp_path / name / kind / "p.nii")
+        root = tmp_path / name
         (net_vol, net_mask), = _load_training_pairs(TrainConfig(
-            data_dir=tmp_path / name,
+            data_dir=root,
             checkpoint_path=tmp_path / "unused.evc",
             evnet=EvNetConfig(levels=2, base_channels=2),
             grid=GridConfig(pad_shape=(80, 32, 32), resize_half=halve),
-        ))
+        ), [("p.nii", root / "images" / "p.nii", root / "masks" / "p.nii")])
         loaded.append(net_vol.data.tobytes() + net_mask.data.tobytes())
     assert loaded[1] == loaded[0] and loaded[2] == loaded[0]
