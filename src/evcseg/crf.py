@@ -70,8 +70,9 @@ class CrfConfig:
                   self.theta_gamma)
         if not all(math.isfinite(v) for v in kernel):
             raise ConfigError(f"kernel weights and bandwidths must be finite, got {kernel}")
-        if self.w_appearance < 0 or self.w_smoothness < 0:
-            raise ConfigError("kernel weights must be >= 0")
+        for name in ("w_appearance", "w_smoothness"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"kernel weights must be >= 0, got {name}={getattr(self, name)}")
         thetas = (self.theta_alpha, self.theta_beta, self.theta_gamma)
         if min(thetas) <= 0:
             raise ConfigError("kernel bandwidths must be > 0")

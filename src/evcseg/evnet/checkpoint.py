@@ -2,13 +2,12 @@
 
 Layout: 8-byte magic, a little-endian uint32 giving the length of a UTF-8
 JSON manifest, the manifest itself, then the raw tensor payloads. The
-manifest records the architecture config, a hash of it for compatibility
-checks, and per-tensor shape/dtype/offset (offsets are relative to the end
-of the manifest). Tensors are stored float32 little-endian in C order,
-sorted by name, so identical weights always produce identical files.
-Loading checks the config keys and hash, and each tensor's name, shape and
-offset against the network that config builds; any malformed manifest
-raises ``FormatError``.
+manifest records the architecture config, a hash of it, and a tensor table
+of shape, dtype and offset (from the end of the manifest) per tensor.
+Tensors are stored float32 little-endian in C order, sorted by name, each
+starting where the previous one ends, so identical weights always produce
+identical files. Loading checks the config keys and hash, then refuses with
+``FormatError`` any tensor table but the one that config's network implies.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -32,26 +32,24 @@ def config_hash(cfg: EvNetConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _tensor_table(shapes):
+    """The manifest's tensor table for name -> shape (names sorted, float32,
+    each offset where the previous tensor ends) and the payload's length."""
+    table, offset = {}, 0
+    for name in sorted(shapes):
+        table[name] = {"shape": list(shapes[name]), "dtype": "float32", "offset": offset}
+        offset += 4 * math.prod(shapes[name])
+    return table, offset
+
+
 def save_checkpoint(path, params, cfg: EvNetConfig, extra: dict | None = None):
     """Write weights (cast to float32) plus config and optional metadata."""
-    names = sorted(params)
-    tensors = {}
-    offset = 0
-    payloads = []
-    for name in names:
-        arr = np.ascontiguousarray(params[name], dtype="<f4")
-        tensors[name] = {
-            "shape": list(arr.shape),
-            "dtype": "float32",
-            "offset": offset,
-        }
-        payloads.append(arr.tobytes())
-        offset += arr.nbytes
+    arrays = {name: np.ascontiguousarray(arr, dtype="<f4") for name, arr in params.items()}
     manifest = {
         "format": FORMAT_NAME,
         "config": dataclasses.asdict(cfg),
         "config_hash": config_hash(cfg),
-        "tensors": tensors,
+        "tensors": _tensor_table({name: arr.shape for name, arr in arrays.items()})[0],
         "extra": extra or {},
     }
     blob = json.dumps(manifest, sort_keys=True).encode()
@@ -59,10 +57,10 @@ def save_checkpoint(path, params, cfg: EvNetConfig, extra: dict | None = None):
     try:
         with open(tmp, "wb") as f:
             f.write(MAGIC)
-            f.write(np.uint32(len(blob)).tobytes())
+            f.write(len(blob).to_bytes(4, "little"))
             f.write(blob)
-            for p in payloads:
-                f.write(p)
+            for name in sorted(arrays):
+                f.write(arrays[name].tobytes())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # a failed write or replace leaves no temporary file
@@ -106,34 +104,22 @@ def load_checkpoint(path):
     tensors = manifest.get("tensors")
     if not isinstance(tensors, dict):
         raise FormatError(f"{path}: manifest has no tensors object")
-    for name, info in tensors.items():
-        if not (
-            isinstance(info, dict)
-            and isinstance(info.get("shape"), list)
-            and type(info.get("offset")) is int
-            and info["offset"] >= 0
-            and info.get("dtype") == "float32"
-        ):
-            raise FormatError(
-                f"{path}: tensor {name} needs a shape list, a non-negative "
-                f"integer offset and dtype float32, got {info!r}"
-            )
-    shapes = {name: tuple(info["shape"]) for name, info in tensors.items()}
-    wrong = sorted(k for k in shapes.keys() | expected.keys() if shapes.get(k) != expected.get(k))
-    if wrong:
+    table, size = _tensor_table(expected)
+    # compared as the JSON save writes, where an offset of 0.0 or true is not 0 or 1
+    if json.dumps(tensors, sort_keys=True) != json.dumps(table, sort_keys=True):
+        got = {k: json.dumps(v, sort_keys=True) for k, v in tensors.items()}
+        want = {k: json.dumps(v, sort_keys=True) for k, v in table.items()}
+        wrong = sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
         raise FormatError(f"{path}: tensors do not match the config: " + "; ".join(
-            f"{k} is {shapes.get(k, 'absent')} in the file, {expected.get(k, 'absent')} by config"
+            f"{k} is {got.get(k, 'absent')} in the file, {want.get(k, 'absent')} by config"
             for k in wrong
         ))
     base = start + n
-    params = {}
-    for name, info in tensors.items():
-        shape = expected[name]
-        count = int(np.prod(shape)) if shape else 1
-        off = base + info["offset"]
-        if off + 4 * count > len(data):
-            raise TruncatedFileError(f"{path}: tensor {name} runs past end of file")
-        params[name] = (
-            np.frombuffer(data, "<f4", count=count, offset=off).reshape(shape).copy()
-        )
+    if len(data) < base + size:
+        raise TruncatedFileError(f"{path}: tensor payload truncated")
+    params = {
+        name: np.frombuffer(data, "<f4", count=math.prod(t["shape"]), offset=base + t["offset"])
+        .reshape(expected[name]).copy()
+        for name, t in table.items()
+    }
     return params, cfg, manifest

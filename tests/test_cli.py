@@ -374,6 +374,26 @@ class TestExtractCommand:
         assert "head.bias" in capsys.readouterr().err
         assert not (tmp_path / "m.nii.gz").exists()
 
+    def test_overlapping_tensor_offsets_are_data_error(
+        self, phantom_dataset, init_checkpoint, tmp_path, capsys
+    ):
+        # head.bias read from head.kernel's bytes would make a mask with the
+        # wrong weights
+        ckpt = tmp_path / "overlap.evc"
+        shutil.copy(init_checkpoint, ckpt)
+        rewrite_manifest(ckpt, lambda m: m["tensors"]["head.bias"].update(
+            offset=m["tensors"]["head.kernel"]["offset"]
+        ))
+        code = run(
+            ["extract",
+             "--in", str(phantom_dataset / "images" / "phantom_000.nii.gz"),
+             "--out", str(tmp_path / "m.nii.gz"), "--checkpoint", str(ckpt),
+             "--crf-iters", "0", *GRID_FLAGS]
+        )
+        assert code == 3
+        assert "head.bias" in capsys.readouterr().err
+        assert not (tmp_path / "m.nii.gz").exists()
+
     def test_oversized_config_is_data_error_without_allocating(
         self, phantom_dataset, init_checkpoint, tmp_path, capsys
     ):
@@ -881,6 +901,7 @@ class TestConfigRefusals:
             ("refine", ["--w-app", "-1"], "kernel weights must be >= 0"),
             ("train", ["--levels", "1"], "levels must be an integer >= 2"),
             ("train", ["--lr", "nan"], "lr must be finite and >= 0"),
+            ("refine", ["--w-smooth", "-1"], "kernel weights must be >= 0, got w_smoothness=-1.0"),
         ],
     )
     def test_refusal_names_stage_config_once(

@@ -51,6 +51,14 @@ def network_loss(x, params, cfg, truth):
     return report.value
 
 
+def swap_head_offsets(manifest):
+    bias, kernel = manifest["tensors"]["head.bias"], manifest["tensors"]["head.kernel"]
+    bias["offset"], kernel["offset"] = kernel["offset"], bias["offset"]
+
+
+# the first tensor by name in TestCheckpoint's network, stored at offset 0
+FIRST_TENSOR = "dec0.conv0.bias"
+
 # Manifest faults in the tensor table; each must raise FormatError naming
 # the tensors or the bad entry.
 TENSOR_TABLE_EDITS = {
@@ -59,6 +67,14 @@ TENSOR_TABLE_EDITS = {
     "no_shape": lambda m: m["tensors"]["head.bias"].pop("shape"),
     "no_offset": lambda m: m["tensors"]["head.bias"].pop("offset"),
     "negative_offset": lambda m: m["tensors"]["head.bias"].update(offset=-1000),
+    "overlapping_offsets": lambda m: m["tensors"]["head.bias"].update(
+        offset=m["tensors"]["head.kernel"]["offset"]
+    ),
+    "swapped_offsets": swap_head_offsets,
+    "extra_key": lambda m: m["tensors"]["head.bias"].update(order="C"),
+    # equal to 0 in Python, but not the integer offset save writes
+    "float_offset": lambda m: m["tensors"][FIRST_TENSOR].update(offset=0.0),
+    "bool_offset": lambda m: m["tensors"][FIRST_TENSOR].update(offset=False),
 }
 
 
@@ -534,6 +550,24 @@ class TestCheckpoint:
         with pytest.raises(TruncatedFileError):
             load_checkpoint(cut_payload)
 
+    def test_golden_bytes(self, tmp_path):
+        # pins the format: weights made by hand, not by init_params, whose
+        # random stream numpy does not promise to keep
+        cfg = EvNetConfig(levels=2, base_channels=2, seed=0)
+        params = {
+            name: np.arange(np.prod(shape), dtype=np.float64).reshape(shape) / 4
+            for name, shape in network.param_shapes(cfg).items()
+        }
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, params, cfg, extra={"epoch": 3})
+        data = path.read_bytes()
+        n = len(data) - 12 - 4 * sum(arr.size for arr in params.values())
+        assert data[8:12] == n.to_bytes(4, "little")
+        assert json.loads(data[12 : 12 + n])["extra"] == {"epoch": 3}
+        assert hashlib.sha256(data).hexdigest() == (
+            "4bb977e1d6f3f99ce77109d6e8ca4ef47bb47c627ff3964ccfad91a538a00e81"
+        )
+
     @pytest.mark.parametrize(
         "edit", ["missing", "extra", "misshapen", *TENSOR_TABLE_EDITS]
     )
@@ -550,7 +584,8 @@ class TestCheckpoint:
         save_checkpoint(path, params, cfg)
         if edit in TENSOR_TABLE_EDITS:
             rewrite_manifest(path, TENSOR_TABLE_EDITS[edit])
-        match = "tensors" if edit in ("no_tensors", "tensors_list") else "head"
+        match = {"no_tensors": "tensors", "tensors_list": "tensors",
+                 "float_offset": FIRST_TENSOR, "bool_offset": FIRST_TENSOR}.get(edit, "head")
         with pytest.raises(FormatError, match=match):
             load_checkpoint(path)
 

@@ -665,6 +665,14 @@ class TestSoftDiceLoss:
             assert abs(report.per_example[b] - expect) < 1e-12
         assert abs(report.value - report.per_example.mean()) < 1e-15
 
+    def test_value_by_hand(self):
+        # foreground p = (0.5, 0.25) against g = (1, 0), eps written out:
+        # 1 - 2 * 0.5 / (0.25 + 0.0625 + 1 + 1e-7)
+        pred = np.array([0.5, 0.75, 0.5, 0.25]).reshape(1, 2, 1, 1, 2)
+        truth = np.array([1, 0], dtype=np.uint8).reshape(1, 1, 1, 2)
+        report, _ = soft_dice_loss(pred, truth)
+        assert abs(report.value - (1 - 1.0 / 1.3125001)) < 1e-15
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(61)
         pred = rng.uniform(0.05, 0.95, size=(2, 2, 4, 4, 4))

@@ -86,8 +86,11 @@ class TestBoundary:
 
     def test_matches_brute(self):
         rng = np.random.default_rng(7)
-        for _ in range(10):
-            m = rng.random((6, 6, 6)) < 0.3
+        masks = [rng.random((6, 6, 6)) < 0.3 for _ in range(10)]
+        # a radius-2 ball has voxels whose six face neighbours are foreground
+        # while an edge neighbour is not: interior by six, boundary by 26
+        masks.append(((np.indices((7, 7, 7)) - 3) ** 2).sum(axis=0) <= 4)
+        for m in masks:
             assert np.array_equal(boundary(m), brute_boundary(m))
 
 
