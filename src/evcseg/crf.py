@@ -86,13 +86,6 @@ class CrfConfig:
 
 
 @dataclass(frozen=True)
-class UnaryField:
-    """Per-voxel label costs: -log of clamped probabilities, (L, nx, ny, nz)."""
-
-    neg_log_probs: np.ndarray
-
-
-@dataclass(frozen=True)
 class MeanFieldState:
     """Marginals, their message, and the free energy recorded after each sweep.
 
@@ -113,9 +106,9 @@ class MeanFieldState:
     kernel: list | None = None
 
 
-def unary_from_probmap(p: ProbMap) -> UnaryField:
-    clamped = np.clip(p.data, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return UnaryField(neg_log_probs=-np.log(clamped))
+def unary_from_probmap(p: ProbMap) -> np.ndarray:
+    """Per-voxel label costs: -log of clamped probabilities, (L, nx, ny, nz)."""
+    return -np.log(np.clip(p.data, PROB_CLAMP, 1.0 - PROB_CLAMP))
 
 
 def _appearance_intensities(vol: Volume, cfg: CrfConfig) -> np.ndarray:
@@ -185,17 +178,13 @@ def _scored(q, uf, vol, cfg, trace, mass, kernel, score=True) -> MeanFieldState:
     return MeanFieldState(q=q, message=m, free_energy_trace=trace, mass=mass, kernel=kernel)
 
 
-def _flat(u: UnaryField) -> np.ndarray:
-    return u.neg_log_probs.reshape(u.neg_log_probs.shape[0], -1)
-
-
 def _swept(state: MeanFieldState, uf) -> np.ndarray:
     """The marginals one parallel sweep takes from the state's message."""
     return _softmax_labels(-uf + state.message).reshape(state.q.shape)
 
 
 def mean_field_step(
-    state: MeanFieldState, u: UnaryField, vol: Volume, cfg: CrfConfig, score=True
+    state: MeanFieldState, u: np.ndarray, vol: Volume, cfg: CrfConfig, score=True
 ) -> MeanFieldState:
     """One parallel sweep: every voxel's marginals from the state's message.
 
@@ -203,15 +192,15 @@ def mean_field_step(
     filtered approximation, to the trace; score=False leaves the trace as
     it was.
     """
-    uf = _flat(u)
+    uf = u.reshape(len(u), -1)
     return _scored(
         _swept(state, uf), uf, vol, cfg, state.free_energy_trace, state.mass, state.kernel, score
     )
 
 
-def _initial_state(u: UnaryField, vol: Volume, cfg: CrfConfig, score=True) -> MeanFieldState:
-    uf = _flat(u)
-    q0 = _softmax_labels(-uf).reshape(u.neg_log_probs.shape)
+def _initial_state(u: np.ndarray, vol: Volume, cfg: CrfConfig, score=True) -> MeanFieldState:
+    uf = u.reshape(len(u), -1)
+    q0 = _softmax_labels(-uf).reshape(u.shape)
     kernel = None
     if cfg.w_appearance > 0:
         # every pass of the refinement filters against the same intensities
@@ -257,7 +246,7 @@ def refine(p: ProbMap, vol: Volume, cfg: CrfConfig, keep_state=True):
             state = mean_field_step(state, u, vol, cfg)
             q = state.q
         else:
-            q, state = _swept(state, _flat(u)), None
+            q, state = _swept(state, u.reshape(len(u), -1)), None
     if not np.isfinite(q).all():
         raise ConfigError(
             f"mean-field marginals are not finite: the kernel weights w_appearance="

@@ -6,8 +6,9 @@ manifest records the architecture config, a hash of it, and a tensor table
 of shape, dtype and offset (from the end of the manifest) per tensor.
 Tensors are stored float32 little-endian in C order, sorted by name, each
 starting where the previous one ends, so identical weights always produce
-identical files. Loading checks the config keys and hash, then refuses with
-``FormatError`` any tensor table but the one that config's network implies.
+identical files that end where the last tensor ends. Loading checks the
+config keys and hash, then refuses with ``FormatError`` any tensor table but
+the one that config's network implies, and any bytes after the payload.
 """
 
 from __future__ import annotations
@@ -117,6 +118,8 @@ def load_checkpoint(path):
     base = start + n
     if len(data) < base + size:
         raise TruncatedFileError(f"{path}: tensor payload truncated")
+    if len(data) > base + size:
+        raise FormatError(f"{path}: {len(data) - base - size} bytes after the tensor payload")
     params = {
         name: np.frombuffer(data, "<f4", count=math.prod(t["shape"]), offset=base + t["offset"])
         .reshape(expected[name]).copy()

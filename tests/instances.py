@@ -6,7 +6,7 @@ from scipy.ndimage import convolve1d
 from scipy.special import xlogy
 
 from evcseg.bilateral import CELL, TRUNCATE, _blur_kernel, gaussian_blur
-from evcseg.crf import PROB_CLAMP, CrfConfig, UnaryField
+from evcseg.crf import PROB_CLAMP, CrfConfig
 from evcseg.errors import GeometryError
 from evcseg.synth import (
     BRAIN_INTENSITY,
@@ -120,10 +120,10 @@ def oracle_refine(p: ProbMap, vol: Volume, cfg: CrfConfig, iterations):
     return qf.reshape(p.data.shape), tuple(trace)
 
 
-def gibbs_energy(x: LabelMask, u: UnaryField, vol: Volume, cfg: CrfConfig) -> float:
+def gibbs_energy(x: LabelMask, u: np.ndarray, vol: Volume, cfg: CrfConfig) -> float:
     """Exact energy of a hard labeling: unary sum plus Potts pairwise sum."""
     labels = x.data.reshape(-1).astype(np.int64)
-    uf = u.neg_log_probs.reshape(u.neg_log_probs.shape[0], -1)
+    uf = u.reshape(len(u), -1)
     if labels.size != uf.shape[1]:
         raise GeometryError("labeling and unary field sizes differ")
     e_unary = uf[labels, np.arange(labels.size)].sum()

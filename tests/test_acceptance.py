@@ -186,7 +186,7 @@ def test_parallel_fixed_point_is_free_energy_stationary():
         probs, vol, cfg = random_crf_instance(seed, max_side=8)
         fixed, _ = oracle_refine(probs, vol, cfg, 100)
         k = dense_kernel(vol, cfg)
-        u = unary_from_probmap(probs).neg_log_probs.reshape(2, -1)
+        u = unary_from_probmap(probs).reshape(2, -1)
         r = np.random.default_rng(seed).standard_normal(u.shape)
 
         def slope(logits):

@@ -394,6 +394,21 @@ class TestExtractCommand:
         assert "head.bias" in capsys.readouterr().err
         assert not (tmp_path / "m.nii.gz").exists()
 
+    def test_bytes_after_checkpoint_payload_are_data_error(
+        self, phantom_dataset, tmp_path, capsys
+    ):
+        ckpt = tmp_path / "long.evc"
+        ckpt.write_bytes(TestSpatialUnits.CHECKPOINT.read_bytes() + b"\x00" * 7)
+        code = run(
+            ["extract",
+             "--in", str(phantom_dataset / "images" / "phantom_000.nii.gz"),
+             "--out", str(tmp_path / "m.nii.gz"), "--checkpoint", str(ckpt),
+             "--crf-iters", "0", *GRID_FLAGS]
+        )
+        assert code == 3
+        assert "7 bytes after the tensor payload" in capsys.readouterr().err
+        assert not (tmp_path / "m.nii.gz").exists()
+
     def test_oversized_config_is_data_error_without_allocating(
         self, phantom_dataset, init_checkpoint, tmp_path, capsys
     ):

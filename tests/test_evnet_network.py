@@ -36,6 +36,7 @@ from evcseg.evnet import (
     soft_dice_loss,
 )
 
+BENCH_CHECKPOINT = Path(__file__).resolve().parents[1] / "bench" / "checkpoint.evc"
 EPSILON = 1e-5
 REL_TOL = 1e-4
 
@@ -549,6 +550,13 @@ class TestCheckpoint:
         cut_payload.write_bytes(data[:-8])
         with pytest.raises(TruncatedFileError):
             load_checkpoint(cut_payload)
+
+    def test_bytes_after_payload(self, tmp_path):
+        # a second file's bytes concatenated to a checkpoint are not weights
+        path = tmp_path / "long.evc"
+        path.write_bytes(BENCH_CHECKPOINT.read_bytes() + b"\x00" * 7)
+        with pytest.raises(FormatError, match="7 bytes after the tensor payload"):
+            load_checkpoint(path)
 
     def test_golden_bytes(self, tmp_path):
         # pins the format: weights made by hand, not by init_params, whose

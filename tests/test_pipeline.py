@@ -37,7 +37,7 @@ from evcseg.pipeline import (
     train,
 )
 from evcseg.synth import make_phantom, synth_dataset
-from evcseg.volume import LabelMask, mask_to_native
+from evcseg.volume import LabelMask, Volume, mask_to_native
 
 FAST_CRF = CrfConfig(iterations=0)
 
@@ -175,6 +175,17 @@ class TestPreprocessVolume:
         assert divisor == np.percentile(vol.data, 99.0)
         # Skull voxels sit near the 99th percentile, so they normalize to ~1.
         assert 0.9 <= out.data.max() <= 1.5
+
+    def test_clamp_is_readmes(self):
+        # README documents the network input range as [0, 1.5]: the five
+        # bright voxels sit above the 99th percentile and clamp to it
+        data = np.ones((10, 10, 10))
+        data.flat[[3, 150, 420, 777, 999]] = 4.0
+        out, meta = preprocess_volume(
+            Volume(data), GridConfig(pad_shape=(10, 10, 10), resize_half=False)
+        )
+        assert meta["normalize"]["divisor"] == 1.0
+        assert out.data.max() == 1.5
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 10, 99, 100, 101, 4097, 65536, 2**21])
     def test_percentile_is_numpys(self, n):
