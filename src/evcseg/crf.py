@@ -66,22 +66,19 @@ class CrfConfig:
     iterations: int = 5
 
     def __post_init__(self):
-        kernel = (self.w_appearance, self.w_smoothness, self.theta_alpha, self.theta_beta,
-                  self.theta_gamma)
-        if not all(math.isfinite(v) for v in kernel):
-            raise ConfigError(f"kernel weights and bandwidths must be finite, got {kernel}")
-        for name in ("w_appearance", "w_smoothness"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"kernel weights must be >= 0, got {name}={getattr(self, name)}")
-        thetas = (self.theta_alpha, self.theta_beta, self.theta_gamma)
-        if min(thetas) <= 0:
-            raise ConfigError("kernel bandwidths must be > 0")
-        # the kernels divide by 2 * theta**2; a subnormal square underflows
-        # toward 0 and turns the lag-0 weight into 0/0
-        if min(t**2 for t in thetas) < TINY:
-            raise ConfigError(
-                f"kernel bandwidths must have normal float64 squares, got {thetas}"
-            )
+        for name in ("w_appearance", "w_smoothness", "theta_alpha", "theta_beta", "theta_gamma"):
+            v, weight = getattr(self, name), name.startswith("w_")
+            if not math.isfinite(v):
+                raise ConfigError(f"kernel weights and bandwidths must be finite, got {name}={v}")
+            if weight and v < 0:
+                raise ConfigError(f"kernel weights must be >= 0, got {name}={v}")
+            if not weight and v <= 0:
+                raise ConfigError(f"kernel bandwidths must be > 0, got {name}={v}")
+            # the kernels divide by 2 * theta**2, so the square must be a normal
+            # float64: a subnormal one makes the lag-0 weight 0/0, a larger one raises
+            if not weight and not TINY <= v * v < math.inf:
+                raise ConfigError(
+                    f"kernel bandwidths must have normal float64 squares, got {name}={v}")
         object.__setattr__(self, "iterations", whole_number("iterations", self.iterations, 0))
 
 

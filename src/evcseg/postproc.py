@@ -2,7 +2,9 @@
 
 Foreground uses 26-connectivity and background 6-connectivity, the
 standard dual pair, so a diagonal chain of foreground voxels does not
-split the background it passes through.
+split the background it passes through. Ids are ndimage.label's, in scan
+order (tests pin this). Holes are filled before the largest component is
+chosen, so a filled shell can outweigh a solid piece.
 """
 
 from __future__ import annotations
@@ -30,23 +32,23 @@ def label_components(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, i
     """
     if connectivity not in _STRUCTURES:
         raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
-    labels, count = ndimage.label(np.asarray(mask).astype(bool), structure=_STRUCTURES[connectivity])
-    if count > 1:
-        # renumber by first appearance in scan order; ndimage.label already
-        # does this in practice but the contract should not rest on it
-        flat = labels.ravel()
-        occupied = np.flatnonzero(flat)
-        ids, first = np.unique(flat[occupied], return_index=True)
-        order = np.argsort(first, kind="stable")
-        remap = np.zeros(count + 1, dtype=labels.dtype)
-        remap[ids[order]] = np.arange(1, count + 1)
-        labels = remap[labels]
+    # ndimage.label scans in C order: a component's first voxel has no labeled neighbour
+    # yet, so it takes a new label, below any taken later, and a merge keeps the lower one
+    labels, count = ndimage.label(mask, structure=_STRUCTURES[connectivity])
     return labels, int(count)
 
 
 def component_sizes(labels: np.ndarray, count: int) -> np.ndarray:
     """Voxel count per component id, index 0 being background."""
     return np.bincount(labels.ravel(), minlength=count + 1)
+
+
+def _largest(mask: np.ndarray, connectivity: int) -> np.ndarray | None:
+    """The largest component as a bool array, ties to the lowest id; None with at most one."""
+    labels, count = label_components(mask, connectivity)
+    if count <= 1:
+        return None
+    return labels == np.argmax(component_sizes(labels, count)[1:]) + 1
 
 
 def fill_background_holes(m: LabelMask) -> LabelMask:
@@ -56,13 +58,8 @@ def fill_background_holes(m: LabelMask) -> LabelMask:
     always smaller than the surrounding air, so keeping only the largest
     background component fills them. Ties keep the lowest id.
     """
-    bg = ~m.data.astype(bool)
-    labels, count = label_components(bg, connectivity=6)
-    if count <= 1:
-        return m
-    sizes = component_sizes(labels, count)
-    keep = int(np.argmax(sizes[1:])) + 1  # argmax takes the lowest id on ties
-    return LabelMask(data=(labels != keep).astype(np.uint8), affine=m.affine)
+    air = _largest(m.data == 0, connectivity=6)
+    return m if air is None else LabelMask(data=(~air).astype(np.uint8), affine=m.affine)
 
 
 def largest_foreground(m: LabelMask) -> LabelMask:
@@ -71,12 +68,8 @@ def largest_foreground(m: LabelMask) -> LabelMask:
     A mask with at most one component, an empty one included, comes back
     unchanged; ties keep the lowest id.
     """
-    labels, count = label_components(m.data, connectivity=26)
-    if count <= 1:
-        return m
-    sizes = component_sizes(labels, count)
-    keep = int(np.argmax(sizes[1:])) + 1
-    return LabelMask(data=(labels == keep).astype(np.uint8), affine=m.affine)
+    keep = _largest(m.data, connectivity=26)
+    return m if keep is None else LabelMask(data=keep.astype(np.uint8), affine=m.affine)
 
 
 def cleanup(m: LabelMask) -> LabelMask:

@@ -54,6 +54,15 @@ def test_higher_is_better_counts_wins_the_other_way():
     assert "worse beyond bound" in dice
 
 
+def test_last_bit_difference_is_a_tie():
+    # the same masks averaged over 198 and 192 rounds: neither a win nor a loss
+    a, b = 0.9509610434185691, 0.950961043418569
+    runs = [{"parent": ok(1.0, dice=p), "change": ok(1.0, dice=c)}
+            for p, c in ((a, b), (b, a), (0.9, 0.95))]
+    dice = line(bench_pairs.summarise({"w": runs}, METRICS)[0], "w", "dice")
+    assert "ties 2/3, change wins 1/3" in dice
+
+
 def test_spread_wider_than_the_bound_is_unresolved():
     # parent quartiles 1 and 2 around a median of 1.5: a 67 % spread
     runs = [{"parent": ok(p), "change": ok(c)} for p, c in ((1, 4), (1, 4), (2, 4), (2, 4))]

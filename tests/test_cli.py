@@ -917,6 +917,13 @@ class TestConfigRefusals:
             ("train", ["--levels", "1"], "levels must be an integer >= 2"),
             ("train", ["--lr", "nan"], "lr must be finite and >= 0"),
             ("refine", ["--w-smooth", "-1"], "kernel weights must be >= 0, got w_smoothness=-1.0"),
+            ("refine", ["--theta-beta", "0"], "kernel bandwidths must be > 0, got theta_beta=0.0"),
+            ("refine", ["--theta-gamma", "1e-200"],
+             "kernel bandwidths must have normal float64 squares, got theta_gamma=1e-200"),
+            ("refine", ["--w-app", "nan"],
+             "kernel weights and bandwidths must be finite, got w_appearance=nan"),
+            ("refine", ["--theta-alpha", "1e200"],
+             "kernel bandwidths must have normal float64 squares, got theta_alpha=1e+200"),
         ],
     )
     def test_refusal_names_stage_config_once(

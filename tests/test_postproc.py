@@ -31,6 +31,19 @@ class TestLabelComponents:
         assert labels[1, 0, 0] == 2
         assert labels[3, 3, 3] == 3
 
+    @pytest.mark.parametrize("connectivity", [6, 26])
+    def test_ids_follow_scan_order_through_merges(self, connectivity):
+        # at these densities components meet as the scan goes on, where
+        # three isolated voxels never do
+        for case in range(40):
+            rng = np.random.default_rng((connectivity, case))
+            m = rng.random((8, 7, 6)) < rng.uniform(0.2, 0.6)
+            labels, count = label_components(m, connectivity)
+            flat = labels.ravel()
+            ids, first = np.unique(flat[flat > 0], return_index=True)
+            assert np.array_equal(ids, np.arange(1, count + 1)), case
+            assert np.all(np.diff(first) > 0), case
+
     def test_diagonal_voxels_26_vs_6(self):
         m = np.zeros((3, 3, 3), dtype=bool)
         m[0, 0, 0] = True
@@ -127,6 +140,18 @@ class TestCleanup:
         solid = np.zeros_like(m)
         solid[1:6, 1:6, 1:6] = 1
         assert np.array_equal(out.data, solid)
+
+    def test_holes_fill_before_the_largest_is_chosen(self):
+        # the shell has fewer voxels than the block (488 against 648), but
+        # more once its 512-voxel hole is filled
+        m = np.zeros((26, 12, 12), dtype=np.uint8)
+        m[1:9, 1:10, 1:10] = 1
+        m[13:23, 1:11, 1:11] = 1
+        m[14:22, 2:10, 2:10] = 0
+        out = cleanup(mask(m))
+        shell = np.zeros_like(m)
+        shell[13:23, 1:11, 1:11] = 1
+        assert np.array_equal(out.data, shell)
 
     def test_idempotent_and_single_component_on_random(self):
         rng = np.random.default_rng(42)

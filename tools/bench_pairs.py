@@ -15,12 +15,14 @@ way has read a timing difference that the code did not make.
 Each run's result line goes to standard error as it arrives. Then, per
 workload and per end-to-end metric of the change's BENCHMARK.json, the
 summary gives every pair's two values, each side's median and quartiles,
-the change's wins out of the pairs (by the metric's `better`) and the
-change of the median against the metric's `bound`, or "unresolved" where
-the parent's quartiles lie further apart than the bound (unless every
-change run reads better than every parent run). It names every run
-that exited non-zero, printed no result, read `correct: false` or had a
-failed operation, and then exits 1. Standard library only.
+the ties (pairs whose values differ by at most TIE of the parent's) and
+the change's wins out of the pairs (by the metric's `better`, ties
+counting for neither), and the change of the median against the metric's
+`bound`, or "unresolved" where the parent's quartiles lie further apart
+than the bound (unless every change run reads better than every parent
+run). It names every run that exited non-zero, printed no result, read
+`correct: false` or had a failed operation, and then exits 1. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+TIE = 1e-12  # relative to the parent's value
 
 
 def order(pair: int) -> tuple[str, str]:
@@ -103,7 +107,10 @@ def summarise(pairs: dict, metrics: list) -> tuple[list, list]:
             sign = 1 if better == "lower" else -1  # sign * value: lower is better
             ps, cs = [p for _, p, _ in got], [c for _, _, c in got]
             parent, change = quartiles(ps), quartiles(cs)
-            wins = sum(sign * c < sign * p for _, p, c in got)
+            # a pair within TIE of the parent's value is a tie, neither a win nor a
+            # loss: a mean over a different number of rounds moves the last bits
+            ties = sum(abs(c - p) <= TIE * abs(p) for _, p, c in got)
+            wins = sum(sign * (c - p) < -TIE * abs(p) for _, p, c in got)
             delta = (change[1] - parent[1]) / abs(parent[1]) if parent[1] else 0.0
             spread = (parent[2] - parent[0]) / abs(parent[1]) if parent[1] else 0.0
             all_better = max(sign * c for c in cs) < min(sign * p for p in ps)
@@ -115,7 +122,8 @@ def summarise(pairs: dict, metrics: list) -> tuple[list, list]:
                 f"{workload} {name} ({m['unit']}, {better} is better, bound {m['bound']:g}): "
                 f"parent median {parent[1]:.6g} [{parent[0]:.6g}, {parent[2]:.6g}], "
                 f"change median {change[1]:.6g} [{change[0]:.6g}, {change[2]:.6g}], "
-                f"change wins {wins}/{len(got)}, median {delta:+.1%}: {verdict}"
+                f"ties {ties}/{len(got)}, change wins {wins}/{len(got)}, "
+                f"median {delta:+.1%}: {verdict}"
             )
             lines.append("  pairs parent/change, p or c ran first: " + ", ".join(
                 f"{i}{order(i)[0][0]} {p:.6g}/{c:.6g}" for i, p, c in got
