@@ -74,6 +74,21 @@ def test_spread_wider_than_the_bound_is_unresolved():
     assert "change wins 4/4, median -66.7%: within bound" in op
 
 
+def gain(parent, change):
+    runs = [{"parent": ok(p), "change": ok(c)} for p, c in zip(parent, change)]
+    return line(bench_pairs.summarise({"w": runs}, METRICS)[0], "w", "op_s").rsplit("; ", 1)[1]
+
+
+def test_gain_needs_nine_in_ten_wins_and_medians_apart():
+    parent = [10.0 + 0.1 * i for i in range(10)]
+    # 9 of 10 wins, medians 5 and 10.45 against quartiles 10.225 and 10.675
+    assert gain(parent, [5.0] * 9 + [20.0]) == "gain shown"
+    # 8 of 10 wins
+    assert gain(parent, [5.0] * 8 + [20.0] * 2) == "no gain shown"
+    # 10 of 10 wins, but the medians lie 0.05 apart, inside the parent's quartiles
+    assert gain(parent, [p - 0.05 for p in parent]) == "no gain shown"
+
+
 def test_names_every_faulty_run():
     runs = [
         {"parent": ok(1.0, returncode=1), "change": ok(1.0)},

@@ -140,6 +140,30 @@ class TestBalancedAhd:
             expect = total / (2.0 * bt.sum())
             assert balanced_ahd(t, p, spacing=sp) == pytest.approx(expect, rel=1e-12)
 
+    def test_union_box_inside_the_grid(self):
+        # two small blobs far apart in a 20^3 grid, the prediction's far one
+        # touching the grid's last face on axis 0: the union's box is a strict
+        # sub-box of the grid, and each mask has voxels outside the other's box
+        rng = np.random.default_rng(5)
+        sp = (0.7, 1.5, 2.25)
+        for _ in range(4):
+            t = np.zeros((20, 20, 20), dtype=bool)
+            p = np.zeros((20, 20, 20), dtype=bool)
+            t[3:7, 4:8, 5:9] = rng.random((4, 4, 4)) < 0.6
+            p[3:6, 5:8, 5:8] = rng.random((3, 3, 3)) < 0.5
+            p[16:20, 12:15, 11:14] = rng.random((4, 3, 3)) < 0.6
+            t[4, 4, 6] = p[4, 6, 6] = p[19, 13, 12] = True
+            assert balanced_ahd(t, p) == pytest.approx(brute_bahd(t, p), abs=1e-9)
+            # the brute EDT form, as in test_anisotropic_matches_brute_edt
+            bt, bp = brute_boundary(t), brute_boundary(p)
+            total = brute_edt(bp, sp)[bt].sum() + brute_edt(bt, sp)[bp].sum()
+            expect = total / (2.0 * bt.sum())
+            assert balanced_ahd(t, p, spacing=sp) == pytest.approx(expect, rel=1e-12)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(DomainError, match="shape"):
+            balanced_ahd(np.ones((3, 3, 3), dtype=bool), np.ones((3, 3, 4), dtype=bool))
+
     def test_empty_truth_raises(self):
         z = np.zeros((3, 3, 3), dtype=bool)
         o = np.ones((3, 3, 3), dtype=bool)

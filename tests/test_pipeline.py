@@ -604,6 +604,20 @@ class TestEvaluate:
         assert calls == [(n, threading.get_ident()) for n in names]
         assert list(report["cases"]) == names
 
+    def test_scoring_imports_no_scipy_spatial(self, tmp_path):
+        # a fresh interpreter: test_augment imports scipy.spatial into this one
+        pairs = synth_dataset(n=1, size=16, seed=4, out_dir=tmp_path)
+        masks = str(pairs[0][1].parent)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = ("import sys; from evcseg import evaluate; evaluate(sys.argv[1], sys.argv[1]); "
+                  "print('scipy.spatial' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", script, masks],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
     def test_shape_mismatch_rejected(self, tmp_path):
         pred, truth = self.build_dirs(
             tmp_path, {"a.nii.gz": (np.zeros((4, 4, 4), np.uint8), ball_mask(10, 3))}

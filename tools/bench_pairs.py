@@ -20,9 +20,11 @@ the change's wins out of the pairs (by the metric's `better`, ties
 counting for neither), and the change of the median against the metric's
 `bound`, or "unresolved" where the parent's quartiles lie further apart
 than the bound (unless every change run reads better than every parent
-run). It names every run that exited non-zero, printed no result, read
-`correct: false` or had a failed operation, and then exits 1. Standard
-library only.
+run). Last comes whether a gain is shown: the change wins at least 9 in
+10 of the pairs and its median beats the parent's by more than the
+distance between the parent's quartiles. It names every run that exited
+non-zero, printed no result, read `correct: false` or had a failed
+operation, and then exits 1. Standard library only.
 """
 
 from __future__ import annotations
@@ -118,12 +120,13 @@ def summarise(pairs: dict, metrics: list) -> tuple[list, list]:
                 verdict = f"unresolved, the parent's quartiles span {spread:.1%} of its median"
             else:
                 verdict = "worse beyond bound" if sign * delta > m["bound"] else "within bound"
+            gain = 10 * wins >= 9 * len(got) and sign * (parent[1] - change[1]) > parent[2] - parent[0]
             lines.append(
                 f"{workload} {name} ({m['unit']}, {better} is better, bound {m['bound']:g}): "
                 f"parent median {parent[1]:.6g} [{parent[0]:.6g}, {parent[2]:.6g}], "
                 f"change median {change[1]:.6g} [{change[0]:.6g}, {change[2]:.6g}], "
                 f"ties {ties}/{len(got)}, change wins {wins}/{len(got)}, "
-                f"median {delta:+.1%}: {verdict}"
+                f"median {delta:+.1%}: {verdict}; {'gain shown' if gain else 'no gain shown'}"
             )
             lines.append("  pairs parent/change, p or c ran first: " + ", ".join(
                 f"{i}{order(i)[0][0]} {p:.6g}/{c:.6g}" for i, p, c in got
