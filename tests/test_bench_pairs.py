@@ -87,6 +87,9 @@ def test_gain_needs_nine_in_ten_wins_and_medians_apart():
     assert gain(parent, [5.0] * 8 + [20.0] * 2) == "no gain shown"
     # 10 of 10 wins, but the medians lie 0.05 apart, inside the parent's quartiles
     assert gain(parent, [p - 0.05 for p in parent]) == "no gain shown"
+    # every pair won and the medians far apart, but fewer than 10 pairs
+    for n in (1, 9):
+        assert gain(parent[:n], [5.0] * n) == "no gain shown"
 
 
 def test_names_every_faulty_run():

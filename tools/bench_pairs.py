@@ -20,11 +20,12 @@ the change's wins out of the pairs (by the metric's `better`, ties
 counting for neither), and the change of the median against the metric's
 `bound`, or "unresolved" where the parent's quartiles lie further apart
 than the bound (unless every change run reads better than every parent
-run). Last comes whether a gain is shown: the change wins at least 9 in
-10 of the pairs and its median beats the parent's by more than the
-distance between the parent's quartiles. It names every run that exited
-non-zero, printed no result, read `correct: false` or had a failed
-operation, and then exits 1. Standard library only.
+run). Last comes whether a gain is shown: at least 10 pairs have both
+values, the change wins at least 9 in 10 of them and its median beats
+the parent's by more than the distance between the parent's quartiles.
+It names every run that exited non-zero, printed no result, read
+`correct: false` or had a failed operation, and then exits 1. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ def summarise(pairs: dict, metrics: list) -> tuple[list, list]:
                 verdict = f"unresolved, the parent's quartiles span {spread:.1%} of its median"
             else:
                 verdict = "worse beyond bound" if sign * delta > m["bound"] else "within bound"
-            gain = 10 * wins >= 9 * len(got) and sign * (parent[1] - change[1]) > parent[2] - parent[0]
+            gain = (len(got) >= 10 and 10 * wins >= 9 * len(got)
+                    and sign * (parent[1] - change[1]) > parent[2] - parent[0])
             lines.append(
                 f"{workload} {name} ({m['unit']}, {better} is better, bound {m['bound']:g}): "
                 f"parent median {parent[1]:.6g} [{parent[0]:.6g}, {parent[2]:.6g}], "
